@@ -473,15 +473,21 @@ let e7d () =
 
 (* ------------------------------------------------------------------ E8 *)
 
+(* Steps per second per domain of an ensemble batch: interactions (nulls
+   included) on the uniform backend, reactions on the Gillespie one. *)
+let per_core_rate (e : Ensemble.t) =
+  let steps = Array.fold_left (fun n (t : Ensemble.trial) -> n + t.steps) 0 e.trials in
+  float_of_int steps /. (e.wall *. float_of_int e.jobs)
+
 let e8 () =
   let jobs_hi = Stdlib.max 2 (Stdlib.min 4 (Domain.recommended_domain_count ())) in
   section "E8"
     (Printf.sprintf
        "Convergence under the uniform scheduler (ensemble, 10 trials; \
         wall-clock on 1 vs %d domains)" jobs_hi);
-  row "%-22s %-8s %-10s %-10s %-10s %-10s %-10s %-9s %s\n" "protocol" "pop" "mean"
-    "stddev" "median" "wall(1j)" (Printf.sprintf "wall(%dj)" jobs_hi) "speedup"
-    "det-ok";
+  row "%-22s %-8s %-10s %-10s %-10s %-10s %-10s %-9s %-10s %s\n" "protocol" "pop"
+    "mean" "stddev" "median" "ms(1j)" (Printf.sprintf "ms(%dj)" jobs_hi) "speedup"
+    "inter/s" "det-ok";
   let measure ?(trials = 10) ~backend name p input =
     let e1 = Ensemble.run_input ~jobs:1 ~backend ~seed:20260705 ~trials p input in
     let eN =
@@ -494,12 +500,13 @@ let e8 () =
     let pop =
       String.concat "+" (List.map string_of_int (Array.to_list input))
     in
-    if ts = [] then row "%-22s %-8s (no convergence within budget)\n" name pop
-    else
-      row "%-22s %-8s %-10.2f %-10.2f %-10.2f %-10.3f %-10.3f %-9.2f %b\n" name
-        pop (Stats.mean ts) (Stats.stddev ts) (Stats.median ts)
-        e1.Ensemble.wall eN.Ensemble.wall
-        (e1.Ensemble.wall /. eN.Ensemble.wall) det_ok
+    (* no trial converging within the budget leaves the time columns empty *)
+    let stat f = if ts = [] then "-" else Printf.sprintf "%.2f" (f ts) in
+    row "%-22s %-8s %-10s %-10s %-10s %-10.2f %-10.2f %-9.2f %-10.3g %b\n" name pop
+      (stat Stats.mean) (stat Stats.stddev) (stat Stats.median)
+      (1e3 *. e1.Ensemble.wall) (1e3 *. eN.Ensemble.wall)
+      (e1.Ensemble.wall /. eN.Ensemble.wall)
+      (per_core_rate e1) det_ok
   in
   List.iter
     (fun (name, pops) ->
@@ -694,8 +701,8 @@ let e13 () =
 let e14 () =
   let jobs = Stdlib.max 2 (Stdlib.min 4 (Domain.recommended_domain_count ())) in
   section "E14" "Continuous-time (Gillespie SSA) vs discrete parallel time (8-trial ensembles)";
-  row "%-22s %-8s %-16s %-16s %-12s\n" "protocol" "pop" "SSA time (mean)"
-    "discrete pt (mean)" "wall (s)";
+  row "%-22s %-8s %-16s %-16s %-12s %-12s %s\n" "protocol" "pop" "SSA time (mean)"
+    "discrete pt (mean)" "wall (ms)" "react/s" "inter/s";
   List.iter
     (fun (name, pops) ->
       match Catalog.build name with
@@ -714,10 +721,11 @@ let e14 () =
             in
             let cont = Ensemble.parallel_times ssa in
             let dts = Ensemble.parallel_times disc in
-            row "%-22s %-8d %-16.2f %-16.2f %-12.3f\n" name pop
+            row "%-22s %-8d %-16.2f %-16.2f %-12.2f %-12.3g %.3g\n" name pop
               (if cont = [] then nan else Stats.mean cont)
               (if dts = [] then nan else Stats.mean dts)
-              (ssa.Ensemble.wall +. disc.Ensemble.wall))
+              (1e3 *. (ssa.Ensemble.wall +. disc.Ensemble.wall))
+              (per_core_rate ssa) (per_core_rate disc))
           pops)
     [ ("flock-succinct-4", [ 50; 100; 200 ]); ("threshold-binary-13", [ 50; 100; 200 ]) ]
 
@@ -855,12 +863,13 @@ let ablations () =
     (Bignat.bits big) t_kara t_school (t_school /. t_kara);
 
   row "\nC. Simulator quiet-window sensitivity (flock-succinct-4, pop 100):\n";
-  let rng = Splitmix64.create 99 in
   List.iter
     (fun window ->
       let ts =
-        Simulator.sample_parallel_times ~runs:10 ~quiet_window:window ~rng
-          (Flock.succinct 4) [| 100 |]
+        Ensemble.parallel_times
+          (Ensemble.run_input ~jobs:1
+             ~backend:(Ensemble.uniform ~quiet_window:window ())
+             ~seed:99 ~trials:10 (Flock.succinct 4) [| 100 |])
       in
       row "  window %-6.0f convergence estimate: %s\n" window (Stats.summary ts))
     [ 4.0; 16.0; 64.0; 256.0 ];

@@ -73,9 +73,10 @@ let () =
   (* Gillespie-flavoured stochastic runs: how long until fluorescence,
      in parallel time (proportional to physical time in a well-mixed
      solution)? *)
-  let rng = Splitmix64.create 31 in
   Format.printf "time to fluorescence (20 substrate + 2 catalyst):@.";
-  let ts = Simulator.sample_parallel_times ~runs:8 ~rng p [| 20; 2 |] in
+  let ts =
+    Ensemble.parallel_times (Ensemble.run_input ~jobs:1 ~seed:31 ~trials:8 p [| 20; 2 |])
+  in
   Format.printf "  %s@." (Stats.summary ts);
 
   (* The stable sets tell the chemist which mixtures are inert: *)

@@ -53,7 +53,9 @@ let () =
   Format.printf "@.convergence at population 64 (10 runs):@.";
   List.iter
     (fun p ->
-      let ts = Simulator.sample_parallel_times ~runs:10 ~rng p [| 64 |] in
+      let ts =
+        Ensemble.parallel_times (Ensemble.run_input ~jobs:1 ~seed:7 ~trials:10 p [| 64 |])
+      in
       Format.printf "  %-18s %s@." p.Population.name (Stats.summary ts))
     [ naive; succinct ];
 

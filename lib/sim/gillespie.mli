@@ -9,38 +9,12 @@
     agrees with the discrete simulator's parallel time up to the usual
     constant. Identity transitions are silent and are skipped — when no
     productive reaction is enabled the mixture is inert and the run
-    stops. *)
+    stops.
 
-module Propensity : sig
-  (** Incremental propensity bookkeeping: after a transition fires, only
-      the propensities of transitions whose precondition mentions one of
-      the (at most 4) states it touched are recomputed, instead of all
-      [|T|] each step. {!run} uses this internally; it is exposed so
-      tests can replay arbitrary traces and check the running total
-      against a from-scratch recomputation. Propensities are unscaled
-      (#a·#b, or #a·(#a-1)/2 on a diagonal pre). *)
-
-  type tracker
-
-  val create : Population.t -> int array -> tracker
-  (** [create p counts] for the per-state agent counts [counts]. The
-      tracker keeps no reference to [counts]; pass the current counts to
-      {!update}. *)
-
-  val total : tracker -> float
-  (** Running total over non-identity transitions (resummed from the
-      per-transition table every 2048 updates to bound float drift). *)
-
-  val get : tracker -> int -> float
-  (** Current propensity of a transition index. *)
-
-  val update : tracker -> int array -> fired:int -> unit
-  (** [update tr counts ~fired]: [counts] must already reflect the
-      firing of transition [fired]. *)
-
-  val naive_total : Population.t -> int array -> float
-  (** From-scratch total, the reference for {!total}. *)
-end
+    {!run} is the continuous-clock instance of {!Event_kernel}: integer
+    propensities, updated only for the reactions that read a state a
+    firing changed ([gillespie.propensity_updates] counts those
+    recomputations), and one integer draw to pick the reaction. *)
 
 type run_result = {
   time : float;          (** continuous time when the run stopped *)

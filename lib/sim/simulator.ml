@@ -1,6 +1,5 @@
 (* Engine counters, registered once. Mutations are guarded by the
-   global flag inside Obs.Metrics, and the hot loop only touches plain
-   local refs — totals are published once per run. *)
+   global flag inside Obs.Metrics; totals are published once per run. *)
 let m_runs = Obs.Metrics.counter "sim.runs"
 let m_steps = Obs.Metrics.counter "sim.steps"
 let m_nulls = Obs.Metrics.counter "sim.null_interactions"
@@ -14,113 +13,24 @@ type run_result = {
   converged : bool;
 }
 
-(* Dense lookup from a canonical state pair [(s1, s2)] with [s1 <= s2]
-   to the indices of the transitions it enables: slot [s1 * d + s2].
-   Direct indexing keeps the hot loop free of hashing and of the [Some]
-   allocations a [Hashtbl.find_opt] per interaction would cost — minor
-   allocations also force cross-domain GC synchronisation, which is what
-   an ensemble's domains contend on. *)
-let pair_table p =
-  let d = Population.num_states p in
-  let table = Array.make (d * d) [] in
-  Array.iteri
-    (fun i (tr : Population.transition) ->
-      let s1, s2 = tr.pre in
-      let slot = (s1 * d) + s2 in
-      table.(slot) <- i :: table.(slot))
-    p.Population.transitions;
-  Array.map (fun l -> Array.of_list (List.rev l)) table
-
-(* Sample the states of two distinct agents drawn uniformly from the
-   population described by [counts]. *)
-let sample_pair rng counts total =
-  let pick_index k =
-    (* k is a position in 0..total-1 over agents grouped by state *)
-    let rec go s acc =
-      let acc' = acc + counts.(s) in
-      if k < acc' then s else go (s + 1) acc'
-    in
-    go 0 0
-  in
-  let k1 = Splitmix64.int_below rng total in
-  let s1 = pick_index k1 in
-  (* remove agent 1, draw agent 2 from the remaining total-1 *)
-  counts.(s1) <- counts.(s1) - 1;
-  let k2 = Splitmix64.int_below rng (total - 1) in
-  let s2 = pick_index k2 in
-  counts.(s1) <- counts.(s1) + 1;
-  (s1, s2)
-
-let status_of ones total : bool option =
-  if ones = total then Some true else if ones = 0 then Some false else None
-
 let run ?(max_steps = 50_000_000) ?(quiet_window = 64.0) ~rng p c0 =
-  let d = Population.num_states p in
-  let counts = Array.init d (Mset.get c0) in
   let total = Mset.size c0 in
   if total < 2 then invalid_arg "Simulator.run: population size >= 2 required";
-  let table = pair_table p in
-  let ones = ref 0 in
-  Array.iteri (fun s c -> if p.Population.output.(s) then ones := !ones + c) counts;
-  let quiet_steps =
-    int_of_float (quiet_window *. float_of_int total) |> Stdlib.max 1
-  in
-  let last_change = ref 0 in
-  let status = ref (status_of !ones total) in
-  let step = ref 0 in
-  let nulls = ref 0 in
-  let finished = ref false in
-  (* [sample_pair], inlined to avoid boxing a tuple per interaction;
-     the RNG draw sequence is identical *)
-  let pick_index k =
-    let rec go s acc =
-      let acc' = acc + counts.(s) in
-      if k < acc' then s else go (s + 1) acc'
-    in
-    go 0 0
-  in
-  let adjust s delta =
-    counts.(s) <- counts.(s) + delta;
-    if p.Population.output.(s) then ones := !ones + delta
-  in
-  while (not !finished) && !step < max_steps do
-    incr step;
-    let s1 = pick_index (Splitmix64.int_below rng total) in
-    counts.(s1) <- counts.(s1) - 1;
-    let s2 = pick_index (Splitmix64.int_below rng (total - 1)) in
-    counts.(s1) <- counts.(s1) + 1;
-    let slot = if s1 <= s2 then (s1 * d) + s2 else (s2 * d) + s1 in
-    let trs = table.(slot) in
-    (if Array.length trs > 0 then
-       let i =
-         if Array.length trs = 1 then trs.(0)
-         else trs.(Splitmix64.int_below rng (Array.length trs))
-       in
-       let { Population.post = p1, p2; _ } = p.Population.transitions.(i) in
-       adjust s1 (-1);
-       adjust s2 (-1);
-       adjust p1 1;
-       adjust p2 1
-     else incr nulls);
-    let status' = status_of !ones total in
-    if status' <> !status then begin
-      status := status';
-      last_change := !step
-    end;
-    if !step - !last_change >= quiet_steps && !status <> None then finished := true
-  done;
+  let quiet_steps = int_of_float (quiet_window *. float_of_int total) |> Stdlib.max 1 in
+  let o = Event_kernel.run (Steps { max_steps; quiet_steps }) ~rng p c0 in
+  let steps = int_of_float o.time in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_steps !step;
-    Obs.Metrics.add m_nulls !nulls;
-    if !finished then Obs.Metrics.incr m_converged
+    Obs.Metrics.add m_steps steps;
+    Obs.Metrics.add m_nulls (steps - o.fired);
+    if o.converged then Obs.Metrics.incr m_converged
   end;
   {
-    steps = !step;
-    last_change = !last_change;
-    output = !status;
-    final = Mset.of_array counts;
-    converged = !finished;
+    steps;
+    last_change = int_of_float o.last_change;
+    output = o.output;
+    final = o.final;
+    converged = o.converged;
   }
 
 let run_input ?max_steps ?quiet_window ~rng p v =
@@ -128,15 +38,3 @@ let run_input ?max_steps ?quiet_window ~rng p v =
 
 let parallel_time r ~population =
   float_of_int r.last_change /. float_of_int population
-
-(* A 1-domain ensemble: trial [i] runs on the [i]-th split of [rng], the
-   same per-trial stream assignment Ensemble uses, so that this function
-   agrees exactly with [Ensemble.parallel_times (Ensemble.run ~jobs:1 ...)]
-   when [rng = Splitmix64.create seed]. *)
-let sample_parallel_times ?(runs = 10) ?max_steps ?quiet_window ~rng p v =
-  let c0 = Population.initial_config p v in
-  let population = Mset.size c0 in
-  List.init runs (fun _ -> Splitmix64.split rng)
-  |> List.map (fun rng -> run ?max_steps ?quiet_window ~rng p c0)
-  |> List.filter (fun r -> r.converged)
-  |> List.map (fun r -> parallel_time r ~population)

@@ -7,6 +7,13 @@
     divided by the number of agents — the standard convention the
     paper's introduction uses when quoting [O(n log n)] convergence.
 
+    {!run} is the step-clock instance of {!Event_kernel}: it skips each
+    run of null interactions (pairs without a transition, or an
+    identity drawn) with one geometric draw, with the same law as
+    stepping through them one by one. The counter
+    [sim.null_interactions] adds up those nulls; [sim.steps] counts
+    every interaction, nulls included.
+
     Simulation cannot prove stabilisation (that is {!Fair_semantics}'s
     job); {!run} instead stops once the consensus status has been
     quiet for a configurable window and reports the last time the
@@ -19,13 +26,6 @@ type run_result = {
   final : Mset.t;
   converged : bool;       (** false iff the step budget ran out while unstable *)
 }
-
-val sample_pair : Splitmix64.t -> int array -> int -> int * int
-(** [sample_pair rng counts total] draws the states of two distinct
-    agents chosen uniformly from the population whose per-state counts
-    are [counts] (with [total = sum counts >= 2]). [counts] is mutated
-    transiently but restored before returning. Exposed for statistical
-    tests of the scheduler's uniformity. *)
 
 val run :
   ?max_steps:int ->
@@ -51,20 +51,3 @@ val run_input :
 val parallel_time : run_result -> population:int -> float
 (** Convergence estimate of a run in parallel-time units:
     [last_change / population]. *)
-
-val sample_parallel_times :
-  ?runs:int ->
-  ?max_steps:int ->
-  ?quiet_window:float ->
-  rng:Splitmix64.t ->
-  Population.t ->
-  int array ->
-  float list
-(** Convergence estimates over several independent runs (default 10)
-    from [IC(v)]; runs that fail to converge are dropped.
-
-    A thin sequential wrapper over a 1-domain ensemble: trial [i] runs
-    on the [i]-th {!Splitmix64.split} of [rng], the same per-trial
-    stream assignment {!Ensemble} uses, so with [rng = Splitmix64.create
-    seed] the result equals
-    [Ensemble.parallel_times (Ensemble.run ~jobs:1 ~seed ...)]. *)

@@ -72,23 +72,6 @@ let test_zero_trials () =
   Alcotest.(check string) "summary" "trials=0 converged=0 accept=0 reject=0 undecided=0\nparallel time: n=0\n"
     (Ensemble.summary e)
 
-(* Simulator.sample_parallel_times is the sequential face of a 1-domain
-   ensemble: identical streams, identical estimates *)
-let sample_parity_prop =
-  prop "sample_parallel_times = 1-domain ensemble" ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let p = Flock.succinct 2 in
-      let sequential =
-        Simulator.sample_parallel_times ~runs:7 ~rng:(Splitmix64.create seed) p
-          [| 12 |]
-      in
-      let ensemble =
-        Ensemble.parallel_times
-          (Ensemble.run_input ~jobs:1 ~seed ~trials:7 p [| 12 |])
-      in
-      sequential = ensemble)
-
 (* -- Stats laws ----------------------------------------------------------- *)
 
 let floats_arb lo =
@@ -196,7 +179,6 @@ let () =
           Alcotest.test_case "rng_for_trial replays a trial" `Quick
             test_rng_for_trial;
           Alcotest.test_case "empty batch" `Quick test_zero_trials;
-          sample_parity_prop;
         ] );
       ("stats laws", stats_props);
       ( "differential vs exact semantics",
