@@ -94,7 +94,7 @@ let e4 () =
           (Downset.norm a.Stable_sets.stable1)
           beta_str)
     [
-      "flock-succinct-1"; "flock-succinct-2"; "flock-succinct-3";
+      "flock-succinct-1"; "flock-succinct-2"; "flock-succinct-3"; "flock-succinct-6";
       "threshold-binary-5"; "threshold-binary-11"; "threshold-unary-4";
       "majority"; "mod-3-1"; "leader-counter-2";
     ]

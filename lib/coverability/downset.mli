@@ -7,6 +7,11 @@ type t
 val of_max_elements : int -> Omega_vec.t list -> t
 (** Down-closure of the given ω-vectors; dominated vectors dropped. *)
 
+val keep_maximal : Omega_vec.t list -> Omega_vec.t list
+(** The vectors below no other vector of the list, without duplicates,
+    sorted by [Stdlib.compare]: the canonical form of the maximal
+    elements kept by {!of_max_elements}. *)
+
 val dim : t -> int
 val max_elements : t -> Omega_vec.t list
 val mem : Mset.t -> t -> bool

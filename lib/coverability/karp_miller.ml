@@ -44,17 +44,6 @@ let accelerate ancestors v' =
 
 type Obs.Budget.partial += Partial_clover of Omega_vec.t list
 
-(* keep the maximal elements *)
-let maximal_of discovered =
-  List.filter
-    (fun v ->
-      not
-        (List.exists
-           (fun u -> (not (Omega_vec.equal u v)) && Omega_vec.leq v u)
-           discovered))
-    discovered
-  |> List.sort_uniq Stdlib.compare
-
 let clover_stats ?(max_nodes = 1_000_000) p c0 =
   let nt = Population.num_transitions p in
   let nodes = ref 0 in
@@ -67,7 +56,7 @@ let clover_stats ?(max_nodes = 1_000_000) p c0 =
        a budgeted caller can still use them as a partial answer *)
     raise
       (Obs.Budget.exceeded
-         ~partial:(Partial_clover (maximal_of !discovered))
+         ~partial:(Partial_clover (Downset.keep_maximal !discovered))
          ~source:"karp_miller.clover" ~resource:"nodes"
          ~limit:(float_of_int max_nodes)
          ~consumed:
@@ -94,7 +83,7 @@ let clover_stats ?(max_nodes = 1_000_000) p c0 =
     done
   in
   expand root [];
-  (maximal_of !discovered, { nodes = !nodes; accelerations = !accelerations })
+  (Downset.keep_maximal !discovered, { nodes = !nodes; accelerations = !accelerations })
 
 let clover ?max_nodes p c0 = fst (clover_stats ?max_nodes p c0)
 
@@ -124,7 +113,7 @@ let clover_parametric ?(max_nodes = 1_000_000) p =
     if !nodes > max_nodes then
       raise
         (Obs.Budget.exceeded
-           ~partial:(Partial_clover (maximal_of !discovered))
+           ~partial:(Partial_clover (Downset.keep_maximal !discovered))
            ~source:"karp_miller.clover_parametric" ~resource:"nodes"
            ~limit:(float_of_int max_nodes)
            ~consumed:[ ("nodes", float_of_int !nodes) ]
@@ -141,4 +130,4 @@ let clover_parametric ?(max_nodes = 1_000_000) p =
     done
   in
   expand root [];
-  maximal_of !discovered
+  Downset.keep_maximal !discovered

@@ -37,8 +37,13 @@ let analyse ?jobs ?chunk p =
           (fun () -> Backward.pre_star ?jobs ?chunk p (bad_upset p b))
       in
       let unstable0 = unstable false and unstable1 = unstable true in
-      let stable_of u = Downset.of_max_elements d (Upset.complement u) in
-      let stable0 = stable_of unstable0 and stable1 = stable_of unstable1 in
+      let stable b u =
+        Obs.Trace.with_span
+          (if b then "stable_sets.stable1" else "stable_sets.stable0")
+          ~cat:"coverability"
+          (fun () -> Downset.of_max_elements d (Upset.complement u))
+      in
+      let stable0 = stable false unstable0 and stable1 = stable true unstable1 in
       if Obs.Metrics.enabled () then begin
         Obs.Metrics.incr m_analyses;
         Obs.Metrics.set g_basis0 (float_of_int (Downset.size stable0));

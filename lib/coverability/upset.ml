@@ -49,41 +49,70 @@ let max_norm u =
     (fun acc m -> Stdlib.max acc (Intvec.norm_inf (Mset.to_intvec m)))
     0 u.minimal
 
-(* Complement of up(minimal): intersection over the minimal elements m of
-   the union over coordinates i with m(i) > 0 of the ω-vector putting
-   m(i)-1 at i and ω elsewhere. Distribute the intersection over the
-   unions, pruning dominated candidates as we go. *)
+let m_children = Obs.Metrics.counter "upset.complement_children"
+let m_pruned = Obs.Metrics.counter "upset.complement_pruned"
+
+(* Split-only complement of up(minimal). [acc] is the antichain of
+   maximal ω-vectors (ω = max_int) of the complement of the up-closure
+   of the minimal elements cut out so far. Cutting out up(m) keeps every
+   vector not above m and replaces each vector v above m by its children
+   v[i := m(i) - 1], i in m's support. Since [acc] is an antichain:
+   - no kept w lies below a child of v (w would lie below v), so kept
+     vectors are never dropped;
+   - children lowering different coordinates are incomparable (the one
+     lowering i exceeds the one lowering j at j), and two children
+     lowering the same i are never equal (their parents would be
+     comparable).
+   So a child lowering i is dropped only strictly below another child
+   lowering i, or below a kept w; such a w is >= m everywhere but at i,
+   so w(i) = m(i) - 1. *)
 let complement u =
-  let keep_maximal vs =
-    List.filter
-      (fun v ->
-        not
-          (List.exists
-             (fun v' -> (not (Omega_vec.equal v v')) && Omega_vec.leq v v')
-             vs))
-      vs
-    |> List.sort_uniq Stdlib.compare
+  let d = u.dim in
+  let leq a b =
+    let rec go i = i >= d || (a.(i) <= b.(i) && go (i + 1)) in
+    go 0
   in
-  let single m =
-    List.filter_map
-      (fun i ->
-        let c = Mset.get m i in
-        if c > 0 then begin
-          let v = Omega_vec.all_omega u.dim in
-          let v = Array.copy v in
-          v.(i) <- Omega_vec.Fin (c - 1);
-          Some v
+  let children = ref 0 and pruned = ref 0 in
+  let cut acc m =
+    let m = Array.init d (Mset.get m) in
+    match List.partition (leq m) acc with
+    | [], _ -> acc
+    | split, kept ->
+      let next = ref kept in
+      for i = 0 to d - 1 do
+        if m.(i) > 0 then begin
+          let x = m.(i) - 1 in
+          let kids =
+            List.map
+              (fun v ->
+                let c = Array.copy v in
+                c.(i) <- x;
+                c)
+              split
+          in
+          let blockers = List.filter (fun w -> w.(i) = x) kept in
+          children := !children + List.length kids;
+          List.iter
+            (fun c ->
+              if
+                List.exists (leq c) blockers
+                || List.exists (fun c' -> c' != c && leq c c') kids
+              then incr pruned
+              else next := c :: !next)
+            kids
         end
-        else None)
-      (List.init u.dim Fun.id)
+      done;
+      !next
   in
-  let start = [ Omega_vec.all_omega u.dim ] in
-  List.fold_left
-    (fun acc m ->
-      let choices = single m in
-      List.concat_map (fun v -> List.map (Omega_vec.meet v) choices) acc
-      |> keep_maximal)
-    start u.minimal
+  let result = List.fold_left cut [ Array.make d max_int ] u.minimal in
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.add m_children !children;
+    Obs.Metrics.add m_pruned !pruned
+  end;
+  List.map
+    (Array.map (fun x -> if x = max_int then Omega_vec.Omega else Omega_vec.Fin x))
+    result
+  |> List.sort Stdlib.compare
 
 let pp ?names fmt u =
   match u.minimal with

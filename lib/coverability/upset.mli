@@ -31,8 +31,23 @@ val max_norm : t -> int
 
 val complement : t -> Omega_vec.t list
 (** The complement of the upset — a downward-closed set — as its finite
-    list of maximal ω-vectors. Worst-case exponential in the number of
-    minimal elements; intended for the modest protocols this library
-    analyses. *)
+    list of maximal ω-vectors, sorted by [Stdlib.compare].
+
+    Built by splitting: starting from the all-ω vector, each minimal
+    element [m] in turn is cut out of the antichain of maximal vectors.
+    A vector not above [m] stays; a vector [v] above [m] is replaced by
+    its children [v[i := m(i) - 1]], one per coordinate [i] of [m]'s
+    support, and a child is dropped when another child or a surviving
+    vector dominates it. The work for one [m] is one pass over the
+    antichain plus comparisons of each child with its siblings and with
+    the survivors holding the child's value at the lowered coordinate:
+    it grows with the number of vectors [m] splits, not with the
+    antichain times [m]'s support. The complement itself can still have
+    exponentially many maximal vectors in the number of minimal
+    elements.
+
+    Publishes ["upset.complement_children"] (children generated) and
+    ["upset.complement_pruned"] (children dropped as dominated) once per
+    call. *)
 
 val pp : ?names:string array -> Format.formatter -> t -> unit

@@ -82,20 +82,97 @@ let test_upset_complement_edge_cases () =
   Alcotest.(check (list int)) "complement of everything is empty" []
     (List.map (fun _ -> 0) (Upset.complement everything))
 
+let print_elements (d, els) =
+  Printf.sprintf "dim %d: [%s]" d
+    (String.concat "; "
+       (List.map
+          (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)))
+          els))
+
+(* [lo]–[hi] elements of a random dimension in [1, max_dim], coordinates
+   0–4; zero vectors and duplicates are drawn on purpose *)
+let gen_elements ~max_dim ~lo ~hi =
+  QCheck.Gen.(
+    int_range 1 max_dim >>= fun d ->
+    let elt =
+      frequency [ (8, array_size (return d) (int_bound 4)); (1, return (Array.make d 0)) ]
+    in
+    list_size (int_range lo hi) elt >>= fun els ->
+    bool >|= fun dup ->
+    match els with
+    | first :: _ :: rest when dup -> (d, first :: Array.copy first :: rest)
+    | _ -> (d, els))
+
 let arb_upset_and_point =
   QCheck.make
-    ~print:(fun _ -> "<upset>")
+    ~print:(fun ((d, els), pt) ->
+      print_elements (d, els) ^ " at "
+      ^ String.concat "," (Array.to_list (Array.map string_of_int pt)))
     QCheck.Gen.(
-      pair
-        (list_size (int_range 1 5) (array_size (return 3) (int_bound 4)))
-        (array_size (return 3) (int_bound 6)))
+      gen_elements ~max_dim:5 ~lo:1 ~hi:5 >>= fun (d, els) ->
+      array_size (return d) (int_bound 6) >|= fun pt -> ((d, els), pt))
+
+let upset_of (d, els) = Upset.of_elements d (List.map Mset.of_array els)
 
 let complement_prop =
-  prop "complement is exact complement" arb_upset_and_point (fun (els, pt) ->
-      let u = Upset.of_elements 3 (List.map Mset.of_array els) in
+  prop "complement is exact complement" arb_upset_and_point (fun (e, pt) ->
+      let u = upset_of e in
       let comp = Upset.complement u in
       let c = Mset.of_array pt in
       List.exists (Omega_vec.member c) comp <> Upset.mem c u)
+
+let arb_elements =
+  QCheck.make ~print:print_elements (gen_elements ~max_dim:6 ~lo:0 ~hi:12)
+
+let complement_oracle_prop =
+  prop "complement = oracle" ~count:1000 arb_elements (fun e ->
+      let u = upset_of e in
+      Upset.complement u = Complement_oracle.complement u)
+
+let complement_antichain_prop =
+  prop "complement is an antichain" ~count:500 arb_elements (fun e ->
+      let comp = Array.of_list (Upset.complement (upset_of e)) in
+      let ok = ref true in
+      Array.iteri
+        (fun i v ->
+          Array.iteri
+            (fun j w -> if i <> j && Omega_vec.leq v w then ok := false)
+            comp)
+        comp;
+      !ok)
+
+(* the unstable upsets of catalog protocols, both outputs *)
+let test_complement_catalog_oracle () =
+  List.iter
+    (fun name ->
+      let p = (Option.get (Catalog.build name)).Catalog.build () in
+      let a = Stable_sets.analyse p in
+      List.iter
+        (fun b ->
+          let u = Stable_sets.unstable a b in
+          if Upset.complement u <> Complement_oracle.complement u then
+            Alcotest.failf "%s: complement of unstable%d differs from the oracle" name
+              (Bool.to_int b))
+        [ false; true ])
+    [ "flock-succinct-5"; "threshold-binary-11"; "leader-counter-3"; "majority" ]
+
+(* SC_0/SC_1 of threshold-binary-37 rendered vector by vector, pinned by
+   digests of what the oracle complement produces *)
+let test_complement_pinned () =
+  let p = (Option.get (Catalog.build "threshold-binary-37")).Catalog.build () in
+  let a = Stable_sets.analyse p in
+  let names = p.Population.states in
+  let digest s =
+    String.concat "\n"
+      (List.map (Format.asprintf "%a" (Omega_vec.pp ~names)) (Downset.max_elements s))
+    |> Digest.string |> Digest.to_hex
+  in
+  let sc0 = a.Stable_sets.stable0 and sc1 = a.Stable_sets.stable1 in
+  Alcotest.(check int) "|SC_0|" 285 (Downset.size sc0);
+  Alcotest.(check int) "norm SC_0" 36 (Downset.norm sc0);
+  Alcotest.(check string) "SC_0 digest" "e30aa129055af21ec6ddf1795758dd6d" (digest sc0);
+  Alcotest.(check int) "|SC_1|" 1 (Downset.size sc1);
+  Alcotest.(check string) "SC_1 digest" "5a6091f04685f9121ff638a2782784ab" (digest sc1)
 
 (* -- Downset ---------------------------------------------------------------- *)
 
@@ -353,6 +430,12 @@ let () =
           Alcotest.test_case "complement grid" `Quick test_upset_complement_roundtrip;
           Alcotest.test_case "complement edges" `Quick test_upset_complement_edge_cases;
           complement_prop;
+          complement_oracle_prop;
+          complement_antichain_prop;
+          Alcotest.test_case "complement = oracle on catalog upsets" `Slow
+            test_complement_catalog_oracle;
+          Alcotest.test_case "complement pinned on threshold-binary-37" `Quick
+            test_complement_pinned;
         ] );
       ( "downset",
         [
