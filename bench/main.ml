@@ -306,20 +306,32 @@ let e7p () =
   row "  off: %.2fs   on: %.2fs   speedup x%.2f   aggregates identical: %b\n"
     w_np w1 (w_np /. w1)
     (aggregates r_np = aggregates r1);
-  row "\npacked configuration graphs (n=3, 50k sample, no pruning, jobs=1):\n%!";
-  let r_ref, w_ref =
-    time (fun () ->
-        Busy_beaver.scan ~prune:false ~packed:false ~sample:(50_000, 20260705)
-          ~n:3 ())
-  in
-  let r_pk, w_pk =
-    time (fun () ->
-        Busy_beaver.scan ~prune:false ~packed:true ~sample:(50_000, 20260705)
-          ~n:3 ())
-  in
-  row "  multiset: %.2fs   packed: %.2fs   speedup x%.2f   results identical: %b\n"
-    w_ref w_pk (w_ref /. w_pk)
-    (aggregates r_ref = aggregates r_pk)
+  (* the representation ablation, below the verifier: the same graphs
+     built on multisets and on packed ints, timed call by call *)
+  let codes = 10_000 in
+  row "\npacked configuration graphs (n=3, %d sampled codes, inputs 2..12):\n%!"
+    codes;
+  let w_ref = ref 0.0 and w_pk = ref 0.0 in
+  let graphs = ref 0 and identical = ref true in
+  Busy_beaver.iter_protocols ~sample:(codes, 20260705) ~n:3 (fun p ->
+      for i = 2 to 12 do
+        let c0 = Population.initial_single p i in
+        let g, w = time (fun () -> Configgraph.explore p c0) in
+        let pg, w' = time (fun () -> Configgraph.Packed.explore p c0) in
+        w_ref := !w_ref +. w;
+        w_pk := !w_pk +. w';
+        incr graphs;
+        identical :=
+          !identical
+          && g.Configgraph.succ = pg.Configgraph.Packed.succ
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun j c -> Mset.equal c (Configgraph.Packed.config pg j))
+                  g.Configgraph.configs)
+      done);
+  row "  %d graphs   multiset: %.2fs   packed: %.2fs   speedup x%.2f   \
+       graphs identical: %b\n"
+    !graphs !w_ref !w_pk (!w_ref /. !w_pk) !identical
 
 (* ----------------------------------------------------------------- E7d *)
 

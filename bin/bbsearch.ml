@@ -58,10 +58,9 @@ let run_worker (host, port) chaos_kill chaos_net heartbeat_timeout =
     Printf.eprintf "bbsearch: worker: %s\n" e;
     1
 
-let run n max_input sample seed jobs chunk schedule no_prune no_packed
-    eta_budget checkpoint ckpt_chunks ckpt_secs resume on_error print_best
-    workers serve connect chaos_kill chaos_worker chaos_net heartbeat_timeout
-    () =
+let run n max_input sample seed jobs chunk schedule no_prune eta_budget
+    checkpoint ckpt_chunks ckpt_secs resume on_error print_best workers serve
+    connect chaos_kill chaos_worker chaos_net heartbeat_timeout () =
   match connect with
   | Some hp -> run_worker hp chaos_kill chaos_net heartbeat_timeout
   | None ->
@@ -81,8 +80,8 @@ let run n max_input sample seed jobs chunk schedule no_prune no_packed
             let pjobs = if workers > 0 then workers else jobs in
             let plan =
               Busy_beaver.plan ?sample ~jobs:pjobs ~chunk ~schedule
-                ~prune:(not no_prune) ~packed:(not no_packed)
-                ?eta_budget_s:eta_budget ~max_input ~n ()
+                ~prune:(not no_prune) ?eta_budget_s:eta_budget ~max_input ~n
+                ()
             in
             let serve_fd =
               Option.map (fun port -> Distributed_scan.listen ~port ()) serve
@@ -120,8 +119,7 @@ let run n max_input sample seed jobs chunk schedule no_prune no_packed
           end
           else
             Busy_beaver.scan ?sample ~jobs ~chunk ~schedule
-              ~prune:(not no_prune) ~packed:(not no_packed)
-              ?eta_budget_s:eta_budget ?checkpoint
+              ~prune:(not no_prune) ?eta_budget_s:eta_budget ?checkpoint
               ~checkpoint_every_chunks:ckpt_chunks ~checkpoint_every_s:ckpt_secs
               ~resume ~on_task_error:on_error ~max_input ~n ())
     with
@@ -207,11 +205,6 @@ let no_prune_arg =
          ~doc:"Disable symmetry pruning (scan every code instead of one \
                canonical representative per state-relabelling orbit). \
                The aggregate result is identical either way.")
-
-let no_packed_arg =
-  Arg.(value & flag & info [ "no-packed" ]
-         ~doc:"Use the reference multiset configuration graphs instead \
-               of the packed-int fast path.")
 
 let eta_budget_arg =
   Arg.(value & opt (some float) None & info [ "eta-budget" ] ~docv:"S"
@@ -350,10 +343,10 @@ let cmd =
   Cmd.v (Cmd.info "bbsearch" ~doc:"Busy-beaver search over small protocols")
     Term.(
       const run $ n_arg $ max_input_arg $ sample_arg $ seed_arg $ jobs_arg
-      $ chunk_arg $ schedule_arg $ no_prune_arg $ no_packed_arg
-      $ eta_budget_arg $ checkpoint_arg $ ckpt_chunks_arg $ ckpt_secs_arg
-      $ resume_arg $ on_error_arg $ best_arg $ workers_arg $ serve_arg
-      $ connect_arg $ chaos_kill_arg $ chaos_worker_arg $ chaos_net_arg
+      $ chunk_arg $ schedule_arg $ no_prune_arg $ eta_budget_arg
+      $ checkpoint_arg $ ckpt_chunks_arg $ ckpt_secs_arg $ resume_arg
+      $ on_error_arg $ best_arg $ workers_arg $ serve_arg $ connect_arg
+      $ chaos_kill_arg $ chaos_worker_arg $ chaos_net_arg
       $ heartbeat_timeout_arg $ Obs_cli.term)
 
 let () = exit (Cmd.eval' cmd)

@@ -287,7 +287,6 @@ type plan = {
   pl_max_configs : int;
   pl_eta_budget_s : float option;
   pl_prune : bool;
-  pl_packed : bool;
   pl_chunk : int;
   pl_schedule : Pool.schedule;
   pl_jobs : int;
@@ -299,8 +298,7 @@ type plan = {
 }
 
 let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
-    ?(packed = true) ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s
-    ?sample ~n () =
+    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
   check_n "plan" n;
   let pair_list = pairs n in
   let np = Array.length pair_list in
@@ -327,7 +325,6 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     pl_max_configs = max_configs;
     pl_eta_budget_s = eta_budget_s;
     pl_prune = prune;
-    pl_packed = packed;
     pl_chunk = chunk;
     pl_schedule = schedule;
     pl_jobs = Stdlib.max 1 jobs;
@@ -372,8 +369,10 @@ let chunk_index plan ~lo =
    serves a coordinator whose plan equals its own. The sample
    (count, seed) covers the RNG scheme — sampled code [i] depends on
    nothing else. The guided schedule's partition depends on jobs, so
-   those two fields join the fingerprint only in that mode (default
-   fingerprints stay compatible with pre-v2 snapshots). *)
+   those two fields join the fingerprint only in that mode. A snapshot
+   whose configuration has any other field set, or a field this one
+   lacks, never resumes: the hashes differ, and the mismatch names the
+   fields. *)
 let plan_config plan =
   let open Obs.Json in
   Obj
@@ -385,7 +384,6 @@ let plan_config plan =
        ( "eta_budget_s",
          match plan.pl_eta_budget_s with None -> Null | Some s -> Float s );
        ("prune", Bool plan.pl_prune);
-       ("packed", Bool plan.pl_packed);
        ("chunk", Int plan.pl_chunk);
        ( "sample",
          match plan.pl_sample with
@@ -431,7 +429,6 @@ let plan_of_config json =
         | Some _ -> Error "scan config: malformed eta_budget_s"
       in
       let* prune = bool "prune" in
-      let* packed = bool "packed" in
       let* chunk = int "chunk" in
       let* sample =
         match List.assoc_opt "sample" fields with
@@ -448,7 +445,7 @@ let plan_of_config json =
         | Some _ -> Error "scan config: malformed schedule"
       in
       let p =
-        plan ~jobs ~chunk ~schedule ~prune ~packed ~max_input ~max_configs
+        plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
           ?eta_budget_s ?sample ~n ()
       in
       let* total = int "total" in
@@ -519,8 +516,8 @@ let examine plan part display ~weight ~assignment ~output_bits =
          lazy SCC detection saves <0.1% of the nodes while its DFS
          machinery costs ~25% per node *)
       Eta_search.find ~max_configs:plan.pl_max_configs
-        ?wall_budget_s:plan.pl_eta_budget_s ~packed:plan.pl_packed
-        ~incremental:false p ~max_input:plan.pl_max_input
+        ?wall_budget_s:plan.pl_eta_budget_s ~incremental:false p
+        ~max_input:plan.pl_max_input
     with
     | Eta_search.Eta eta ->
       bump_hist eta;
@@ -654,13 +651,12 @@ let result_of_chunks ?(interrupted = false) ?(task_errors = 0) plan chunks =
 (* --------------------------------------------------------------- scan *)
 
 let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
-    ?(packed = true) ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s
-    ?sample ?checkpoint ?(checkpoint_every_chunks = 64)
-    ?(checkpoint_every_s = 30.0) ?(resume = false) ?should_stop
-    ?(on_task_error = `Fail) ~n () =
+    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample
+    ?checkpoint ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
+    ?(resume = false) ?should_stop ?(on_task_error = `Fail) ~n () =
   let plan =
-    plan ~jobs ~chunk ~schedule ~prune ~packed ~max_input ~max_configs
-      ?eta_budget_s ?sample ~n ()
+    plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs ?eta_budget_s
+      ?sample ~n ()
   in
   let total = plan.pl_total in
   let num_chunks = plan_chunks plan in
@@ -670,46 +666,22 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     match checkpoint with
     | None -> None
     | Some path ->
-      let c =
-        if resume && Sys.file_exists path then begin
-          match Obs.Checkpoint.load path with
-          | Error msg ->
-            invalid_arg
-              (Printf.sprintf "Busy_beaver.scan: cannot resume from %s: %s"
-                 path msg)
-          | Ok c ->
-            if
-              c.Obs.Checkpoint.config_hash
-              <> Obs.Checkpoint.hash_config config_json
-              || c.Obs.Checkpoint.total_chunks <> num_chunks
-            then
-              (* a typed error with a field-level diff: the user learns
-                 which flag changed, not just that two hashes differ *)
-              raise
-                (Obs.Checkpoint.Mismatch
-                   {
-                     path;
-                     diff =
-                       Obs.Checkpoint.config_diff ~expected:config_json
-                         ~found:c.Obs.Checkpoint.config;
-                   });
-            (* restore the completed chunks' accumulators *)
-            for i = 0 to num_chunks - 1 do
-              match Obs.Checkpoint.chunk_state c i with
-              | None -> ()
-              | Some j ->
-                (match partial_of_json j with
-                 | Ok part -> partials.(i) <- part
-                 | Error msg ->
-                   invalid_arg
-                     (Printf.sprintf
-                        "Busy_beaver.scan: checkpoint %s, chunk %d: %s" path i
-                        msg))
-            done;
-            c
-        end
-        else Obs.Checkpoint.create ~config:config_json ~total_chunks:num_chunks
+      let c, _ =
+        Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
+          ~total_chunks:num_chunks
       in
+      (* restore the completed chunks' accumulators *)
+      for i = 0 to num_chunks - 1 do
+        match Obs.Checkpoint.chunk_state c i with
+        | None -> ()
+        | Some j ->
+          (match partial_of_json j with
+           | Ok part -> partials.(i) <- part
+           | Error msg ->
+             invalid_arg
+               (Printf.sprintf "Busy_beaver.scan: checkpoint %s, chunk %d: %s"
+                  path i msg))
+      done;
       let writer =
         Obs.Checkpoint.writer ~every_chunks:checkpoint_every_chunks
           ~every_s:checkpoint_every_s ~path c

@@ -43,7 +43,6 @@ val scan :
   ?chunk:int ->
   ?schedule:Pool.schedule ->
   ?prune:bool ->
-  ?packed:bool ->
   ?max_input:int ->
   ?max_configs:int ->
   ?eta_budget_s:float ->
@@ -74,9 +73,9 @@ val scan :
     [?prune] (default true) enables symmetry
     pruning: with it, [num_protocols] still counts the {e full} space
     (orbit-weighted), and [best] may be any member of the best orbit.
-    [?packed] (default true) selects the packed configuration-graph
-    representation in the verifier. Defaults: [max_input = 12],
-    [max_configs = 60_000].
+    The verifier explores packed configuration graphs whenever
+    {!Configgraph.Packed.applicable} holds, which it always does here.
+    Defaults: [max_input = 12], [max_configs = 60_000].
 
     {b Robustness.} [?eta_budget_s] caps the wall-clock spent verifying
     any single protocol; over-budget protocols count into [num_aborted]
@@ -125,7 +124,6 @@ val plan :
   ?chunk:int ->
   ?schedule:Pool.schedule ->
   ?prune:bool ->
-  ?packed:bool ->
   ?max_input:int ->
   ?max_configs:int ->
   ?eta_budget_s:float ->

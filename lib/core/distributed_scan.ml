@@ -22,35 +22,17 @@ type outcome = {
 
 let m_restarts = Obs.Metrics.counter "coordinator.restarts"
 
-(* Same open-or-resume logic as Busy_beaver.scan, plus the v2 adoption
-   step: bump the epoch and persist it *before* any grant goes out, so
-   grants of a previous (crashed) coordinator can never be mistaken for
-   this run's. Every recovery step leaves an events/metrics trail:
+(* Open or resume the ledger as Busy_beaver.scan does
+   (Obs.Checkpoint.open_or_resume), plus the v2 adoption step: bump the
+   epoch and persist it *before* any grant goes out, so grants of a
+   previous (crashed) coordinator can never be mistaken for this run's.
+   Every recovery step leaves an events/metrics trail:
    [coordinator.restarts] counts prior lives (epoch - 1 on adoption)
    and a [dist.recovery] record says what was rehydrated. *)
 let open_ledger ~path ~resume ~config_json ~num_chunks =
   let c, resumed =
-    if resume && Sys.file_exists path then begin
-      match Obs.Checkpoint.load path with
-      | Error msg ->
-        invalid_arg
-          (Printf.sprintf "Distributed_scan: cannot resume from %s: %s" path msg)
-      | Ok c ->
-        if
-          c.Obs.Checkpoint.config_hash <> Obs.Checkpoint.hash_config config_json
-          || c.Obs.Checkpoint.total_chunks <> num_chunks
-        then
-          raise
-            (Obs.Checkpoint.Mismatch
-               {
-                 path;
-                 diff =
-                   Obs.Checkpoint.config_diff ~expected:config_json
-                     ~found:c.Obs.Checkpoint.config;
-               });
-        (c, true)
-    end
-    else (Obs.Checkpoint.create ~config:config_json ~total_chunks:num_chunks, false)
+    Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
+      ~total_chunks:num_chunks
   in
   let epoch = Obs.Checkpoint.bump_epoch c in
   (* leases stamped by previous lives are dead letters in the new

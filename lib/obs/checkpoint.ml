@@ -274,6 +274,25 @@ let load path =
      | Error e -> Error e
      | Ok j -> of_json j)
 
+let open_or_resume ~path ~resume ~config ~total_chunks =
+  if resume && Sys.file_exists path then begin
+    match load path with
+    | Error msg ->
+      invalid_arg
+        (Printf.sprintf "Checkpoint.open_or_resume: cannot resume from %s: %s"
+           path msg)
+    | Ok c ->
+      if c.config_hash <> hash_config config || c.total_chunks <> total_chunks
+      then
+        (* a typed error with a field-level diff: the user learns which
+           flag changed, not just that two hashes differ *)
+        raise
+          (Mismatch
+             { path; diff = config_diff ~expected:config ~found:c.config });
+      (c, true)
+  end
+  else (create ~config ~total_chunks, false)
+
 (* --------------------------------------------------------------- writer *)
 
 type writer = {

@@ -106,6 +106,16 @@ val save : path:string -> t -> unit
 
 val load : string -> (t, string) result
 
+val open_or_resume :
+  path:string -> resume:bool -> config:Json.t -> total_chunks:int -> t * bool
+(** The ledger a chunked scan runs on. With [~resume:true] and a file at
+    [path], the snapshot loaded from it, paired with [true]; otherwise a
+    fresh {!create}, paired with [false]. A snapshot only resumes the
+    configuration and partition that wrote it.
+    @raise Mismatch with the field-level diff when the snapshot's
+    configuration hash or chunk count differs.
+    @raise Invalid_argument when the file is unreadable or malformed. *)
+
 (** A throttled, thread-safe writer: workers report completed chunks
     from any domain; a snapshot is written every [every_chunks]
     completions or [every_s] seconds, whichever comes first, and on

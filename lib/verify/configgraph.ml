@@ -41,9 +41,192 @@ let m_edges = Obs.Metrics.counter "configgraph.edges"
 let m_packed = Obs.Metrics.counter "configgraph.packed_explorations"
 let m_lazy = Obs.Metrics.counter "configgraph.lazy_explorations"
 
-(* -- incremental exploration with on-the-fly SCC detection ------------- *)
+(* -- exploration state, one per representation ------------------------- *)
+
+(* The nodes interned so far, in discovery order, and the two operations
+   every traversal needs: [intern c] is c's node index, numbering c on first
+   sight (and raising [Too_many_configs] past the budget); [expand v]
+   interns v's successors in transition order and returns their indices
+   sorted, without duplicates and without v itself. Interning in
+   transition order is what fixes the node numbering, so the multiset
+   and the packed state give the same graph index for index under
+   either traversal. [lookup] is the read-only probe the finished graph
+   keeps. [mask] sets the deadline period: the deadline is checked before
+   expanding a node whose index has those bits clear. [packed] counts the
+   exploration into [configgraph.packed_explorations]. *)
+type 'c state = {
+  nodes : 'c Grow.t;
+  intern : 'c -> int;
+  expand : int -> int array;
+  lookup : 'c -> int option;
+  mask : int;
+  packed : bool;
+}
+
+let admit ~max_configs nodes =
+  if nodes.Grow.len >= max_configs then raise (Too_many_configs max_configs)
+
+let multiset_state ~max_configs p =
+  let index = H.create 1024 in
+  let nodes = Grow.create (Mset.zero 0) in
+  let intern c =
+    match H.find_opt index c with
+    | Some i -> i
+    | None ->
+      admit ~max_configs nodes;
+      let i = nodes.Grow.len in
+      H.add index c i;
+      Grow.push nodes c;
+      i
+  in
+  let expand v =
+    List.map intern (Population.distinct_successors p (Grow.get nodes v))
+    |> List.sort_uniq Stdlib.compare
+    |> List.filter (fun j -> j <> v)
+    |> Array.of_list
+  in
+  { nodes; intern; expand; lookup = H.find_opt index; mask = 255; packed = false }
+
+(* The packed state: configurations as immediate ints.
+
+   In the busy-beaver regime (<= 7 states, population <= 255) a
+   configuration fits one word at 8 bits per state (see {!Mset.pack}),
+   so interning is int-keyed and a successor costs no allocation: firing
+   transition t on packed c is [c + pdelta.(t)] after an enabledness
+   check on two bit fields. Successors are generated in transition
+   order and deduplicated keeping first occurrences, exactly like
+   [Population.distinct_successors]. *)
+
+(* packed configurations are base-256 numbers whose low digits barely
+   vary within one graph; mix before bucketing *)
+let hash x =
+  let h = x * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+let packed_state ~max_configs p =
+  let nt = Population.num_transitions p in
+  (* per-transition firing data, unpacked from the protocol once *)
+  let pre_a = Array.make nt 0 in
+  let pre_b = Array.make nt 0 in
+  let pdelta = Array.make nt 0 in
+  Array.iteri
+    (fun t { Population.pre = a, b; _ } ->
+      pre_a.(t) <- 8 * a;
+      pre_b.(t) <- 8 * b;
+      pdelta.(t) <- Mset.pack_delta (Population.displacement p t))
+    p.Population.transitions;
+  (* open-addressing intern table (linear probing, load <= 1/2): the
+     per-successor membership probe is the scan's hottest operation, so
+     it must not allocate. Packed configs are non-negative; -1 marks an
+     empty slot. *)
+  let cap = ref 256 in
+  let keys = ref (Array.make !cap (-1)) in
+  let ids = ref (Array.make !cap 0) in
+  let slot_of keys cap c =
+    let mask = cap - 1 in
+    let s = ref (hash c land mask) in
+    while
+      let k = keys.(!s) in
+      k <> -1 && k <> c
+    do
+      s := (!s + 1) land mask
+    done;
+    !s
+  in
+  let grow () =
+    let cap' = 2 * !cap in
+    let keys' = Array.make cap' (-1) in
+    let ids' = Array.make cap' 0 in
+    for s = 0 to !cap - 1 do
+      let k = !keys.(s) in
+      if k <> -1 then begin
+        let s' = slot_of keys' cap' k in
+        keys'.(s') <- k;
+        ids'.(s') <- !ids.(s)
+      end
+    done;
+    cap := cap';
+    keys := keys';
+    ids := ids'
+  in
+  let nodes = Grow.create 0 in
+  let intern c =
+    let s = slot_of !keys !cap c in
+    if !keys.(s) <> -1 then !ids.(s)
+    else begin
+      admit ~max_configs nodes;
+      let i = nodes.Grow.len in
+      !keys.(s) <- c;
+      !ids.(s) <- i;
+      Grow.push nodes c;
+      if 2 * i >= !cap then grow ();
+      i
+    end
+  in
+  let lookup c =
+    let s = slot_of !keys !cap c in
+    if !keys.(s) = -1 then None else Some !ids.(s)
+  in
+  (* one buffer, reused across nodes: distinct successor values in
+     first-occurrence order, then their node indices *)
+  let buf = Array.make (Stdlib.max 1 nt) 0 in
+  let expand v =
+    let c = Grow.get nodes v in
+    let n = ref 0 in
+    for t = 0 to nt - 1 do
+      let sa = pre_a.(t) and sb = pre_b.(t) in
+      let enabled =
+        if sa = sb then (c lsr sa) land 0xff >= 2
+        else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
+      in
+      if enabled then begin
+        let c' = c + pdelta.(t) in
+        let dup = ref false in
+        for k = 0 to !n - 1 do
+          if buf.(k) = c' then dup := true
+        done;
+        if not !dup then begin
+          buf.(!n) <- c';
+          incr n
+        end
+      end
+    done;
+    let n = !n in
+    (* intern in first-occurrence order (fixes node numbering); distinct
+       values get distinct indices, so sorting (insertion sort: n <= nt,
+       tiny) and dropping the self loop is all that is left *)
+    for k = 0 to n - 1 do
+      buf.(k) <- intern buf.(k)
+    done;
+    let m = ref 0 in
+    for k = 0 to n - 1 do
+      let x = buf.(k) in
+      if x <> v then begin
+        let j = ref (!m - 1) in
+        while !j >= 0 && buf.(!j) > x do
+          buf.(!j + 1) <- buf.(!j);
+          decr j
+        done;
+        buf.(!j + 1) <- x;
+        incr m
+      end
+    done;
+    Array.sub buf 0 !m
+  in
+  { nodes; intern; expand; lookup; mask = 1023; packed = true }
+
+(* -- the two traversals --------------------------------------------------- *)
 
 exception Stopped
+
+(* Breadth-first: node i is expanded once every node before it has been,
+   so the numbering is BFS discovery order. *)
+let bfs st ~step =
+  let succs = Grow.create [||] in
+  while succs.Grow.len < st.nodes.Grow.len do
+    Grow.push succs (step succs.Grow.len)
+  done;
+  Grow.to_array succs
 
 (* Iterative Tarjan where a node's successors are computed the first
    time the DFS enters it ([expand], which interns new nodes as it
@@ -157,6 +340,8 @@ let lazy_sccs ~expand ~on_bottom =
    with Stopped -> ());
   !ncomps
 
+(* -- one exploration ------------------------------------------------------ *)
+
 let check_deadline deadline ~configs ~edges =
   match deadline with
   | None -> ()
@@ -166,67 +351,69 @@ let check_deadline deadline ~configs ~edges =
         [ ("configs", float_of_int configs); ("edges", float_of_int edges) ]
       d
 
-let explore ?(max_configs = 2_000_000) ?deadline p c0 =
-  let index = H.create 1024 in
-  let configs = Grow.create (Mset.zero 0) in
-  let succs = Grow.create [||] in
+(* Builds the state, interns [c0] as node 0 and runs [drive] on it inside
+   the span [name]. [step] is the traversals' [expand]: it adds the deadline
+   check and the progress line every [mask + 1] nodes, and counts edges.
+   The metrics are published even when the budget or the deadline aborts
+   the exploration, so an over-budget run still reports how far it got. *)
+let run ~name ~lazy_ ~make ?(max_configs = 2_000_000) ?deadline p c0 drive =
+  let st = make ~max_configs p in
   let edges = ref 0 in
-  let progress = Obs.Progress.create "configgraph.explore" in
-  let intern c =
-    match H.find_opt index c with
-    | Some i -> i
-    | None ->
-      if configs.Grow.len >= max_configs then
-        raise (Too_many_configs max_configs);
-      let i = configs.Grow.len in
-      H.add index c i;
-      Grow.push configs c;
-      i
+  let progress = Obs.Progress.create name in
+  let step v =
+    if v land st.mask = 0 then begin
+      check_deadline deadline ~configs:st.nodes.Grow.len ~edges:!edges;
+      Obs.Progress.tick progress (fun () ->
+          Printf.sprintf "%d configs discovered, %d expanded, %d edges"
+            st.nodes.Grow.len v !edges)
+    end;
+    let ss = st.expand v in
+    edges := !edges + Array.length ss;
+    ss
   in
-  (* Publish even when [Too_many_configs] aborts the exploration, so an
-     over-budget run still reports how far it got. *)
   Fun.protect
     ~finally:(fun () ->
       if Obs.Metrics.enabled () then begin
         Obs.Metrics.incr m_explorations;
-        Obs.Metrics.add m_configs configs.Grow.len;
+        if st.packed then Obs.Metrics.incr m_packed;
+        if lazy_ then Obs.Metrics.incr m_lazy;
+        Obs.Metrics.add m_configs st.nodes.Grow.len;
         Obs.Metrics.add m_edges !edges
       end)
     (fun () ->
-      Obs.Trace.with_span "configgraph.explore" ~cat:"verify"
+      Obs.Trace.with_span name ~cat:"verify"
         ~args:[ ("protocol", p.Population.name) ]
         (fun () ->
-          let root = intern c0 in
-          let i = ref 0 in
-          while !i < configs.Grow.len do
-            if !i land 255 = 0 then
-              check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-            Obs.Progress.tick progress (fun () ->
-                Printf.sprintf "%d configs explored, %d discovered, %d edges"
-                  !i configs.Grow.len !edges);
-            let c = Grow.get configs !i in
-            let next = Population.distinct_successors p c in
-            let idxs =
-              List.sort_uniq Stdlib.compare (List.map intern next)
-              |> List.filter (fun j -> j <> !i)
-            in
-            edges := !edges + List.length idxs;
-            Grow.push succs (Array.of_list idxs);
-            incr i
-          done;
+          ignore (st.intern c0);
+          let r = drive st step in
           Obs.Progress.finish progress (fun () ->
-              Printf.sprintf "%d configs, %d edges" configs.Grow.len !edges);
-          {
-            protocol = p;
-            configs = Grow.to_array configs;
-            succ = Grow.to_array succs;
-            root;
-            (* the interning table survives as the O(1) lookup index *)
-            lookup = (fun c -> H.find_opt index c);
-          }))
+              Printf.sprintf "%d configs, %d edges" st.nodes.Grow.len !edges);
+          r))
+
+(* The whole graph: the final state and every node's successors. *)
+let eager ~make ?max_configs ?deadline p c0 =
+  run ~name:"configgraph.explore" ~lazy_:false ~make ?max_configs ?deadline p
+    c0 (fun st step -> (st, bfs st ~step))
+
+let sccs ~make ?max_configs ?deadline p c0 ~on_bottom =
+  run ~name:"configgraph.explore_sccs" ~lazy_:true ~make ?max_configs ?deadline
+    p c0 (fun st step ->
+      lazy_sccs ~expand:step ~on_bottom:(fun members ->
+          on_bottom (List.map (Grow.get st.nodes) members)))
+
+(* -- multiset graphs ------------------------------------------------------ *)
+
+let explore ?max_configs ?deadline p c0 =
+  let st, succ = eager ~make:multiset_state ?max_configs ?deadline p c0 in
+  (* the interning table survives as the O(1) lookup index *)
+  let configs = Grow.to_array st.nodes in
+  { protocol = p; configs; succ; root = 0; lookup = st.lookup }
+
+let explore_sccs ?max_configs ?deadline p c0 ~on_bottom =
+  sccs ~make:multiset_state ?max_configs ?deadline p c0 ~on_bottom
 
 let num_configs g = Array.length g.configs
-let find g c = g.lookup c
+let find (g : t) c = g.lookup c
 
 let reachable_from g src =
   let n = num_configs g in
@@ -265,72 +452,7 @@ let can_reach_config g ~src c =
   | None -> false
   | Some i -> i = src || (reachable_from g src).(i)
 
-let explore_sccs ?(max_configs = 2_000_000) ?deadline p c0 ~on_bottom =
-  let index = H.create 1024 in
-  let configs = Grow.create (Mset.zero 0) in
-  let edges = ref 0 in
-  let sccs = ref 0 in
-  let progress = Obs.Progress.create "configgraph.explore_sccs" in
-  let intern c =
-    match H.find_opt index c with
-    | Some i -> i
-    | None ->
-      if configs.Grow.len >= max_configs then
-        raise (Too_many_configs max_configs);
-      let i = configs.Grow.len in
-      H.add index c i;
-      Grow.push configs c;
-      i
-  in
-  let expand v =
-    if v land 255 = 0 then
-      check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-    Obs.Progress.tick progress (fun () ->
-        Printf.sprintf "%d configs discovered, %d edges, %d sccs"
-          configs.Grow.len !edges !sccs);
-    let c = Grow.get configs v in
-    let idxs =
-      List.sort_uniq Stdlib.compare
-        (List.map intern (Population.distinct_successors p c))
-      |> List.filter (fun j -> j <> v)
-    in
-    edges := !edges + List.length idxs;
-    Array.of_list idxs
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      if Obs.Metrics.enabled () then begin
-        Obs.Metrics.incr m_explorations;
-        Obs.Metrics.incr m_lazy;
-        Obs.Metrics.add m_configs configs.Grow.len;
-        Obs.Metrics.add m_edges !edges
-      end)
-    (fun () ->
-      Obs.Trace.with_span "configgraph.explore_sccs" ~cat:"verify"
-        ~args:[ ("protocol", p.Population.name) ]
-        (fun () ->
-          ignore (intern c0);
-          sccs :=
-            lazy_sccs ~expand ~on_bottom:(fun members ->
-                on_bottom (List.map (Grow.get configs) members));
-          Obs.Progress.finish progress (fun () ->
-              Printf.sprintf "%d configs, %d edges, %d sccs" configs.Grow.len
-                !edges !sccs);
-          !sccs))
-
-(* ---------------------------------------------------------------------- *)
-(* The packed fast path: configurations as immediate ints.
-
-   In the busy-beaver regime (<= 7 states, population <= 255) a
-   configuration fits one word at 8 bits per state (see {!Mset.pack}),
-   so the exploration above can run with int-keyed interning and zero
-   allocation per successor: firing transition t on packed c is
-   [c + pdelta.(t)] after an enabledness check on two bit fields. The
-   node order is identical to the reference exploration — successors
-   are generated in transition order and deduplicated keeping first
-   occurrences, exactly like [Population.distinct_successors] — so the
-   two graphs agree index-for-index (a property the test suite checks
-   differentially). *)
+(* -- packed graphs -------------------------------------------------------- *)
 
 module Packed = struct
   type graph = {
@@ -345,314 +467,24 @@ module Packed = struct
     Population.num_states p <= Mset.max_packed_dim
     && Mset.size c0 <= Mset.max_packed_count
 
-  let num_configs g = Array.length g.configs
-  let find g c = g.lookup c
-  let config g i = Mset.unpack ~dim:(Population.num_states g.protocol) g.configs.(i)
-
-  (* packed configurations are base-256 numbers whose low digits barely
-     vary within one graph; mix before bucketing *)
-  let hash x =
-    let h = x * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land max_int
-
-  let explore ?(max_configs = 2_000_000) ?deadline p c0 =
-    if not (applicable p c0) then
-      invalid_arg "Configgraph.Packed.explore: protocol/configuration not packable";
-    let nt = Population.num_transitions p in
-    (* per-transition firing data, unpacked from the protocol once *)
-    let pre_a = Array.make nt 0 in
-    let pre_b = Array.make nt 0 in
-    let pdelta = Array.make nt 0 in
-    Array.iteri
-      (fun t { Population.pre = a, b; _ } ->
-        pre_a.(t) <- 8 * a;
-        pre_b.(t) <- 8 * b;
-        pdelta.(t) <- Mset.pack_delta (Population.displacement p t))
-      p.Population.transitions;
-    (* open-addressing intern table (linear probing, load <= 1/2): the
-       per-successor membership probe is the scan's hottest operation,
-       so it must not allocate. Packed configs are non-negative; -1
-       marks an empty slot. *)
-    let cap = ref 256 in
-    let keys = ref (Array.make !cap (-1)) in
-    let ids = ref (Array.make !cap 0) in
-    let slot_of keys cap c =
-      let mask = cap - 1 in
-      let s = ref (hash c land mask) in
-      while
-        let k = keys.(!s) in
-        k <> -1 && k <> c
-      do
-        s := (!s + 1) land mask
-      done;
-      !s
-    in
-    let grow () =
-      let cap' = 2 * !cap in
-      let keys' = Array.make cap' (-1) in
-      let ids' = Array.make cap' 0 in
-      for s = 0 to !cap - 1 do
-        let k = !keys.(s) in
-        if k <> -1 then begin
-          let s' = slot_of keys' cap' k in
-          keys'.(s') <- k;
-          ids'.(s') <- !ids.(s)
-        end
-      done;
-      cap := cap';
-      keys := keys';
-      ids := ids'
-    in
-    let configs = Grow.create 0 in
-    let succs = Grow.create [||] in
-    let edges = ref 0 in
-    let progress = Obs.Progress.create "configgraph.explore" in
-    let intern c =
-      let s = slot_of !keys !cap c in
-      if !keys.(s) <> -1 then !ids.(s)
-      else begin
-        if configs.Grow.len >= max_configs then
-          raise (Too_many_configs max_configs);
-        let i = configs.Grow.len in
-        !keys.(s) <- c;
-        !ids.(s) <- i;
-        Grow.push configs c;
-        if 2 * i >= !cap then grow ();
-        i
-      end
-    in
-    (* scratch buffers, reused across nodes: distinct successor values in
-       first-occurrence order, then their node indices *)
-    let vals = Array.make (Stdlib.max 1 nt) 0 in
-    let idxs = Array.make (Stdlib.max 1 nt) 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr m_explorations;
-          Obs.Metrics.incr m_packed;
-          Obs.Metrics.add m_configs configs.Grow.len;
-          Obs.Metrics.add m_edges !edges
-        end)
-      (fun () ->
-        Obs.Trace.with_span "configgraph.explore" ~cat:"verify"
-          ~args:[ ("protocol", p.Population.name) ]
-          (fun () ->
-            let root = intern (Mset.pack c0) in
-            let i = ref 0 in
-            while !i < configs.Grow.len do
-              if !i land 1023 = 0 then begin
-                check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-                Obs.Progress.tick progress (fun () ->
-                    Printf.sprintf "%d configs explored, %d discovered, %d edges"
-                      !i configs.Grow.len !edges)
-              end;
-              let c = Grow.get configs !i in
-              let nvals = ref 0 in
-              for t = 0 to nt - 1 do
-                let sa = pre_a.(t) and sb = pre_b.(t) in
-                let enabled =
-                  if sa = sb then (c lsr sa) land 0xff >= 2
-                  else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
-                in
-                if enabled then begin
-                  let c' = c + pdelta.(t) in
-                  let dup = ref false in
-                  for k = 0 to !nvals - 1 do
-                    if vals.(k) = c' then dup := true
-                  done;
-                  if not !dup then begin
-                    vals.(!nvals) <- c';
-                    incr nvals
-                  end
-                end
-              done;
-              (* intern in first-occurrence order (fixes node numbering),
-                 then sort / dedupe / drop the self loop — mirroring the
-                 reference path's [List.sort_uniq] + self filter *)
-              let n = !nvals in
-              for k = 0 to n - 1 do
-                idxs.(k) <- intern vals.(k)
-              done;
-              (* insertion sort on the scratch (n <= nt, tiny), then one
-                 dedupe-and-drop-self pass into an exact-size array *)
-              for k = 1 to n - 1 do
-                let x = idxs.(k) in
-                let j = ref (k - 1) in
-                while !j >= 0 && idxs.(!j) > x do
-                  idxs.(!j + 1) <- idxs.(!j);
-                  decr j
-                done;
-                idxs.(!j + 1) <- x
-              done;
-              let m = ref 0 in
-              for k = 0 to n - 1 do
-                if idxs.(k) <> !i && (k = 0 || idxs.(k - 1) <> idxs.(k)) then
-                  incr m
-              done;
-              let out = Array.make !m 0 in
-              let w = ref 0 in
-              for k = 0 to n - 1 do
-                if idxs.(k) <> !i && (k = 0 || idxs.(k - 1) <> idxs.(k)) then begin
-                  out.(!w) <- idxs.(k);
-                  incr w
-                end
-              done;
-              edges := !edges + !m;
-              Grow.push succs out;
-              incr i
-            done;
-            Obs.Progress.finish progress (fun () ->
-                Printf.sprintf "%d configs, %d edges" configs.Grow.len !edges);
-            let lookup c =
-              let s = slot_of !keys !cap c in
-              if !keys.(s) = -1 then None else Some !ids.(s)
-            in
-            {
-              protocol = p;
-              configs = Grow.to_array configs;
-              succ = Grow.to_array succs;
-              root;
-              lookup;
-            }))
-
-  let explore_sccs ?(max_configs = 2_000_000) ?deadline p c0 ~on_bottom =
+  let require fn p c0 =
     if not (applicable p c0) then
       invalid_arg
-        "Configgraph.Packed.explore_sccs: protocol/configuration not packable";
-    let nt = Population.num_transitions p in
-    let pre_a = Array.make nt 0 in
-    let pre_b = Array.make nt 0 in
-    let pdelta = Array.make nt 0 in
-    Array.iteri
-      (fun t { Population.pre = a, b; _ } ->
-        pre_a.(t) <- 8 * a;
-        pre_b.(t) <- 8 * b;
-        pdelta.(t) <- Mset.pack_delta (Population.displacement p t))
-      p.Population.transitions;
-    let cap = ref 256 in
-    let keys = ref (Array.make !cap (-1)) in
-    let ids = ref (Array.make !cap 0) in
-    let slot_of keys cap c =
-      let mask = cap - 1 in
-      let s = ref (hash c land mask) in
-      while
-        let k = keys.(!s) in
-        k <> -1 && k <> c
-      do
-        s := (!s + 1) land mask
-      done;
-      !s
+        ("Configgraph.Packed." ^ fn ^ ": protocol/configuration not packable")
+
+  let num_configs g = Array.length g.configs
+  let find (g : graph) c = g.lookup c
+  let config g i = Mset.unpack ~dim:(Population.num_states g.protocol) g.configs.(i)
+
+  let explore ?max_configs ?deadline p c0 =
+    require "explore" p c0;
+    let st, succ =
+      eager ~make:packed_state ?max_configs ?deadline p (Mset.pack c0)
     in
-    let grow () =
-      let cap' = 2 * !cap in
-      let keys' = Array.make cap' (-1) in
-      let ids' = Array.make cap' 0 in
-      for s = 0 to !cap - 1 do
-        let k = !keys.(s) in
-        if k <> -1 then begin
-          let s' = slot_of keys' cap' k in
-          keys'.(s') <- k;
-          ids'.(s') <- !ids.(s)
-        end
-      done;
-      cap := cap';
-      keys := keys';
-      ids := ids'
-    in
-    let configs = Grow.create 0 in
-    let edges = ref 0 in
-    let sccs = ref 0 in
-    let progress = Obs.Progress.create "configgraph.explore_sccs" in
-    let intern c =
-      let s = slot_of !keys !cap c in
-      if !keys.(s) <> -1 then !ids.(s)
-      else begin
-        if configs.Grow.len >= max_configs then
-          raise (Too_many_configs max_configs);
-        let i = configs.Grow.len in
-        !keys.(s) <- c;
-        !ids.(s) <- i;
-        Grow.push configs c;
-        if 2 * i >= !cap then grow ();
-        i
-      end
-    in
-    let vals = Array.make (Stdlib.max 1 nt) 0 in
-    let idxs = Array.make (Stdlib.max 1 nt) 0 in
-    let expand v =
-      if v land 1023 = 0 then begin
-        check_deadline deadline ~configs:configs.Grow.len ~edges:!edges;
-        Obs.Progress.tick progress (fun () ->
-            Printf.sprintf "%d configs discovered, %d edges, %d sccs"
-              configs.Grow.len !edges !sccs)
-      end;
-      let c = Grow.get configs v in
-      let nvals = ref 0 in
-      for t = 0 to nt - 1 do
-        let sa = pre_a.(t) and sb = pre_b.(t) in
-        let enabled =
-          if sa = sb then (c lsr sa) land 0xff >= 2
-          else (c lsr sa) land 0xff >= 1 && (c lsr sb) land 0xff >= 1
-        in
-        if enabled then begin
-          let c' = c + pdelta.(t) in
-          let dup = ref false in
-          for k = 0 to !nvals - 1 do
-            if vals.(k) = c' then dup := true
-          done;
-          if not !dup then begin
-            vals.(!nvals) <- c';
-            incr nvals
-          end
-        end
-      done;
-      let n = !nvals in
-      for k = 0 to n - 1 do
-        idxs.(k) <- intern vals.(k)
-      done;
-      for k = 1 to n - 1 do
-        let x = idxs.(k) in
-        let j = ref (k - 1) in
-        while !j >= 0 && idxs.(!j) > x do
-          idxs.(!j + 1) <- idxs.(!j);
-          decr j
-        done;
-        idxs.(!j + 1) <- x
-      done;
-      let m = ref 0 in
-      for k = 0 to n - 1 do
-        if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then incr m
-      done;
-      let out = Array.make !m 0 in
-      let w = ref 0 in
-      for k = 0 to n - 1 do
-        if idxs.(k) <> v && (k = 0 || idxs.(k - 1) <> idxs.(k)) then begin
-          out.(!w) <- idxs.(k);
-          incr w
-        end
-      done;
-      edges := !edges + !m;
-      out
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr m_explorations;
-          Obs.Metrics.incr m_packed;
-          Obs.Metrics.incr m_lazy;
-          Obs.Metrics.add m_configs configs.Grow.len;
-          Obs.Metrics.add m_edges !edges
-        end)
-      (fun () ->
-        Obs.Trace.with_span "configgraph.explore_sccs" ~cat:"verify"
-          ~args:[ ("protocol", p.Population.name) ]
-          (fun () ->
-            ignore (intern (Mset.pack c0));
-            sccs :=
-              lazy_sccs ~expand ~on_bottom:(fun members ->
-                  on_bottom (List.map (Grow.get configs) members));
-            Obs.Progress.finish progress (fun () ->
-                Printf.sprintf "%d configs, %d edges, %d sccs" configs.Grow.len
-                  !edges !sccs);
-            !sccs))
+    let configs = Grow.to_array st.nodes in
+    { protocol = p; configs; succ; root = 0; lookup = st.lookup }
+
+  let explore_sccs ?max_configs ?deadline p c0 ~on_bottom =
+    require "explore_sccs" p c0;
+    sccs ~make:packed_state ?max_configs ?deadline p (Mset.pack c0) ~on_bottom
 end

@@ -5,7 +5,15 @@
     reachability graph can be built exhaustively. This graph is the
     ground truth for the semantics of Section 2.2: reachability
     ([C →* C']), fair-execution outcomes, and stability are all decided
-    on it. *)
+    on it.
+
+    The module has one exploration state per representation — multisets
+    here, immediate ints in {!Packed} — and two traversals that run on
+    either: breadth-first ({!explore}, {!Packed.explore}), and lazy
+    Tarjan ({!explore_sccs}, {!Packed.explore_sccs}). Both states intern
+    successors in transition order, so for a given traversal the two
+    representations number the nodes identically and build the same
+    graph index for index. *)
 
 type t = private {
   protocol : Population.t;
@@ -18,7 +26,9 @@ type t = private {
 }
 
 exception Too_many_configs of int
-(** Raised by {!explore} when the exploration exceeds its node budget. *)
+(** Raised by every explorer when the exploration exceeds its node
+    budget; the [configgraph.*] counters still record the nodes and
+    edges explored up to the abort. *)
 
 val explore :
   ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t -> Mset.t -> t
@@ -67,9 +77,12 @@ val can_reach_config : t -> src:int -> Mset.t -> bool
     [Mset.max_packed_count] agents (always true in the busy-beaver scan
     regime), configurations are interned as immediate ints — no
     per-successor multiset allocation, int-keyed hashing. The node
-    numbering is identical to {!explore}'s, so
-    [Packed.config g i = (explore p c0).configs.(i)] index-for-index;
-    {!Fair_semantics} dispatches to this path automatically. *)
+    numbering is identical to the multiset explorers' under both
+    traversals: [Packed.config g i = (explore p c0).configs.(i)]
+    index-for-index, and {!Packed.explore_sccs} reports the same bottom
+    components as {!explore_sccs}, in the same order. {!Fair_semantics}
+    uses this path exactly when {!Packed.applicable} holds; the multiset
+    explorers are the reference it is tested against. *)
 module Packed : sig
   type graph = private {
     protocol : Population.t;

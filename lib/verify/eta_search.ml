@@ -16,7 +16,7 @@ let pp_result fmt = function
 let m_inputs = Obs.Metrics.counter "eta_search.inputs_checked"
 let m_stable_hits = Obs.Metrics.counter "eta_search.stable_hits"
 
-let find ?max_configs ?wall_budget_s ?packed ?incremental ?(jobs = 1)
+let find ?max_configs ?wall_budget_s ?incremental ?(jobs = 1)
     ?(stable = `Off) p ~max_input =
   if Array.length p.Population.input_vars <> 1 then
     invalid_arg "Eta_search.find: single-input protocols only";
@@ -57,8 +57,7 @@ let find ?max_configs ?wall_budget_s ?packed ?incremental ?(jobs = 1)
       Obs.Metrics.incr m_stable_hits;
       verdict
     | None ->
-      Fair_semantics.decide_config ?max_configs ?deadline ?packed ?incremental p
-        c0
+      Fair_semantics.decide_config ?max_configs ?deadline ?incremental p c0
   in
   let inputs = Fair_semantics.valid_inputs_single p ~max:max_input in
   let total = List.length inputs in

@@ -16,19 +16,20 @@ type result =
       (** some input breaks the 0*1* threshold pattern, or is undecided *)
 
 val find :
-  ?max_configs:int -> ?wall_budget_s:float -> ?packed:bool ->
+  ?max_configs:int -> ?wall_budget_s:float ->
   ?incremental:bool -> ?jobs:int ->
   ?stable:[ `Off | `Per_input | `Memo ] -> Population.t ->
   max_input:int -> result
 (** [find p ~max_input] decides every valid input [<= max_input] of a
-    single-input-variable protocol. [?packed] selects the
-    configuration-graph representation and [?incremental] the
-    exploration strategy (see {!Fair_semantics.decide_config}); the
-    result is identical either way — incremental exploration stops as
-    soon as a consensus-free bottom component is found, which pays on
-    non-threshold protocols, while eager exploration has less
-    per-node machinery and is the better fit for decide-heavy
-    workloads like the busy-beaver scan. [?wall_budget_s] bounds the {e total} wall-clock time spent on
+    single-input-variable protocol with {!Fair_semantics.decide_config},
+    where {!Configgraph.Packed.applicable} alone picks the
+    configuration-graph representation. [?incremental] selects the
+    exploration strategy; the result is identical either way —
+    incremental exploration stops as soon as a consensus-free bottom
+    component is found, which pays on non-threshold protocols, while
+    eager exploration has less per-node machinery and is the better fit
+    for decide-heavy workloads like the busy-beaver scan.
+    [?wall_budget_s] bounds the {e total} wall-clock time spent on
     this protocol (one deadline spans all its configuration-graph
     explorations); note a wall budget makes aborts machine-dependent, so
     leave it off when byte-identical reruns matter.

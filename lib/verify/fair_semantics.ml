@@ -84,11 +84,11 @@ let incremental_verdict st =
   else if st.conflict then Conflicting
   else match st.seen with Some b -> Decides b | None -> assert false
 
-let publish_scc (scc : Scc.t) bottom =
+let publish ~sccs ~bottoms =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_decisions;
-    Obs.Metrics.add m_sccs scc.Scc.num_components;
-    Obs.Metrics.add m_bottom_sccs (List.length bottom)
+    Obs.Metrics.add m_sccs sccs;
+    Obs.Metrics.add m_bottom_sccs bottoms
   end
 
 (* The packed path never materialises multisets: a configuration's
@@ -123,76 +123,66 @@ let packed_output ~num_states tbl c =
   | '\002' -> Some true
   | _ -> None
 
-let decide_config ?max_configs ?deadline ?(packed = true) ?(incremental = true)
-    p c0 =
+(* Either strategy on either representation: [explore_sccs] feeds the
+   lazy path its bottom components, [explore] materialises the graph for
+   the eager one, and [output] is the consensus output of one node's
+   configuration. *)
+let decide_with ~incremental ~explore_sccs ~explore output =
+  if incremental then begin
+    (* Lazy path: bottom SCCs are judged as Tarjan pops them, and a
+       consensus-free one — canonically the maximal verdict — stops the
+       exploration before the rest of the graph is built. *)
+    let st = incremental_start () in
+    let sccs =
+      explore_sccs ~on_bottom:(fun members ->
+          incremental_step st (component_output ~output_of_node:output members))
+    in
+    publish ~sccs ~bottoms:st.bottoms;
+    incremental_verdict st
+  end
+  else begin
+    let succ, configs = explore () in
+    let scc = Scc.compute succ in
+    let bottom = Scc.bottom_components scc in
+    publish ~sccs:scc.Scc.num_components ~bottoms:(List.length bottom);
+    verdict_of_bottom ~output_of_node:(fun v -> output configs.(v)) scc bottom
+  end
+
+let decide_config ?max_configs ?deadline ?(incremental = true) p c0 =
   Obs.Trace.with_span "fair_semantics.decide" ~cat:"verify"
     ~args:[ ("protocol", p.Population.name) ]
     (fun () ->
-      if incremental then begin
-        (* Lazy path: bottom SCCs are judged as Tarjan pops them, and a
-           consensus-free one — canonically the maximal verdict — stops
-           the exploration before the rest of the graph is built. *)
-        let st = incremental_start () in
-        let sccs =
-          if packed && Configgraph.Packed.applicable p c0 then begin
-            let tbl = support_output_table p in
-            let output_of_node =
-              packed_output ~num_states:(Population.num_states p) tbl
-            in
-            Configgraph.Packed.explore_sccs ?max_configs ?deadline p c0
-              ~on_bottom:(fun members ->
-                incremental_step st (component_output ~output_of_node members))
-          end
-          else
-            let output_of_node = Population.output_of_config p in
-            Configgraph.explore_sccs ?max_configs ?deadline p c0
-              ~on_bottom:(fun members ->
-                incremental_step st (component_output ~output_of_node members))
-        in
-        if Obs.Metrics.enabled () then begin
-          Obs.Metrics.incr m_decisions;
-          Obs.Metrics.add m_sccs sccs;
-          Obs.Metrics.add m_bottom_sccs st.bottoms
-        end;
-        incremental_verdict st
-      end
-      else if packed && Configgraph.Packed.applicable p c0 then begin
-        let g = Configgraph.Packed.explore ?max_configs ?deadline p c0 in
-        let scc = Scc.compute g.Configgraph.Packed.succ in
-        let bottom = Scc.bottom_components scc in
-        publish_scc scc bottom;
-        let tbl = support_output_table p in
-        let configs = g.Configgraph.Packed.configs in
-        let output_of_node v =
-          packed_output ~num_states:(Population.num_states p) tbl configs.(v)
-        in
-        verdict_of_bottom ~output_of_node scc bottom
-      end
-      else begin
-        let g = Configgraph.explore ?max_configs ?deadline p c0 in
-        let scc = Scc.compute g.Configgraph.succ in
-        let bottom = Scc.bottom_components scc in
-        publish_scc scc bottom;
-        let output_of_node v =
-          Population.output_of_config p g.Configgraph.configs.(v)
-        in
-        verdict_of_bottom ~output_of_node scc bottom
-      end)
+      if Configgraph.Packed.applicable p c0 then
+        decide_with ~incremental
+          ~explore_sccs:
+            (Configgraph.Packed.explore_sccs ?max_configs ?deadline p c0)
+          ~explore:(fun () ->
+            let g = Configgraph.Packed.explore ?max_configs ?deadline p c0 in
+            (g.Configgraph.Packed.succ, g.Configgraph.Packed.configs))
+          (packed_output ~num_states:(Population.num_states p)
+             (support_output_table p))
+      else
+        decide_with ~incremental
+          ~explore_sccs:(Configgraph.explore_sccs ?max_configs ?deadline p c0)
+          ~explore:(fun () ->
+            let g = Configgraph.explore ?max_configs ?deadline p c0 in
+            (g.Configgraph.succ, g.Configgraph.configs))
+          (Population.output_of_config p))
 
-let decide ?max_configs ?deadline ?packed ?incremental p v =
-  decide_config ?max_configs ?deadline ?packed ?incremental p
+let decide ?max_configs ?deadline ?incremental p v =
+  decide_config ?max_configs ?deadline ?incremental p
     (Population.initial_config p v)
 
 type check_result =
   | Ok_all of int
   | Mismatch of int array * verdict * bool
 
-let check_predicate ?max_configs ?packed p spec ~inputs =
+let check_predicate ?max_configs p spec ~inputs =
   let rec go n = function
     | [] -> Ok_all n
     | v :: rest ->
       let expected = Predicate.eval spec v in
-      (match decide ?max_configs ?packed p v with
+      (match decide ?max_configs p v with
        | Decides b when b = expected -> go (n + 1) rest
        | verdict -> Mismatch (v, verdict, expected))
   in

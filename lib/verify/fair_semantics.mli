@@ -13,13 +13,13 @@ type verdict =
   | Conflicting             (** uniform bottom SCCs with different outputs *)
 
 val decide_config :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline -> ?packed:bool ->
+  ?max_configs:int -> ?deadline:Obs.Budget.deadline ->
   ?incremental:bool -> Population.t -> Mset.t -> verdict
-(** Verdict for a concrete initial configuration. When the instance fits
-    the packed representation ({!Configgraph.Packed.applicable}) the
-    graph is explored on immediate ints — same graph, same verdict,
-    several times faster; [~packed:false] forces the reference multiset
-    exploration (the two are compared differentially in the tests).
+(** Verdict for a concrete initial configuration.
+    {!Configgraph.Packed.applicable} alone picks the representation:
+    when the instance fits, the graph is explored on immediate ints —
+    same graph, same verdict, several times faster — and otherwise on
+    multisets. The tests compare both against a multiset reference.
 
     [incremental] (default [true]) judges bottom SCCs on the fly as
     Tarjan pops them ({!Configgraph.explore_sccs}) and stops at the
@@ -34,7 +34,7 @@ val decide_config :
     @raise Obs.Budget.Exceeded if [deadline] expires mid-exploration. *)
 
 val decide :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline -> ?packed:bool ->
+  ?max_configs:int -> ?deadline:Obs.Budget.deadline ->
   ?incremental:bool -> Population.t -> int array -> verdict
 (** Verdict for input [v] (starting from [IC(v)]). *)
 
@@ -43,7 +43,7 @@ type check_result =
   | Mismatch of int array * verdict * bool  (** input, verdict, expected *)
 
 val check_predicate :
-  ?max_configs:int -> ?packed:bool -> Population.t -> Predicate.t ->
+  ?max_configs:int -> Population.t -> Predicate.t ->
   inputs:int array list -> check_result
 (** Checks [decide p v = Decides (spec v)] on every listed input. *)
 

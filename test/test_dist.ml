@@ -632,7 +632,52 @@ let test_mismatch_diff () =
   in
   let msg = Obs.Checkpoint.mismatch_message ~path:"x.ckpt" diff in
   Alcotest.(check bool) "message shows both values" true
-    (contains msg "run has 3" && contains msg "snapshot has 2")
+    (contains msg "run has 3" && contains msg "snapshot has 2");
+  (* A ledger from before the "packed" field left the scan fingerprint:
+     every plan hashes differently now, so both the local scan and the
+     coordinator must refuse it with a diff naming that field, never
+     resume it silently. *)
+  let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
+  let old_config =
+    match Busy_beaver.plan_config plan with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.concat_map
+           (fun (k, v) ->
+             if k = "prune" then [ (k, v); ("packed", Obs.Json.Bool true) ]
+             else [ (k, v) ])
+           fields)
+    | _ -> Alcotest.fail "plan_config is not an object"
+  in
+  let path = Filename.temp_file "oldledger" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Obs.Checkpoint.save ~path
+        (Obs.Checkpoint.create ~config:old_config
+           ~total_chunks:(Busy_beaver.plan_chunks plan));
+      List.iter
+        (fun (who, resume_from) ->
+          match resume_from () with
+          | () -> Alcotest.failf "%s resumed a ledger with \"packed\"" who
+          | exception Obs.Checkpoint.Mismatch { diff; _ } ->
+            Alcotest.(check (list string)) (who ^ ": the diff names packed")
+              [ "packed" ]
+              (List.map (fun d -> d.Obs.Checkpoint.field) diff);
+            Alcotest.(check (option string)) (who ^ ": the run has no packed")
+              None (List.hd diff).Obs.Checkpoint.expected)
+        [
+          ( "Busy_beaver.scan",
+            fun () ->
+              ignore
+                (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 ~checkpoint:path
+                   ~resume:true ()) );
+          ( "Distributed_scan.coordinate",
+            fun () ->
+              ignore
+                (Distributed_scan.coordinate ~workers:1 ~checkpoint:path
+                   ~resume:true ~plan ()) );
+        ])
 
 (* -- Simulated distributed scan: kill a random worker at a random chunk ----- *)
 

@@ -160,15 +160,19 @@ let test_lazy_vs_eager_corpus () =
             | 1 -> [| i |]
             | k -> Array.make k i
           in
-          let eager = Fair_semantics.decide ~incremental:false p v in
+          (* the multiset oracle against both strategies, on the
+             representation Fair_semantics picks *)
+          let reference = Verdict_oracle.verdict p v in
           List.iter
-            (fun (packed, incremental) ->
+            (fun incremental ->
               Alcotest.check verdict
                 (Printf.sprintf "%s input %d packed=%b incremental=%b" file i
-                   packed incremental)
-                eager
-                (Fair_semantics.decide ~packed ~incremental p v))
-            [ (true, true); (false, true); (false, false) ])
+                   (Configgraph.Packed.applicable p
+                      (Population.initial_config p v))
+                   incremental)
+                reference
+                (Fair_semantics.decide ~incremental p v))
+            [ true; false ])
         inputs)
     checks
 
@@ -251,6 +255,8 @@ let hilbert_minimal_prop =
       | basis -> Hilbert_basis.verify_minimal sys ~eq:false basis
       | exception Obs.Budget.Exceeded _ -> true)
 
+(* The packed case is per input: the search's verdicts (packed, since
+   d = 3) must equal the multiset oracle's on every input it checks. *)
 let eta_invariance_prop =
   prop "eta verdicts invariant under packed/lazy/stable-set settings"
     ~count:15 QCheck.(int_bound 10_000)
@@ -260,14 +266,18 @@ let eta_invariance_prop =
       match Eta_search.find p ~max_configs:60_000 ~max_input:6 with
       | reference ->
         List.for_all
-          (fun (packed, stable) ->
-            match
-              Eta_search.find ~packed ~stable ~jobs:2 p ~max_configs:60_000
-                ~max_input:6
-            with
-            | r -> r = reference
-            | exception Configgraph.Too_many_configs _ -> false)
-          [ (false, `Off); (true, `Memo); (true, `Per_input) ]
+          (fun i ->
+            Fair_semantics.decide p [| i |] = Verdict_oracle.verdict p [| i |])
+          (Fair_semantics.valid_inputs_single p ~max:6)
+        && List.for_all
+             (fun (incremental, stable) ->
+               match
+                 Eta_search.find ~incremental ~stable ~jobs:2 p
+                   ~max_configs:60_000 ~max_input:6
+               with
+               | r -> r = reference
+               | exception Configgraph.Too_many_configs _ -> false)
+             [ (false, `Off); (true, `Memo); (true, `Per_input) ]
       | exception Configgraph.Too_many_configs _ -> true)
 
 (* -- budget and fault behaviour ------------------------------------------- *)

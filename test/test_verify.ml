@@ -68,13 +68,38 @@ let test_packed_graph_identical () =
   Alcotest.(check bool) "flock" true
     (packed_graph_equal p (Population.initial_single p 9))
 
+(* every entry point, eager or lazy, on either representation, aborts
+   at the node budget and still publishes how far it got *)
 let test_packed_budget () =
   let p = Flock.succinct 3 in
-  Alcotest.check_raises "budget enforced" (Configgraph.Too_many_configs 5)
+  let c0 = Population.initial_single p 12 in
+  let on_bottom _ = `Continue in
+  let entry_points =
+    [
+      ("explore", fun () -> ignore (Configgraph.explore ~max_configs:5 p c0));
+      ( "explore_sccs",
+        fun () -> ignore (Configgraph.explore_sccs ~max_configs:5 p c0 ~on_bottom) );
+      ( "Packed.explore",
+        fun () -> ignore (Configgraph.Packed.explore ~max_configs:5 p c0) );
+      ( "Packed.explore_sccs",
+        fun () ->
+          ignore (Configgraph.Packed.explore_sccs ~max_configs:5 p c0 ~on_bottom) );
+    ]
+  in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled false)
     (fun () ->
-      ignore
-        (Configgraph.Packed.explore ~max_configs:5 p
-           (Population.initial_single p 12)))
+      List.iter
+        (fun (name, f) ->
+          let before = Obs.Metrics.snapshot () in
+          Alcotest.check_raises name (Configgraph.Too_many_configs 5) f;
+          let d = Obs.Metrics.diff ~before ~after:(Obs.Metrics.snapshot ()) in
+          Alcotest.(check bool)
+            (name ^ " publishes configgraph.configs = 5")
+            true
+            (List.assoc_opt "configgraph.configs" d = Some (Obs.Metrics.Counter 5)))
+        entry_points)
 
 let packed_graph_prop =
   QCheck_alcotest.to_alcotest
@@ -85,6 +110,8 @@ let packed_graph_prop =
          let p = Busy_beaver.protocol_of_code ~n:3 ~assignment ~output_bits in
          packed_graph_equal p (Population.initial_single p input)))
 
+(* n = 3 instances always take the packed path in Fair_semantics; the
+   oracle decides them on the multiset graph *)
 let packed_verdict_prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make
@@ -92,8 +119,37 @@ let packed_verdict_prop =
        QCheck.(triple (int_range 0 46655) (int_range 0 7) (int_range 2 8))
        (fun (assignment, output_bits, input) ->
          let p = Busy_beaver.protocol_of_code ~n:3 ~assignment ~output_bits in
-         Fair_semantics.decide ~packed:true p [| input |]
-         = Fair_semantics.decide ~packed:false p [| input |]))
+         let reference = Verdict_oracle.verdict p [| input |] in
+         List.for_all
+           (fun incremental ->
+             Fair_semantics.decide ~incremental p [| input |] = reference)
+           [ true; false ]))
+
+(* the lazy pair: same SCC count, same bottom components in the same
+   order, packed members unpacked *)
+let packed_sccs_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"packed lazy SCCs equal the reference lazy SCCs" ~count:500
+       QCheck.(triple (int_range 0 46655) (int_range 0 7) (int_range 2 12))
+       (fun (assignment, output_bits, input) ->
+         let p = Busy_beaver.protocol_of_code ~n:3 ~assignment ~output_bits in
+         let c0 = Population.initial_single p input in
+         let collect explore_sccs =
+           let bottoms = ref [] in
+           let n =
+             explore_sccs ~on_bottom:(fun members ->
+                 bottoms := members :: !bottoms;
+                 `Continue)
+           in
+           (n, List.rev !bottoms)
+         in
+         let n, bottoms = collect (Configgraph.explore_sccs p c0) in
+         let n', packed = collect (Configgraph.Packed.explore_sccs p c0) in
+         let dim = Population.num_states p in
+         n = n'
+         && List.equal (List.equal Mset.equal) bottoms
+              (List.map (List.map (Mset.unpack ~dim)) packed)))
 
 (* -- Scc ------------------------------------------------------------------ *)
 
@@ -337,6 +393,7 @@ let () =
           Alcotest.test_case "budget" `Quick test_packed_budget;
           packed_graph_prop;
           packed_verdict_prop;
+          packed_sccs_prop;
         ] );
       ( "scc",
         [
