@@ -93,7 +93,7 @@ let pre_star_stats ?(jobs = 1) ?(chunk = 4) p u =
         in
         ignore
           (Pool.run_rounds ~jobs ~chunk ~name:"backward" ~next
-             (fun ~round:_ ~lo ~hi ->
+             (fun ~lo ~hi ->
                let frontier = !frontier_ref
                and slots = !slots_ref
                and snapshot = !stage in

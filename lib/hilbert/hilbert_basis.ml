@@ -183,7 +183,7 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
         (fun () ->
           ignore
             (Pool.run_rounds ~jobs ~chunk ~name:"hilbert" ~next
-               (fun ~round:_ ~lo ~hi ->
+               (fun ~lo ~hi ->
                  let tasks = !tasks and slots = !slots in
                  for i = lo to hi - 1 do
                    let y, defect = tasks.(i) in

@@ -20,6 +20,17 @@ type token =
 
 exception Error of string
 
+(* Variable indices size the coefficient array, so they are capped well
+   below anything that could exhaust memory. *)
+let max_var = 65_535
+
+(* Digit runs that do not fit an OCaml [int] are parse errors, not
+   [int_of_string] failures. *)
+let int_literal lit =
+  match int_of_string_opt lit with
+  | Some k -> k
+  | None -> raise (Error (Printf.sprintf "integer literal %s out of range" lit))
+
 let tokenize s =
   let n = String.length s in
   let tokens = ref [] in
@@ -54,12 +65,16 @@ let tokenize s =
      | '0' .. '9' ->
        let j = ref !i in
        while !j < n && match s.[!j] with '0' .. '9' -> true | _ -> false do incr j done;
-       push (INT (int_of_string (String.sub s !i (!j - !i))));
+       push (INT (int_literal (String.sub s !i (!j - !i))));
        i := !j
      | 'x' when (match peek 1 with Some ('0' .. '9') -> true | _ -> false) ->
        let j = ref (!i + 1) in
        while !j < n && match s.[!j] with '0' .. '9' -> true | _ -> false do incr j done;
-       push (VAR (int_of_string (String.sub s (!i + 1) (!j - !i - 1))));
+       let lit = String.sub s (!i + 1) (!j - !i - 1) in
+       (match int_of_string_opt lit with
+        | Some v when v <= max_var -> push (VAR v)
+        | _ ->
+          raise (Error (Printf.sprintf "variable index x%s out of range" lit)));
        i := !j
      | 'a' .. 'z' ->
        let j = ref !i in
@@ -184,7 +199,8 @@ and parse_comparison st =
     let m = parse_int st in
     if m < 1 then raise (Error "modulus must be positive");
     (* Σ a·x + const ≡ r  <=>  Σ a·x ≡ r - const (mod m) *)
-    Predicate.Modulo (a, (((r - const) mod m) + m) mod m, m)
+    let res = (r - const) mod m in
+    Predicate.Modulo (a, (if res < 0 then res + m else res), m)
   | _ -> raise (Error "expected a comparison operator")
 
 let parse s =

@@ -14,6 +14,9 @@
     var      ::= 'x' digits
     v}
 
+    An integer literal that does not fit an OCaml [int], or a variable
+    index above 65535, is a parse error naming the literal.
+
     Examples: ["x0 >= 7"], ["x0 - x1 >= 1 && x0 + x1 >= 4"],
     ["2*x0 + x1 == 1 mod 3 || !(x0 < 5)"]. *)
 

@@ -84,13 +84,18 @@ let publish name s =
    lease/complete/error events depends only on the fixed chunk
    partition (and the caller's deterministic [f]), so canonicalised
    event streams are jobs-invariant; only interleaving and timestamps
-   move. Guarded so an un-instrumented run pays one load per chunk. *)
+   move. [round] is [run_rounds]' round label ([None] under [run]).
+   Guarded so an un-instrumented run pays one load per chunk. *)
+let round_field = function
+  | Some r -> [ ("round", Obs.Json.Int r) ]
+  | None -> []
+
 let lease_event ~name ~round ~ci ~lo ~hi =
   if Obs.Events.enabled () then
     Obs.Events.emit "pool.lease"
       ~data:
         ([ ("pool", Obs.Json.String name); ("chunk", Obs.Json.Int ci) ]
-         @ (if round >= 0 then [ ("round", Obs.Json.Int round) ] else [])
+         @ round_field round
          @ [ ("lo", Obs.Json.Int lo); ("hi", Obs.Json.Int (hi - 1)) ])
 
 let done_event ~name ~round ~ci =
@@ -98,7 +103,7 @@ let done_event ~name ~round ~ci =
     Obs.Events.emit "pool.chunk_done"
       ~data:
         ([ ("pool", Obs.Json.String name); ("chunk", Obs.Json.Int ci) ]
-         @ if round >= 0 then [ ("round", Obs.Json.Int round) ] else [])
+         @ round_field round)
 
 let error_event ~name ~ci e =
   if Obs.Events.enabled () then
@@ -120,238 +125,48 @@ let retry_event ~name ~ci ~remaining =
           ("remaining", Obs.Json.Int remaining);
         ]
 
-(* Iterated fan-out over driver-computed rounds: the worker domains
-   persist across rounds (no per-generation spawn/join), separated by a
-   barrier. The driver alone runs [next] — which reduces the previous
-   round's slots and stages the next round's tasks — so callers get the
-   same determinism contract as [run]: fixed chunk partition per round,
-   index-ordered reduction on the driver, aggregates independent of
-   [jobs]. A task exception cancels the batch and re-raises after every
-   domain is joined (first failing chunk of the earliest round wins); an
-   exception escaping [next] (e.g. a budget raised during reduction)
-   likewise joins all domains before propagating. *)
-let run_rounds ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ~next f =
-  let jobs = Stdlib.max 1 jobs in
-  let chunk = Stdlib.max 1 chunk in
-  let span = name ^ ".chunk" in
-  if jobs = 1 then begin
-    (* Sequential driver: same rounds, same chunk partition, no domains. *)
-    let t0 = Obs.Clock.now_ns () in
-    let chunks = ref 0 in
-    let rec go r =
-      match next () with
-      | None -> ()
-      | Some tasks ->
-        let lo = ref 0 in
-        while !lo < tasks do
-          let hi = Stdlib.min tasks (!lo + chunk) in
-          let ci = !lo / chunk in
-          lease_event ~name ~round:r ~ci ~lo:!lo ~hi;
-          Obs.Trace.with_span span ~cat:"pool"
-            ~args:
-              [ ("round", string_of_int r); ("chunk", string_of_int ci);
-                ("lo", string_of_int !lo); ("hi", string_of_int (hi - 1)) ]
-            (fun () -> f ~round:r ~lo:!lo ~hi);
-          done_event ~name ~round:r ~ci;
-          incr chunks;
-          lo := hi
-        done;
-        go (r + 1)
-    in
-    go 0;
-    let wall = Obs.Clock.elapsed_s t0 in
-    let stats =
-      {
-        jobs = 1;
-        wall_s = wall;
-        chunks = [| !chunks |];
-        busy_s = [| wall |];
-        task_errors = 0;
-        failures = [];
-        cancelled = false;
-      }
-    in
-    if Obs.Metrics.enabled () then publish name stats;
-    stats
-  end
-  else begin
-    let mutex = Mutex.create () in
-    let cond = Condition.create () in
-    (* Barrier state, all under [mutex]: [round] is the id of the round
-       currently open for claiming (0 = none yet), [finished] counts
-       helper domains that exhausted it. *)
-    let round = ref 0 in
-    let tasks = ref 0 in
-    let finished = ref 0 in
-    let shutdown = ref false in
-    let next_idx = Atomic.make 0 in
-    let cancelled = Atomic.make false in
-    let task_errors = Atomic.make 0 in
-    let first_failure = Atomic.make None in
-    let record_first fail =
-      let rec go () =
-        let cur = Atomic.get first_failure in
-        match cur with
-        | Some f when f.chunk_index <= fail.chunk_index -> ()
-        | _ ->
-          if not (Atomic.compare_and_set first_failure cur (Some fail)) then
-            go ()
-      in
-      go ()
-    in
-    let chunks_claimed = Array.make jobs 0 in
-    let busy_ns = Array.make jobs 0L in
-    (* Claim chunks of the current round until it drains. Task
-       exceptions are confined here, exactly as in [run]; the failing
-       chunk index is offset by the round so the earliest round's
-       failure wins deterministically. *)
-    let work w r r_tasks =
-      let rec loop () =
-        if not (Atomic.get cancelled) then begin
-          let lo = Atomic.fetch_and_add next_idx chunk in
-          if lo < r_tasks then begin
-            let hi = Stdlib.min r_tasks (lo + chunk) in
-            let ci = lo / chunk in
-            let c0_ns = Obs.Clock.now_ns () in
-            lease_event ~name ~round:r ~ci ~lo ~hi;
-            (match
-               Obs.Trace.with_span span ~cat:"pool"
-                 ~args:
-                   [ ("round", string_of_int r); ("chunk", string_of_int ci);
-                     ("lo", string_of_int lo); ("hi", string_of_int (hi - 1)) ]
-                 (fun () -> f ~round:r ~lo ~hi)
-             with
-            | () -> done_event ~name ~round:r ~ci
-            | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              Atomic.incr task_errors;
-              error_event ~name ~ci e;
-              record_first
-                { chunk_index = (r * 1_000_000) + ci; error = e; backtrace = bt };
-              Atomic.set cancelled true);
-            chunks_claimed.(w) <- chunks_claimed.(w) + 1;
-            busy_ns.(w) <-
-              Int64.add busy_ns.(w) (Int64.sub (Obs.Clock.now_ns ()) c0_ns);
-            loop ()
-          end
-        end
-      in
-      loop ()
-    in
-    let helper w =
-      let my_round = ref 0 in
-      let continue = ref true in
-      while !continue do
-        Mutex.lock mutex;
-        while (not !shutdown) && !round = !my_round do
-          Condition.wait cond mutex
-        done;
-        if !shutdown then begin
-          continue := false;
-          Mutex.unlock mutex
-        end
-        else begin
-          let r = !round and t = !tasks in
-          Mutex.unlock mutex;
-          my_round := r;
-          work w r t;
-          Mutex.lock mutex;
-          incr finished;
-          Condition.broadcast cond;
-          Mutex.unlock mutex
-        end
-      done
-    in
-    let t0 = Obs.Clock.now_ns () in
-    let pool =
-      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> helper (i + 1)))
-    in
-    let join_all () =
-      Mutex.lock mutex;
-      shutdown := true;
-      Condition.broadcast cond;
-      Mutex.unlock mutex;
-      let escaped =
-        List.filter_map
-          (fun d ->
-            try
-              Domain.join d;
-              None
-            with e -> Some (e, Printexc.get_raw_backtrace ()))
-          pool
-      in
-      match escaped with
-      | [] -> ()
-      | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
-    in
-    Fun.protect ~finally:join_all (fun () ->
-        let rec go r =
-          if not (Atomic.get cancelled) then
-            match next () with
-            | None -> ()
-            | Some 0 -> go r
-            | Some t ->
-              Mutex.lock mutex;
-              Atomic.set next_idx 0;
-              tasks := t;
-              finished := 0;
-              round := r + 1;
-              Condition.broadcast cond;
-              Mutex.unlock mutex;
-              work 0 (r + 1) t;
-              Mutex.lock mutex;
-              while !finished < jobs - 1 do
-                Condition.wait cond mutex
-              done;
-              Mutex.unlock mutex;
-              go (r + 1)
-        in
-        go 0);
-    let stats =
-      {
-        jobs;
-        wall_s = Obs.Clock.elapsed_s t0;
-        chunks = chunks_claimed;
-        busy_s = Array.map Obs.Clock.ns_to_s busy_ns;
-        task_errors = Atomic.get task_errors;
-        failures = [];
-        cancelled = Atomic.get cancelled;
-      }
-    in
-    if Obs.Metrics.enabled () then publish name stats;
-    match Atomic.get first_failure with
-    | Some fail -> Printexc.raise_with_backtrace fail.error fail.backtrace
-    | None -> stats
-  end
+(* The one fan-out engine behind [run] (one round) and [run_rounds]
+   (iterated rounds). The [jobs - 1] helper domains are spawned once and
+   persist across rounds behind one barrier; worker 0 is the calling
+   domain, and only it calls [next], which yields the next round's
+   label and its precomputed chunk partition ([None] to finish); every
+   domain then claims chunks of that partition off one shared
+   counter.
 
-let run ?(jobs = 1) ?(chunk = 1) ?(schedule = `Fixed) ?(name = "pool")
-    ?(on_task_error = `Fail) ?should_stop ?skip_chunk ?on_chunk_done ~tasks f =
-  if tasks < 0 then invalid_arg "Pool.run: tasks >= 0 required";
-  let jobs = Stdlib.max 1 (Stdlib.min jobs tasks) in
-  let chunk = Stdlib.max 1 chunk in
-  let bounds = boundaries schedule ~tasks ~jobs ~chunk in
-  let num_slots = Array.length bounds in
-  let retries = match on_task_error with `Retry n -> Stdlib.max 0 n | _ -> 0 in
-  let next = Atomic.make 0 in
-  (* Cancellation token: set by the first [`Fail] failure or when the
-     caller's [should_stop] fires; every worker stops claiming chunks
-     once it is up. In-flight chunks drain normally. *)
+   A task exception never leaves [run_chunk]: [policy] resolves it.
+   Anything else a domain raises — the caller's [should_stop],
+   [skip_chunk] and [on_chunk_done] callbacks, or [next] on worker 0 —
+   cancels the batch. A helper records it and still reaches the
+   barrier, so no round deadlocks; the original exception re-raises,
+   with its backtrace, after every domain is joined. *)
+let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
+    f =
+  let span = name ^ ".chunk" in
+  let retries = match policy with `Retry n -> Stdlib.max 0 n | _ -> 0 in
+  (* the open round, written by worker 0 under [mutex] before it wakes
+     the helpers, so they read it after the barrier *)
+  let label = ref None and bounds = ref [||] in
+  let next_ci = Atomic.make 0 in
+  (* Cancellation token: set by the first [`Fail] failure, by an
+     escaping exception, or when [should_stop] fires. Every worker stops
+     claiming chunks once it is up and no further round opens;
+     in-flight chunks drain normally. *)
   let cancelled = Atomic.make false in
   let task_errors = Atomic.make 0 in
   (* First-failure-wins under [`Fail]: the failure in the lowest-indexed
      chunk that actually ran is the one re-raised, independent of which
-     domain observed its failure first. *)
+     domain observed its failure first. No round opens after a failure,
+     so every candidate belongs to the same round. *)
   let first_failure = Atomic.make None in
-  let record_first fail =
-    let rec go () =
-      let cur = Atomic.get first_failure in
-      match cur with
-      | Some f when f.chunk_index <= fail.chunk_index -> ()
-      | _ ->
-        if not (Atomic.compare_and_set first_failure cur (Some fail)) then go ()
-    in
-    go ()
+  let rec record_first fail =
+    let cur = Atomic.get first_failure in
+    match cur with
+    | Some f when f.chunk_index <= fail.chunk_index -> ()
+    | _ ->
+      if not (Atomic.compare_and_set first_failure cur (Some fail)) then
+        record_first fail
   in
+  let escaped = Atomic.make None in
   let failures_lock = Mutex.create () in
   let failures = ref [] in
   (* Per-worker accounting: slot [w] is written only by worker [w] and
@@ -360,101 +175,139 @@ let run ?(jobs = 1) ?(chunk = 1) ?(schedule = `Fixed) ?(name = "pool")
      batch wall-clock is scheduling idleness. *)
   let chunks_claimed = Array.make jobs 0 in
   let busy_ns = Array.make jobs 0L in
-  let span = name ^ ".chunk" in
   let stop_requested () =
     Atomic.get cancelled
     ||
     match should_stop with
-    | Some s ->
-      if s () then begin
-        Atomic.set cancelled true;
-        true
-      end
-      else false
-    | None -> false
+    | Some s when s () ->
+      Atomic.set cancelled true;
+      true
+    | _ -> false
   in
-  (* Dynamic self-scheduling off a shared counter: each domain claims
-     [chunk] consecutive task indices at a time, so long tasks don't
-     leave the other domains idle. The caller's [f] must confine its
-     writes to state owned by the claimed range; [Domain.join] publishes
-     them to the driver. Per-chunk exceptions never escape a worker:
-     they are recorded and resolved by policy after the joins. *)
-  let worker w =
-    let rec loop () =
-      if not (stop_requested ()) then begin
-        let ci = Atomic.fetch_and_add next 1 in
-        if ci < num_slots then begin
-          let lo, hi = bounds.(ci) in
-          let skip = match skip_chunk with Some g -> g ci | None -> false in
-          if not skip then begin
-            let c0_ns = Obs.Clock.now_ns () in
-            lease_event ~name ~round:(-1) ~ci ~lo ~hi;
-            let rec attempt remaining =
-              match
-                Obs.Trace.with_span span ~cat:"pool"
-                  ~args:
-                    [ ("chunk", string_of_int ci); ("lo", string_of_int lo);
-                      ("hi", string_of_int (hi - 1)) ]
-                  (fun () -> f ~lo ~hi)
-              with
-              | () ->
-                done_event ~name ~round:(-1) ~ci;
-                (match on_chunk_done with Some g -> g ci | None -> ())
-              | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                Atomic.incr task_errors;
-                error_event ~name ~ci e;
-                let fail = { chunk_index = ci; error = e; backtrace = bt } in
-                (match on_task_error with
-                 | `Fail ->
-                   record_first fail;
-                   Atomic.set cancelled true
-                 | `Skip | `Retry _ ->
-                   if remaining > 0 then begin
-                     retry_event ~name ~ci ~remaining;
-                     attempt (remaining - 1)
-                   end
-                   else begin
-                     Mutex.lock failures_lock;
-                     failures := fail :: !failures;
-                     Mutex.unlock failures_lock
-                   end)
-            in
-            attempt retries;
-            chunks_claimed.(w) <- chunks_claimed.(w) + 1;
-            busy_ns.(w) <-
-              Int64.add busy_ns.(w) (Int64.sub (Obs.Clock.now_ns ()) c0_ns)
-          end;
-          loop ()
-        end
+  let run_chunk w ci =
+    let lo, hi = !bounds.(ci) and round = !label in
+    let c0_ns = Obs.Clock.now_ns () in
+    lease_event ~name ~round ~ci ~lo ~hi;
+    let args =
+      (match round with Some r -> [ ("round", string_of_int r) ] | None -> [])
+      @ [ ("chunk", string_of_int ci); ("lo", string_of_int lo);
+          ("hi", string_of_int (hi - 1)) ]
+    in
+    let rec attempt remaining =
+      match
+        Obs.Trace.with_span span ~cat:"pool" ~args (fun () -> f ~lo ~hi)
+      with
+      | () ->
+        done_event ~name ~round ~ci;
+        Option.iter (fun g -> g ci) on_chunk_done
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Atomic.incr task_errors;
+        error_event ~name ~ci e;
+        let fail = { chunk_index = ci; error = e; backtrace = bt } in
+        (match policy with
+         | `Fail ->
+           record_first fail;
+           Atomic.set cancelled true
+         | `Skip | `Retry _ ->
+           if remaining > 0 then begin
+             retry_event ~name ~ci ~remaining;
+             attempt (remaining - 1)
+           end
+           else begin
+             Mutex.lock failures_lock;
+             failures := fail :: !failures;
+             Mutex.unlock failures_lock
+           end)
+    in
+    attempt retries;
+    chunks_claimed.(w) <- chunks_claimed.(w) + 1;
+    busy_ns.(w) <- Int64.add busy_ns.(w) (Int64.sub (Obs.Clock.now_ns ()) c0_ns)
+  in
+  (* Dynamic self-scheduling off the shared counter, so long chunks
+     don't leave the other domains idle. The caller's [f] must confine
+     its writes to state owned by the claimed range; the barrier and
+     the joins publish them to the caller. Skipped chunks are neither
+     run nor counted. *)
+  let rec claim w =
+    if not (stop_requested ()) then begin
+      let ci = Atomic.fetch_and_add next_ci 1 in
+      if ci < Array.length !bounds then begin
+        if not (match skip_chunk with Some g -> g ci | None -> false) then
+          run_chunk w ci;
+        claim w
+      end
+    end
+  in
+  (* The barrier, all under [mutex]: [opened] counts rounds opened so
+     far, [finished] the helpers done with the open one. *)
+  let mutex = Mutex.create () and cond = Condition.create () in
+  let opened = ref 0 and finished = ref 0 and shutdown = ref false in
+  let helper w =
+    let rec await seen =
+      Mutex.lock mutex;
+      while (not !shutdown) && !opened = seen do
+        Condition.wait cond mutex
+      done;
+      let seen = !opened and stop = !shutdown in
+      Mutex.unlock mutex;
+      if not stop then begin
+        (try claim w
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           ignore (Atomic.compare_and_set escaped None (Some (e, bt)));
+           Atomic.set cancelled true);
+        Mutex.lock mutex;
+        incr finished;
+        Condition.broadcast cond;
+        Mutex.unlock mutex;
+        await seen
       end
     in
-    loop ()
+    await 0
+  in
+  let rec drive () =
+    if not (Atomic.get cancelled) then
+      match next () with
+      | None -> ()
+      | Some (l, b) ->
+        Mutex.lock mutex;
+        label := l;
+        bounds := b;
+        Atomic.set next_ci 0;
+        finished := 0;
+        incr opened;
+        Condition.broadcast cond;
+        Mutex.unlock mutex;
+        claim 0;
+        Mutex.lock mutex;
+        while !finished < jobs - 1 do
+          Condition.wait cond mutex
+        done;
+        Mutex.unlock mutex;
+        drive ()
   in
   let t0 = Obs.Clock.now_ns () in
   let pool =
-    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> helper (i + 1)))
   in
-  (* Every spawned domain is joined on every path: even if worker 0
-     raises (only the caller's [should_stop]/[skip_chunk]/[on_chunk_done]
-     callbacks can — task exceptions are caught above), no domain leaks.
-     An exception escaping a spawned worker (same callbacks) re-raises
-     after the remaining joins. *)
   let join_all () =
-    let escaped =
-      List.filter_map
-        (fun d ->
-          try
-            Domain.join d;
-            None
-          with e -> Some (e, Printexc.get_raw_backtrace ()))
-        pool
-    in
-    match escaped with
-    | [] -> ()
-    | (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+    Mutex.lock mutex;
+    shutdown := true;
+    Condition.broadcast cond;
+    Mutex.unlock mutex;
+    List.iter Domain.join pool
   in
-  Fun.protect ~finally:join_all (fun () -> worker 0);
+  (match drive () with
+   | () -> join_all ()
+   | exception e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Atomic.set cancelled true;
+     join_all ();
+     Printexc.raise_with_backtrace e bt);
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get escaped);
   let stats =
     {
       jobs;
@@ -473,3 +326,28 @@ let run ?(jobs = 1) ?(chunk = 1) ?(schedule = `Fixed) ?(name = "pool")
   match Atomic.get first_failure with
   | Some fail -> Printexc.raise_with_backtrace fail.error fail.backtrace
   | None -> stats
+
+let run ?(jobs = 1) ?(chunk = 1) ?(schedule = `Fixed) ?(name = "pool")
+    ?(on_task_error = `Fail) ?should_stop ?skip_chunk ?on_chunk_done ~tasks f =
+  if tasks < 0 then invalid_arg "Pool.run: tasks >= 0 required";
+  let jobs = Stdlib.max 1 (Stdlib.min jobs tasks) in
+  let round = ref (Some (None, boundaries schedule ~tasks ~jobs ~chunk)) in
+  let next () =
+    let r = !round in
+    round := None;
+    r
+  in
+  fan_out ~jobs ~name ~policy:on_task_error ?should_stop ?skip_chunk
+    ?on_chunk_done ~next f
+
+let run_rounds ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ~next f =
+  let label = ref (-1) in
+  let next () =
+    match next () with
+    | None -> None
+    | Some tasks ->
+      if tasks < 0 then invalid_arg "Pool.run_rounds: tasks >= 0 required";
+      incr label;
+      Some (Some !label, boundaries `Fixed ~tasks ~jobs:1 ~chunk)
+  in
+  fan_out ~jobs:(Stdlib.max 1 jobs) ~name ~policy:`Fail ~next f

@@ -251,6 +251,86 @@ let test_pool_clamps_jobs () =
   let stats = Pool.run ~jobs:0 ~chunk:1 ~tasks:3 (fun ~lo:_ ~hi:_ -> ()) in
   Alcotest.(check int) "at least one domain" 1 stats.Pool.jobs
 
+(* [run_rounds] over random round sizes, empty rounds included: the
+   caller's [next] labels each round, the tasks read the label it set,
+   and every (round, index) pair must be visited exactly once with the
+   fixed per-round chunk tally, at every jobs value. *)
+let ceil_div a b = (a + b - 1) / b
+
+let run_rounds_covers_prop =
+  prop "run_rounds visits every (round, index) exactly once" ~count:60
+    QCheck.(pair (small_list (int_range 0 40)) (int_range 1 8))
+    (fun (sizes, chunk) ->
+      let sizes = Array.of_list sizes in
+      List.for_all
+        (fun jobs ->
+          let hits = Array.map (fun n -> Array.make n 0) sizes in
+          let round = ref (-1) in
+          let next () =
+            incr round;
+            if !round < Array.length sizes then Some sizes.(!round) else None
+          in
+          let stats =
+            Pool.run_rounds ~jobs ~chunk ~next (fun ~lo ~hi ->
+                let h = hits.(!round) in
+                for i = lo to hi - 1 do
+                  h.(i) <- h.(i) + 1
+                done)
+          in
+          Array.for_all (Array.for_all (( = ) 1)) hits
+          && Array.fold_left ( + ) 0 stats.Pool.chunks
+             = Array.fold_left (fun acc n -> acc + ceil_div n chunk) 0 sizes)
+        [ 1; 2; 4 ])
+
+exception Round_boom of int * int
+
+(* A task raising in round r, chunk k re-raises as that (r, k) at every
+   jobs value, and no later round opens: [next] is not called again. *)
+let run_rounds_failure_prop =
+  prop "run_rounds re-raises the failing (round, chunk) at every jobs"
+    ~count:60
+    QCheck.(
+      quad (list_of_size Gen.(int_range 1 6) (int_range 1 40)) (int_range 1 8)
+        small_nat small_nat)
+    (fun (sizes, chunk, r, k) ->
+      let sizes = Array.of_list sizes in
+      let r = r mod Array.length sizes in
+      let k = k mod ceil_div sizes.(r) chunk in
+      List.for_all
+        (fun jobs ->
+          let round = ref (-1) in
+          let next () =
+            incr round;
+            if !round < Array.length sizes then Some sizes.(!round) else None
+          in
+          match
+            Pool.run_rounds ~jobs ~chunk ~next (fun ~lo ~hi:_ ->
+                if !round = r && lo / chunk = k then
+                  raise (Round_boom (r, lo / chunk)))
+          with
+          | _ -> false
+          | exception Round_boom (r', k') -> r' = r && k' = k && !round = r)
+        [ 1; 2; 4 ])
+
+exception Next_boom of int
+
+(* An exception escaping [next] surfaces only after every domain is
+   joined: 100 iterations x 3 persistent helpers would exhaust the
+   runtime's domain limit if any were left waiting at the barrier. *)
+let test_run_rounds_next_raise_joins () =
+  for _ = 1 to 100 do
+    let round = ref 0 in
+    match
+      Pool.run_rounds ~jobs:4 ~chunk:1
+        ~next:(fun () ->
+          incr round;
+          if !round > 3 then raise (Next_boom !round) else Some 8)
+        (fun ~lo:_ ~hi:_ -> ())
+    with
+    | _ -> Alcotest.fail "next's exception was swallowed"
+    | exception Next_boom 4 -> ()
+  done
+
 (* -- Pool fault isolation ---------------------------------------------------- *)
 
 exception Boom of int
@@ -322,6 +402,46 @@ let pool_fault_determinism_prop =
       && failed_chunks = [ poison / chunk ]
       && (not cancelled)
       && List.for_all (fun jobs -> run_with jobs = reference) [ 2; 4 ])
+
+exception Cb of int
+
+(* A callback raising in a helper domain re-raises as itself, not
+   wrapped in [Fun.Finally_raised], after every domain is joined. The
+   caller's own chunk spins until a helper has raised, so the raise
+   always lands outside the caller's domain; the 100 iterations x 3
+   helpers per callback are the leak assertion, as above. *)
+let test_pool_callback_exception_identity () =
+  let caller = Domain.self () in
+  List.iter
+    (fun which ->
+      for _ = 1 to 100 do
+        let fired = Atomic.make false in
+        let raise_outside ci =
+          if Domain.self () <> caller then begin
+            Atomic.set fired true;
+            raise (Cb ci)
+          end
+        in
+        let should_stop, skip_chunk, on_chunk_done =
+          match which with
+          | `Should_stop ->
+            (Some (fun () -> raise_outside (-1); false), None, None)
+          | `Skip_chunk ->
+            (None, Some (fun ci -> raise_outside ci; false), None)
+          | `On_chunk_done -> (None, None, Some raise_outside)
+        in
+        match
+          Pool.run ~jobs:4 ~chunk:1 ~tasks:64 ?should_stop ?skip_chunk
+            ?on_chunk_done (fun ~lo:_ ~hi:_ ->
+              if Domain.self () = caller then
+                while not (Atomic.get fired) do
+                  Domain.cpu_relax ()
+                done)
+        with
+        | _ -> Alcotest.fail "the helper's callback exception was swallowed"
+        | exception Cb _ -> ()
+      done)
+    [ `Should_stop; `Skip_chunk; `On_chunk_done ]
 
 let test_pool_should_stop_cancels () =
   let claimed = Atomic.make 0 in
@@ -406,6 +526,8 @@ let () =
           Alcotest.test_case "covers every index" `Quick
             test_pool_covers_every_index;
           Alcotest.test_case "clamps jobs" `Quick test_pool_clamps_jobs;
+          run_rounds_covers_prop;
+          run_rounds_failure_prop;
         ] );
       ( "faults",
         [
@@ -416,6 +538,10 @@ let () =
           pool_fault_determinism_prop;
           Alcotest.test_case "should_stop cancels" `Quick
             test_pool_should_stop_cancels;
+          Alcotest.test_case "callback exceptions keep their identity" `Quick
+            test_pool_callback_exception_identity;
+          Alcotest.test_case "run_rounds joins all domains when next raises"
+            `Quick test_run_rounds_next_raise_joins;
         ] );
       ("checkpoint", [ checkpoint_resume_prop ]);
     ]

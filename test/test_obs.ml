@@ -744,8 +744,8 @@ let test_events_capture_budget_and_checkpoint () =
 (* the chunk partition of a scan is fixed by (space, chunk size), so the
    multiset of pool lease/done events must not depend on the domain
    count: only timestamps, domains and interleaving may differ *)
-let canonical_events path =
-  List.tl (read_lines path)
+let canonical_events lines =
+  List.tl lines
   |> List.filter_map (fun l ->
          let fields = obj_of_line l in
          if ev_name fields = "progress" then None
@@ -762,16 +762,11 @@ let canonical_events path =
 
 let test_events_jobs_invariant () =
   let run jobs =
-    let path = Filename.temp_file "obs_ev_jobs" ".jsonl" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Obs.Events.start_file path;
-        let r =
-          Fun.protect ~finally:Obs.Events.stop (fun () ->
-              Busy_beaver.scan ~n:2 ~jobs ~chunk:7 ~sample:(300, 11) ())
-        in
-        (r.Busy_beaver.best_eta, canonical_events path))
+    let r, lines =
+      with_events (fun () ->
+          Busy_beaver.scan ~n:2 ~jobs ~chunk:7 ~sample:(300, 11) ())
+    in
+    (r.Busy_beaver.best_eta, canonical_events lines)
   in
   let eta1, ev1 = run 1 in
   let eta3, ev3 = run 3 in
@@ -780,6 +775,33 @@ let test_events_jobs_invariant () =
     (List.exists (fun l -> contains l "pool.lease") ev1);
   Alcotest.(check (list string))
     "events are jobs-invariant modulo timestamps" ev1 ev3
+
+(* the same holds across the iterated rounds of the backward fixpoint
+   and the Hilbert completion: each round's label and chunk partition
+   are fixed by the computation, not by the domain count *)
+let test_round_events_jobs_invariant () =
+  let p = Threshold.binary 5 in
+  let run jobs =
+    snd
+      (with_events (fun () ->
+           ignore (Stable_sets.analyse ~jobs ~chunk:2 p);
+           ignore (Potential.basis ~jobs ~chunk:2 p)))
+    |> canonical_events
+  in
+  let ev1 = run 1 and ev3 = run 3 in
+  List.iter
+    (fun pool ->
+      Alcotest.(check bool)
+        (pool ^ " round-labelled chunk events were recorded")
+        true
+        (List.exists
+           (fun l ->
+             contains l "pool.lease" && contains l pool
+             && contains l "\"round\":0")
+           ev1))
+    [ "\"backward\""; "\"hilbert\"" ];
+  Alcotest.(check (list string))
+    "round events are jobs-invariant modulo timestamps" ev1 ev3
 
 (* -- profiler ------------------------------------------------------------- *)
 
@@ -1049,7 +1071,14 @@ let () =
           snapshot_roundtrip_prop;
           Alcotest.test_case "committed BENCH_results.json round-trips" `Quick
             test_bench_results_roundtrip;
-        ] );
+        ]
+        @ Fuzz_gen.properties ~decoder:"Obs.Json.parse"
+            ~vocab:
+              [ "{"; "}"; "["; "]"; ","; ":"; "\"k\""; "\""; "\\";
+                "\\u0041"; "\\u00e9"; "\\uzzzz"; "\\n"; "1"; "-"; "0.5";
+                "1e999"; "e"; "99999999999999999999"; "true"; "fals"; "null";
+                " " ]
+            Obs.Json.parse );
       ( "trace",
         [
           span_nesting_prop;
@@ -1074,6 +1103,8 @@ let () =
             test_events_capture_budget_and_checkpoint;
           Alcotest.test_case "jobs-invariant modulo timestamps" `Slow
             test_events_jobs_invariant;
+          Alcotest.test_case "round events jobs-invariant" `Quick
+            test_round_events_jobs_invariant;
         ] );
       ( "profile",
         [

@@ -225,6 +225,38 @@ let test_parser_errors () =
       | Ok _ -> Alcotest.failf "%S should not parse" s)
     [ ""; "x0 >="; "x0 & x1 >= 1"; "x0 >= 2 extra"; "x0 == 1 mod 0"; "y >= 1" ]
 
+let contains hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
+  go 0
+
+let test_parser_out_of_range () =
+  List.iter
+    (fun (s, lit) ->
+      match Predicate_parser.parse s with
+      | Ok _ -> Alcotest.failf "%S should not parse" s
+      | Error e ->
+        if not (contains e lit) then
+          Alcotest.failf "%S: error %S does not name %s" s e lit)
+    [
+      ("x0 >= 99999999999999999999", "99999999999999999999");
+      ("99999999999999999999*x0 >= 1", "99999999999999999999");
+      ("x0 == 1 mod 99999999999999999999", "99999999999999999999");
+      ("x99999999999999999999 >= 1", "x99999999999999999999");
+      ("x65536 >= 1", "x65536");
+    ];
+  (match Predicate_parser.parse "x65535 >= 1" with
+   | Ok (Predicate.Threshold (a, 1)) ->
+     Alcotest.(check int) "the largest variable index parses" 65536
+       (Array.length a)
+   | _ -> Alcotest.fail "x65535 >= 1 should parse");
+  (* the residue is normalised without overflowing next to max_int *)
+  match Predicate_parser.parse "x0 == 5 mod 4611686018427387903" with
+  | Ok (Predicate.Modulo (_, r, m)) ->
+    Alcotest.(check (pair int int))
+      "residue of the largest modulus" (5, max_int) (r, m)
+  | _ -> Alcotest.fail "the largest modulus should parse"
+
 let test_parser_semantics_agree () =
   (* parsed predicates evaluate like hand-built ones on a grid *)
   List.iter
@@ -314,8 +346,17 @@ let () =
           Alcotest.test_case "basics" `Quick test_parser_basics;
           Alcotest.test_case "boolean structure" `Quick test_parser_boolean_structure;
           Alcotest.test_case "errors" `Quick test_parser_errors;
+          Alcotest.test_case "out-of-range literals" `Quick
+            test_parser_out_of_range;
           Alcotest.test_case "semantics" `Quick test_parser_semantics_agree;
-        ] );
+        ]
+        @ Fuzz_gen.properties ~decoder:"Predicate_parser.parse"
+            ~vocab:
+              [ "x0"; "x1"; "x65535"; "x65536"; "x99999999999999999999"; "0";
+                "7"; "99999999999999999999"; "4611686018427387903"; "+"; "-";
+                "*"; ">="; "<="; ">"; "<"; "=="; "="; "mod"; "!"; "&&"; "&";
+                "||"; "|"; "("; ")"; "true"; "false"; "y"; " " ]
+            Predicate_parser.parse );
       ( "compile",
         [
           Alcotest.test_case "boolean combinations" `Quick test_compile_boolean_combos;
