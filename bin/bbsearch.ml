@@ -161,9 +161,19 @@ let n_arg = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Number of states (1-4)."
 let max_input_arg =
   Arg.(value & opt int 12 & info [ "max-input" ] ~doc:"Threshold certification cutoff.")
 
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sample_arg =
-  Arg.(value & opt (some int) None & info [ "sample" ]
-         ~doc:"Scan a uniform random sample instead of the full space.")
+  Arg.(value & opt (some count_conv) None & info [ "sample" ] ~docv:"COUNT"
+         ~doc:"Scan a uniform random sample of $(docv) codes instead of the \
+               full space.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Sampling seed.")
 

@@ -9,8 +9,9 @@
    read never sees a torn file), computes counter rates from the
    previous snapshot and appends to in-memory series rendered as
    sparklines. --once prints a single frame without ANSI control
-   sequences (CI, scripting). --fleet adds the per-worker table that a
-   telemetry-on coordinator publishes in its ppmetrics/v2 snapshots. *)
+   sequences (CI, scripting). A snapshot whose workers section is not
+   empty (a telemetry-on coordinator's) also gets the per-worker
+   table. *)
 
 let hist_len = 48
 let stale_after_s = 10.0
@@ -58,30 +59,38 @@ let frow_of_json = function
   | _ -> None
 
 let read_snapshot path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents ->
-    (match Obs.Json.parse contents with
-     | Error e -> Error e
-     | Ok (Obs.Json.Obj fields) ->
-       let elapsed_s = jnumber (List.assoc_opt "elapsed_s" fields) in
-       let meta =
-         Option.bind
-           (List.assoc_opt "meta" fields)
-           (fun j -> Result.to_option (Obs.Run_meta.of_json j))
-       in
-       let workers =
-         match List.assoc_opt "workers" fields with
-         | Some (Obs.Json.List items) -> List.filter_map frow_of_json items
-         | _ -> []
-       in
-       (match List.assoc_opt "metrics" fields with
-        | Some m ->
-          (match Obs.Metrics.of_json_value m with
-           | Ok snap -> Ok (meta, { elapsed_s; snap; workers })
-           | Error e -> Error e)
-        | None -> Error "no \"metrics\" field (is this a ppmetrics file?)")
-     | Ok _ -> Error "not a JSON object (is this a ppmetrics file?)")
+  let ( let* ) = Result.bind in
+  let* contents =
+    try Ok (In_channel.with_open_text path In_channel.input_all)
+    with Sys_error e -> Error e
+  in
+  let* json = Obs.Json.parse contents in
+  match json with
+  | Obs.Json.Obj fields ->
+    let* () =
+      match List.assoc_opt "schema" fields with
+      | Some (Obs.Json.String s) when s = Obs.Export.schema -> Ok ()
+      | Some (Obs.Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
+      | _ -> Error "no \"schema\" field (is this a ppmetrics file?)"
+    in
+    let elapsed_s = jnumber (List.assoc_opt "elapsed_s" fields) in
+    let meta =
+      Option.bind
+        (List.assoc_opt "meta" fields)
+        (fun j -> Result.to_option (Obs.Run_meta.of_json j))
+    in
+    let* workers =
+      match List.assoc_opt "workers" fields with
+      | Some (Obs.Json.List items) -> Ok (List.filter_map frow_of_json items)
+      | _ -> Error "no \"workers\" list"
+    in
+    let* snap =
+      match List.assoc_opt "metrics" fields with
+      | Some m -> Obs.Metrics.of_json_value m
+      | None -> Error "no \"metrics\" field (is this a ppmetrics file?)"
+    in
+    Ok (meta, { elapsed_s; snap; workers })
+  | _ -> Error "not a JSON object (is this a ppmetrics file?)"
 
 (* per-metric series of recent values (gauges) or rates (counters),
    oldest first, capped at [hist_len] *)
@@ -107,35 +116,30 @@ let number f =
   else Printf.sprintf "%.3f" f
 
 let render_fleet buf ~prev ~cur ~dt =
-  if cur.workers = [] then
-    Buffer.add_string buf
-      "\n(no workers section — telemetry off, or a ppmetrics/v1 writer)\n"
-  else begin
-    Printf.bprintf buf "\n%-24s %-12s %7s %8s %7s %7s %9s %6s  %s\n" "WORKER"
-      "host" "chunks" "chunks/s" "leased" "events" "offset" "seen" "";
-    List.iter
-      (fun w ->
-        let rate =
-          match
-            ( dt,
-              Option.bind prev (fun p ->
-                  List.find_opt (fun x -> x.f_worker = w.f_worker) p.workers) )
-          with
-          | Some dt, Some p -> float_of_int (w.f_chunks - p.f_chunks) /. dt
-          | _ -> 0.0
-        in
-        let key = "worker:" ^ w.f_worker in
-        push key rate;
-        let seen =
-          if w.f_last_seen_s > stale_after_s then
-            Printf.sprintf "%.0fs!" w.f_last_seen_s
-          else Printf.sprintf "%.0fs" w.f_last_seen_s
-        in
-        Printf.bprintf buf "%-24s %-12s %7d %8s %7d %7d %8.1gs %6s  %s\n"
-          (fit 24 w.f_worker) (fit 12 w.f_host) w.f_chunks (number rate)
-          w.f_leased w.f_events w.f_offset_s seen (spark key))
-      cur.workers
-  end;
+  Printf.bprintf buf "\n%-24s %-12s %7s %8s %7s %7s %9s %6s  %s\n" "WORKER"
+    "host" "chunks" "chunks/s" "leased" "events" "offset" "seen" "";
+  List.iter
+    (fun w ->
+      let rate =
+        match
+          ( dt,
+            Option.bind prev (fun p ->
+                List.find_opt (fun x -> x.f_worker = w.f_worker) p.workers) )
+        with
+        | Some dt, Some p -> float_of_int (w.f_chunks - p.f_chunks) /. dt
+        | _ -> 0.0
+      in
+      let key = "worker:" ^ w.f_worker in
+      push key rate;
+      let seen =
+        if w.f_last_seen_s > stale_after_s then
+          Printf.sprintf "%.0fs!" w.f_last_seen_s
+        else Printf.sprintf "%.0fs" w.f_last_seen_s
+      in
+      Printf.bprintf buf "%-24s %-12s %7d %8s %7d %7d %8.1gs %6s  %s\n"
+        (fit 24 w.f_worker) (fit 12 w.f_host) w.f_chunks (number rate)
+        w.f_leased w.f_events w.f_offset_s seen (spark key))
+    cur.workers;
   (* recovery counters, shown only once something went wrong: a clean
      run keeps the fleet view clean *)
   let v name =
@@ -154,7 +158,7 @@ let render_fleet buf ~prev ~cur ~dt =
        corrupt frames\n"
       (number restarts) (number rejoins) (number expired) (number corrupt)
 
-let render ~path ~meta ~prev ~cur ~filters ~fleet =
+let render ~path ~meta ~prev ~cur ~filters =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "pptop — %s   elapsed %.1fs%s\n" path cur.elapsed_s
     (match meta with
@@ -167,7 +171,7 @@ let render ~path ~meta ~prev ~cur ~filters ~fleet =
     | Some p when cur.elapsed_s > p.elapsed_s -> Some (cur.elapsed_s -. p.elapsed_s)
     | _ -> None
   in
-  if fleet then render_fleet buf ~prev ~cur ~dt;
+  if cur.workers <> [] then render_fleet buf ~prev ~cur ~dt;
   let prev_value name =
     Option.bind prev (fun p -> List.assoc_opt name p.snap)
   in
@@ -240,7 +244,7 @@ let render ~path ~meta ~prev ~cur ~filters ~fleet =
   end;
   Buffer.contents buf
 
-let run path interval once filters fleet =
+let run path interval once filters =
   let tty = try Unix.isatty Unix.stdout with Unix.Unix_error _ -> false in
   let rec loop prev waited =
     match read_snapshot path with
@@ -256,7 +260,7 @@ let run path interval once filters fleet =
         loop prev (waited + 1)
       end
     | Ok (meta, cur) ->
-      let frame = render ~path ~meta ~prev ~cur ~filters ~fleet in
+      let frame = render ~path ~meta ~prev ~cur ~filters in
       if once then begin
         print_string frame;
         0
@@ -295,21 +299,13 @@ let filter_arg =
            ~doc:"Only show metrics whose name starts with $(docv) \
                  (repeatable).")
 
-let fleet_arg =
-  Arg.(value & flag
-       & info [ "fleet" ]
-           ~doc:"Show the per-worker table from a telemetry-on coordinator's \
-                 ppmetrics/v2 snapshot (chunk rates, leases, forwarded \
-                 events, clock offsets, last-seen staleness) above the \
-                 global panels.")
-
 let cmd =
   Cmd.v
     (Cmd.info "pptop"
        ~doc:"Live terminal dashboard for a running instrumented binary: tails \
              the atomic ppmetrics export, showing counter rates, gauges \
-             and histogram quantiles with sparkline history — plus, with \
-             $(b,--fleet), the coordinator's per-worker telemetry.")
-    Term.(const run $ path_arg $ interval_arg $ once_arg $ filter_arg $ fleet_arg)
+             and histogram quantiles with sparkline history — plus the \
+             per-worker table when the snapshot lists workers.")
+    Term.(const run $ path_arg $ interval_arg $ once_arg $ filter_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -308,6 +308,8 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
   let codes =
     Option.map
       (fun (count, seed) ->
+        if count < 0 || count > Sys.max_array_length then
+          invalid_arg (Printf.sprintf "Busy_beaver.plan: sample count %d" count);
         sample_codes ~seed ~count ~num_assignments ~num_outputs)
       sample
   in
@@ -444,16 +446,25 @@ let plan_of_config json =
           Ok (`Guided, jobs)
         | Some _ -> Error "scan config: malformed schedule"
       in
-      let p =
-        plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
-          ?eta_budget_s ?sample ~n ()
-      in
       let* total = int "total" in
-      if total <> p.pl_total then
+      (* the total is checked before [plan] allocates anything sized by
+         it: a sample count comes from outside bytes *)
+      let space =
+        match sample with
+        | Some (count, _) -> count
+        | None -> num_deterministic_protocols n
+      in
+      if total <> space then
         Error
           (Printf.sprintf "scan config: total %d does not match the space (%d)"
-             total p.pl_total)
-      else Ok p
+             total space)
+      else (
+        match
+          plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
+            ?eta_budget_s ?sample ~n ()
+        with
+        | p -> Ok p
+        | exception Invalid_argument e -> Error ("scan config: " ^ e))
   | _ -> Error "scan config: object expected"
 
 (* ------------------------------------------------------ chunk running *)

@@ -27,7 +27,6 @@ let m_lost = Obs.Metrics.counter "dist.workers_lost"
 let m_rejoin = Obs.Metrics.counter "dist.rejoins"
 let m_expired = Obs.Metrics.counter "dist.lease_expired"
 let m_events_fwd = Obs.Metrics.counter "dist.events_forwarded"
-let m_unknown = Obs.Metrics.counter "dist.unknown_msgs"
 let g_workers = Obs.Metrics.gauge "dist.workers"
 
 let now_s () =
@@ -229,8 +228,11 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
             Telemetry.join reg ~worker ~host ~pid ~sent_s ~now:(now_s ());
             Obs.Metrics.set g_workers (float_of_int (List.length !conns));
             emit "worker_join"
-              ([ ("worker", Obs.Json.String worker); ("pid", Obs.Json.Int pid) ]
-              @ if host = "" then [] else [ ("host", Obs.Json.String host) ]);
+              [
+                ("worker", Obs.Json.String worker);
+                ("pid", Obs.Json.Int pid);
+                ("host", Obs.Json.String host);
+              ];
             welcome ();
             regrant_held c worker;
             if Lease.leases_of lease ~worker = [] then grant_to c worker)
@@ -290,10 +292,6 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
         (match c.name with
         | Some name when Lease.leases_of lease ~worker:name = [] -> grant_to c name
         | _ -> ())
-    | Wire.Unknown _ ->
-        (* a newer worker's message kind: count it and keep going — the
-           forward-compat contract is degrade, not desync *)
-        Obs.Metrics.incr m_unknown
     | Wire.Welcome _ | Wire.Grant _ | Wire.Shutdown ->
         raise (Wire.Protocol_error "coordinator-bound stream carried a coordinator message")
   in
@@ -305,7 +303,7 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
     ~finally:(fun () ->
       (* freeze the final fleet view rather than dropping it: the
          exporter's last write happens after this returns, and a
-         post-run [pptop --fleet] should still show who did what *)
+         post-run [pptop] should still show who did what *)
       if telemetry then begin
         let final = Telemetry.fleet reg ~now:(now_s ()) in
         Obs.Export.set_fleet (Some (fun () -> final))

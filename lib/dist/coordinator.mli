@@ -98,11 +98,11 @@ val run :
     deltas and batched event lines; it defaults to whether any local
     observability sink is live ([{!Obs.Metrics.enabled} ||
     {!Obs.Events.enabled} || {!Obs.Export.active}]). While running
-    with telemetry, {!Obs.Export.set_fleet} is installed so metric
-    snapshots carry the [workers] section; on exit (even on raise) the
-    live provider is replaced by a frozen final view, so the
-    exporter's last write — and a post-run [pptop --fleet] — still
-    shows who did what. After Shutdown the loop lingers briefly
+    with telemetry, {!Obs.Export.set_fleet} is installed so the
+    [workers] list of metric snapshots fills in; on exit (even on
+    raise) the live provider is replaced by a frozen final view, so
+    the exporter's last write — and a post-run [pptop] — still shows
+    who did what. After Shutdown the loop lingers briefly
     (≤0.5s) to drain workers' final telemetry flushes.
 
     [on_grant]/[on_reclaim] mirror every lease movement — this is how

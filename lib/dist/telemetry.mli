@@ -29,18 +29,18 @@ val join :
   worker:string ->
   host:string ->
   pid:int ->
-  sent_s:float option ->
+  sent_s:float ->
   now:float ->
   unit
-(** Record a {!Wire.Hello}: identity plus (when the Hello was stamped)
-    the first clock-offset sample. Re-joining updates in place. *)
+(** Record a {!Wire.Hello}: identity plus the first clock-offset
+    sample. Re-joining updates in place. *)
 
 val seen : t -> worker:string -> now:float -> unit
 
 val heartbeat :
   t ->
   worker:string ->
-  sent_s:float option ->
+  sent_s:float ->
   metrics:Obs.Json.t option ->
   now:float ->
   unit

@@ -1,5 +1,5 @@
 type msg =
-  | Hello of { worker : string; pid : int; host : string; sent_s : float option }
+  | Hello of { worker : string; pid : int; host : string; sent_s : float }
   | Welcome of {
       config : Obs.Json.t;
       config_hash : string;
@@ -11,12 +11,11 @@ type msg =
   | Result of { chunk : int; epoch : int; state : Obs.Json.t }
   | Heartbeat of {
       worker : string;
-      sent_s : float option;
+      sent_s : float;
       metrics : Obs.Json.t option;
     }
   | Events of { worker : string; origin_s : float; lines : string list }
   | Shutdown
-  | Unknown of string
 
 exception Protocol_error of string
 
@@ -30,19 +29,23 @@ let to_json msg =
   match msg with
   | Hello { worker; pid; host; sent_s } ->
       Obj
-        ([ ("msg", String "hello"); ("worker", String worker); ("pid", Int pid) ]
-        @ (if host = "" then [] else [ ("host", String host) ])
-        @ match sent_s with None -> [] | Some t -> [ ("sent_s", Float t) ])
+        [
+          ("msg", String "hello");
+          ("worker", String worker);
+          ("pid", Int pid);
+          ("host", String host);
+          ("sent_s", Float sent_s);
+        ]
   | Welcome { config; config_hash; epoch; total_chunks; telemetry } ->
       Obj
-        ([
-           ("msg", String "welcome");
-           ("config", config);
-           ("config_hash", String config_hash);
-           ("epoch", Int epoch);
-           ("total_chunks", Int total_chunks);
-         ]
-        @ if telemetry then [ ("telemetry", Bool true) ] else [])
+        [
+          ("msg", String "welcome");
+          ("config", config);
+          ("config_hash", String config_hash);
+          ("epoch", Int epoch);
+          ("total_chunks", Int total_chunks);
+          ("telemetry", Bool telemetry);
+        ]
   | Grant { lo_chunk; hi_chunk; epoch } ->
       Obj
         [
@@ -61,8 +64,11 @@ let to_json msg =
         ]
   | Heartbeat { worker; sent_s; metrics } ->
       Obj
-        ([ ("msg", String "heartbeat"); ("worker", String worker) ]
-        @ (match sent_s with None -> [] | Some t -> [ ("sent_s", Float t) ])
+        ([
+           ("msg", String "heartbeat");
+           ("worker", String worker);
+           ("sent_s", Float sent_s);
+         ]
         @ match metrics with None -> [] | Some m -> [ ("metrics", m) ])
   | Events { worker; origin_s; lines } ->
       Obj
@@ -73,7 +79,6 @@ let to_json msg =
           ("lines", List (Stdlib.List.map (fun l -> String l) lines));
         ]
   | Shutdown -> Obj [ ("msg", String "shutdown") ]
-  | Unknown kind -> Obj [ ("msg", String kind) ]
 
 let of_json j =
   let open Obs.Json in
@@ -88,25 +93,29 @@ let of_json j =
     | Some (Int i) -> Ok i
     | _ -> Error (Printf.sprintf "missing int field %S" name)
   in
+  let float name fields =
+    match field name fields with
+    | Some (Float f) -> Ok f
+    | Some (Int i) -> Ok (float_of_int i)
+    | _ -> Error (Printf.sprintf "missing float field %S" name)
+  in
+  let bool name fields =
+    match field name fields with
+    | Some (Bool b) -> Ok b
+    | _ -> Error (Printf.sprintf "missing bool field %S" name)
+  in
   let json name fields =
     match field name fields with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "missing field %S" name)
   in
-  (* v2 additions decode leniently: absent (a v1 peer) or oddly-typed
-     fields fall back to a default instead of failing, so mixed-version
-     fleets degrade to the v1 behaviour rather than desync *)
-  let str_default name ~default fields =
-    match field name fields with Some (String s) -> s | _ -> default
-  in
-  let float_opt name fields =
+  let strings name fields =
+    let string = function String s -> Some s | _ -> None in
     match field name fields with
-    | Some (Float f) -> Some f
-    | Some (Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let bool_default name ~default fields =
-    match field name fields with Some (Bool b) -> b | _ -> default
+    | Some (List items) when Stdlib.List.for_all (fun i -> string i <> None) items
+      ->
+        Ok (Stdlib.List.filter_map string items)
+    | _ -> Error (Printf.sprintf "missing string list field %S" name)
   in
   let ( let* ) = Result.bind in
   match j with
@@ -116,28 +125,16 @@ let of_json j =
       | "hello" ->
           let* worker = str "worker" fields in
           let* pid = int "pid" fields in
-          Ok
-            (Hello
-               {
-                 worker;
-                 pid;
-                 host = str_default "host" ~default:"" fields;
-                 sent_s = float_opt "sent_s" fields;
-               })
+          let* host = str "host" fields in
+          let* sent_s = float "sent_s" fields in
+          Ok (Hello { worker; pid; host; sent_s })
       | "welcome" ->
           let* config = json "config" fields in
           let* config_hash = str "config_hash" fields in
           let* epoch = int "epoch" fields in
           let* total_chunks = int "total_chunks" fields in
-          Ok
-            (Welcome
-               {
-                 config;
-                 config_hash;
-                 epoch;
-                 total_chunks;
-                 telemetry = bool_default "telemetry" ~default:false fields;
-               })
+          let* telemetry = bool "telemetry" fields in
+          Ok (Welcome { config; config_hash; epoch; total_chunks; telemetry })
       | "grant" ->
           let* lo_chunk = int "lo_chunk" fields in
           let* hi_chunk = int "hi_chunk" fields in
@@ -150,36 +147,15 @@ let of_json j =
           Ok (Result { chunk; epoch; state })
       | "heartbeat" ->
           let* worker = str "worker" fields in
-          Ok
-            (Heartbeat
-               {
-                 worker;
-                 sent_s = float_opt "sent_s" fields;
-                 metrics = field "metrics" fields;
-               })
+          let* sent_s = float "sent_s" fields in
+          Ok (Heartbeat { worker; sent_s; metrics = field "metrics" fields })
       | "events" ->
           let* worker = str "worker" fields in
-          let lines =
-            match field "lines" fields with
-            | Some (List items) ->
-                Stdlib.List.filter_map
-                  (function String s -> Some s | _ -> None)
-                  items
-            | _ -> []
-          in
-          Ok
-            (Events
-               {
-                 worker;
-                 origin_s =
-                   Option.value ~default:0.0 (float_opt "origin_s" fields);
-                 lines;
-               })
+          let* origin_s = float "origin_s" fields in
+          let* lines = strings "lines" fields in
+          Ok (Events { worker; origin_s; lines })
       | "shutdown" -> Ok Shutdown
-      (* a kind this decoder does not know is a *newer* peer's message,
-         not corruption: surface it as Unknown so the loops can count
-         and skip it instead of dropping the connection *)
-      | k -> Ok (Unknown k))
+      | k -> Error (Printf.sprintf "unknown message kind %S" k))
   | _ -> Error "message is not a JSON object"
 
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the frame
@@ -201,10 +177,7 @@ let crc32 s =
     s;
   !c lxor 0xFFFFFFFF
 
-(* ppdist/v3 framing: "#3 <payload-bytes> <crc32-hex> <payload>\n".
-   '#' cannot open a JSON value, so a v1/v2 decoder could never have
-   produced a line like this and a bare JSON line is unambiguously
-   v1/v2 — both generations parse from the same stream. *)
+(* ppdist/v3 framing: "#3 <payload-bytes> <crc32-hex> <payload>\n". *)
 let frame payload =
   Printf.sprintf "#3 %d %08x %s\n" (String.length payload) (crc32 payload)
     payload
@@ -232,8 +205,7 @@ type reader = {
   buf : Buffer.t;  (** bytes received but not yet cut into lines *)
   scratch : Bytes.t;
   mutable pending : msg list;  (** parsed but not yet handed out *)
-  mutable corrupt : int;  (** frames skipped for failing the v3 checks *)
-  mutable v3_seen : bool;  (** peer has proven itself a v3 sender *)
+  mutable corrupt : int;  (** lines skipped for failing the frame checks *)
 }
 
 let reader fd =
@@ -243,70 +215,52 @@ let reader fd =
     scratch = Bytes.create 65536;
     pending = [];
     corrupt = 0;
-    v3_seen = false;
   }
 
 let reader_fd r = r.fd
 let corrupt_count r = r.corrupt
 let m_corrupt = Obs.Metrics.counter "dist.corrupt_frames"
 
-let parse_line line =
-  match Obs.Json.parse line with
-  | Error e -> raise (Protocol_error (Printf.sprintf "bad JSON line: %s" e))
-  | Ok j -> (
-      match of_json j with
-      | Ok m -> m
-      | Error e ->
-          raise (Protocol_error (Printf.sprintf "bad message: %s in %s" e line)))
-
-(* A "#3 "-prefixed line whose length and CRC both check out; None is a
-   corrupt (truncated / bit-flipped) frame. *)
-let unframe_v3 line =
+(* The payload of a "#3 " line whose length and CRC both check out;
+   None for anything else: a truncated or bit-flipped frame, a mangled
+   prefix, a line that was never a frame. *)
+let unframe line =
   let n = String.length line in
-  match String.index_from_opt line 3 ' ' with
-  | None -> None
-  | Some sp1 -> (
-      match String.index_from_opt line (sp1 + 1) ' ' with
-      | None -> None
-      | Some sp2 -> (
-          let len = int_of_string_opt (String.sub line 3 (sp1 - 3)) in
-          let crc =
-            int_of_string_opt ("0x" ^ String.sub line (sp1 + 1) (sp2 - sp1 - 1))
-          in
-          match (len, crc) with
-          | Some len, Some crc when n - sp2 - 1 = len ->
-              let payload = String.sub line (sp2 + 1) len in
-              if crc32 payload = crc then Some payload else None
-          | _ -> None))
-
-let mark_corrupt r =
-  r.corrupt <- r.corrupt + 1;
-  Obs.Metrics.incr m_corrupt
-
-(* Classify one complete line. Corrupt v3 frames are counted and
-   skipped — never fatal; the sender's recovery machinery (lease
-   reclaim, duplicate resend) replaces whatever they carried. Bare
-   lines are v1/v2 messages and keep the strict Protocol_error
-   contract — except on a connection that has already proven itself v3,
-   where an unparseable bare line can only be a mangled frame (e.g. a
-   bit flip inside the "#3 " prefix) and is counted as corrupt too. *)
-let classify r line =
-  if String.length line >= 3 && String.sub line 0 3 = "#3 " then
-    match unframe_v3 line with
-    | Some payload ->
-        r.v3_seen <- true;
-        (* the CRC vouched for the payload: a parse failure here is a
-           sender bug, not line noise — keep it loud *)
-        Some (parse_line payload)
-    | None ->
-        mark_corrupt r;
-        None
+  if not (String.starts_with ~prefix:"#3 " line) then None
   else
-    match parse_line line with
-    | m -> Some m
-    | exception Protocol_error _ when r.v3_seen ->
-        mark_corrupt r;
-        None
+    match String.index_from_opt line 3 ' ' with
+    | None -> None
+    | Some sp1 -> (
+        match String.index_from_opt line (sp1 + 1) ' ' with
+        | None -> None
+        | Some sp2 -> (
+            let len = int_of_string_opt (String.sub line 3 (sp1 - 3)) in
+            let crc =
+              int_of_string_opt
+                ("0x" ^ String.sub line (sp1 + 1) (sp2 - sp1 - 1))
+            in
+            match (len, crc) with
+            | Some len, Some crc when n - sp2 - 1 = len ->
+                let payload = String.sub line (sp2 + 1) len in
+                if crc32 payload = crc then Some payload else None
+            | _ -> None))
+
+(* Classify one complete line. A line that is not a valid frame is
+   counted and skipped, never fatal: the sender's recovery machinery
+   (lease reclaim, duplicate resend) replaces whatever it carried. A
+   frame the CRC vouched for that does not decode is a sender bug, not
+   line noise, and stays loud. *)
+let classify r line =
+  match unframe line with
+  | None ->
+      r.corrupt <- r.corrupt + 1;
+      Obs.Metrics.incr m_corrupt;
+      None
+  | Some payload -> (
+      match Result.bind (Obs.Json.parse payload) of_json with
+      | Ok m -> Some m
+      | Error e ->
+          raise (Protocol_error (Printf.sprintf "bad message: %s in %s" e payload)))
 
 (* Move every complete line of [r.buf] onto [r.pending], keeping the
    trailing partial line (if any) buffered. *)

@@ -76,7 +76,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
       flush_events ();
       send
         (Wire.Heartbeat
-           { worker = name; sent_s = Some (now_s ()); metrics = metrics_delta () })
+           { worker = name; sent_s = now_s (); metrics = metrics_delta () })
     end
   in
   let start_telemetry () =
@@ -96,7 +96,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
         worker = name;
         pid = Unix.getpid ();
         host = Unix.gethostname ();
-        sent_s = Some (now_s ());
+        sent_s = now_s ();
       }
   in
   (* The opening handshake under chaos: either our Hello or the
@@ -110,7 +110,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
     | `Msg (Wire.Welcome { config; config_hash; telemetry; _ }) ->
         Ok (config, config_hash, telemetry)
     | `Msg Wire.Shutdown -> Error "coordinator shut down before Welcome"
-    | `Msg (Wire.Unknown _ | Wire.Grant _ | Wire.Heartbeat _ | Wire.Events _) ->
+    | `Msg (Wire.Grant _ | Wire.Heartbeat _ | Wire.Events _) ->
         (* traffic before the Welcome means the Welcome frame itself
            was lost — keep waiting; the timeout path re-Hellos and the
            coordinator re-Welcomes *)
@@ -198,10 +198,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
                      Hello retry that crossed the first Welcome on the
                      wire: the config is identical, carry on *)
                   loop ()
-              | `Msg (Wire.Heartbeat _ | Wire.Events _ | Wire.Unknown _) ->
-                  (* Unknown: a newer coordinator's extra traffic —
-                     skipping it is the forward-compat contract *)
-                  loop ()
+              | `Msg (Wire.Heartbeat _ | Wire.Events _) -> loop ()
               | `Msg (Wire.Hello _ | Wire.Result _) ->
                   Error "worker-bound stream carried a worker message"
             in

@@ -238,18 +238,11 @@ let fleet_worker_json w =
       ("metrics", Metrics.to_json_value w.fw_metrics);
     ]
 
-let snapshot_json ?meta ?fleet ~elapsed_s s =
+let schema = "ppmetrics/v2"
+
+let snapshot_json ?meta ?(fleet = []) ~elapsed_s s =
   let meta_fields =
     match meta with None -> [] | Some m -> [ ("meta", Run_meta.to_json m) ]
-  in
-  (* schema stays ppmetrics/v1 for a single-process export; the fleet
-     section (even an empty one: telemetry on, no worker yet) bumps it
-     to /v2 — old readers that only look at "metrics" keep working *)
-  let schema, fleet_fields =
-    match fleet with
-    | None -> ("ppmetrics/v1", [])
-    | Some rows ->
-      ("ppmetrics/v2", [ ("workers", Json.List (List.map fleet_worker_json rows)) ])
   in
   Json.Obj
     (("schema", Json.String schema)
@@ -257,8 +250,8 @@ let snapshot_json ?meta ?fleet ~elapsed_s s =
     @ [
         ("elapsed_s", Json.Float elapsed_s);
         ("metrics", Metrics.to_json_value s);
-      ]
-    @ fleet_fields)
+        ("workers", Json.List (List.map fleet_worker_json fleet));
+      ])
 
 (* -------------------------------------------------------- file output *)
 
@@ -278,13 +271,11 @@ let write_now ?meta ~t0 ~path () =
   let s = Metrics.snapshot () in
   let elapsed_s = Clock.elapsed_s t0 in
   let identity = !identity_ref in
-  let fleet = Option.map (fun f -> f ()) !fleet_ref in
+  let fleet = match !fleet_ref with Some f -> f () | None -> [] in
   atomic_write path
-    (Json.to_string (snapshot_json ?meta ?fleet ~elapsed_s s) ^ "\n");
+    (Json.to_string (snapshot_json ?meta ~fleet ~elapsed_s s) ^ "\n");
   atomic_write (prom_path path)
-    (prometheus_of_snapshot ?meta ~identity
-       ~fleet:(Option.value ~default:[] fleet)
-       s)
+    (prometheus_of_snapshot ?meta ~identity ~fleet s)
 
 (* ---------------------------------------------------- periodic export *)
 

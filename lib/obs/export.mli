@@ -3,11 +3,10 @@
 
     Two renderings are kept side by side at every write: an atomic
     (tmp + rename, never torn) JSON snapshot at [path] — schema
-    [ppmetrics/v1] (or [ppmetrics/v2] when a {!set_fleet} provider is
-    installed: same fields plus a ["workers"] section, one row per
-    distributed worker) — and the Prometheus text format at
-    {!prom_path}[ path], ready for a node-exporter-style textfile
-    collector.
+    {!schema}, with a ["workers"] section holding one row per
+    distributed worker, empty in a single process — and the Prometheus
+    text format at {!prom_path}[ path], ready for a node-exporter-style
+    textfile collector.
 
     The periodic writer runs on a {e systhread} (not a domain: threads
     neither perturb the worker pool on single-core machines nor — the
@@ -30,12 +29,11 @@ type fleet_worker = {
 
 val set_fleet : (unit -> fleet_worker list) option -> unit
 (** Install (or clear) the fleet provider the writer calls at every
-    snapshot. With a provider active the JSON schema is [ppmetrics/v2]
-    with a ["workers"] array, and the Prometheus rendering gains
-    [pp_fleet_*] families plus per-worker [pp_worker_<metric>] series
-    labelled [{worker,host}]. The provider runs on the writer thread —
-    it must be thread-safe (the coordinator's registry is
-    mutex-guarded). *)
+    snapshot. Its rows fill the JSON ["workers"] array, and the
+    Prometheus rendering gains [pp_fleet_*] families plus per-worker
+    [pp_worker_<metric>] series labelled [{worker,host}]. The provider
+    runs on the writer thread — it must be thread-safe (the
+    coordinator's registry is mutex-guarded). *)
 
 val set_identity : (string * string) list -> unit
 (** Extra [pp_build_info] labels identifying this process in a scraped
@@ -60,15 +58,17 @@ val prometheus_of_snapshot :
     [fleet] rows append the [pp_fleet_*] and [pp_worker_*] families
     described at {!set_fleet}. *)
 
+val schema : string
+(** ["ppmetrics/v2"], the one schema a snapshot carries. *)
+
 val snapshot_json :
   ?meta:Run_meta.t ->
   ?fleet:fleet_worker list ->
   elapsed_s:float ->
   Metrics.snapshot ->
   Json.t
-(** [fleet = None] emits [ppmetrics/v1]; [Some rows] (even empty —
-    telemetry on, nobody joined yet) emits [ppmetrics/v2] with the
-    ["workers"] array. *)
+(** The JSON snapshot; [fleet] (default empty) becomes the ["workers"]
+    array. *)
 
 val prom_path : string -> string
 (** The sibling Prometheus file: [x.json] maps to [x.prom], anything

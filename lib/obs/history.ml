@@ -84,7 +84,7 @@ let run_of_json = function
     let ( let* ) = Result.bind in
     let* () =
       match List.assoc_opt "schema" fields with
-      | Some (Json.String ("ppbench/v1" | "ppbench/v2")) -> Ok ()
+      | Some (Json.String s) when s = schema -> Ok ()
       | Some (Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
       | _ -> Error "missing \"schema\" field"
     in

@@ -10,7 +10,8 @@
 type section = { wall_s : float; metrics : Metrics.snapshot }
 
 type run = {
-  meta : Run_meta.t option;  (** absent in legacy [ppbench/v1] files *)
+  meta : Run_meta.t option;
+      (** provenance; absent from synthetic runs such as {!median_run} *)
   sections : (string * section) list;
   timings : (string * float) list;  (** bechamel name, ns/run *)
 }
@@ -20,7 +21,7 @@ val schema : string
 
 val run_to_json : run -> Json.t
 val run_of_json : Json.t -> (run, string) result
-(** Accepts both [ppbench/v1] (no meta) and [ppbench/v2]. *)
+(** Accepts only [ppbench/v2]; [Error] names any other schema. *)
 
 val parse_run : string -> (run, string) result
 val load_file : string -> (run, string) result

@@ -55,7 +55,6 @@ type report = {
   domain_count : int;
   total_busy_s : float;
   parallelism : float;
-  has_parents : bool;
   phases : phase list;
   domains : domain_row list;
   critical_path : path_step list;
@@ -161,7 +160,6 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
   let span_count = List.length spans in
   let by_sid = Hashtbl.create (2 * span_count + 1) in
   List.iter (fun sp -> if sp.sid <> 0 then Hashtbl.replace by_sid sp.sid sp) spans;
-  let has_parents = List.exists (fun sp -> sp.parent <> 0) spans in
   (* a span is a root when it has no enclosing span in this trace —
      parent 0, or a parent id the file does not contain (truncated
      trace); roots are what busy time and timelines are built from *)
@@ -175,8 +173,8 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
   let t_min = if span_count = 0 then 0.0 else t_min in
   let wall_us = Float.max 0.0 (t_max -. t_min) in
   (* self time: duration minus the duration of direct children, linked
-     by parent ids (clamped at zero against clock jitter); without
-     parent ids (a pre-v7 trace) self degrades to total *)
+     by parent ids (clamped at zero against clock jitter); a span
+     without children keeps its whole duration *)
   let child_us = Hashtbl.create (2 * span_count + 1) in
   List.iter
     (fun sp ->
@@ -374,7 +372,6 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
     domain_count = List.length domains;
     total_busy_s;
     parallelism;
-    has_parents;
     phases;
     domains;
     critical_path;
@@ -409,9 +406,6 @@ let to_markdown r =
     "- busy %.3f s -> parallelism %.2fx; per-phase self times sum to %.3f s (%.1f%% of busy)\n"
     r.total_busy_s r.parallelism self_sum
     (if r.total_busy_s > 0.0 then pct (self_sum /. r.total_busy_s) else 0.0);
-  if not r.has_parents then
-    Printf.bprintf buf
-      "- no parent ids in this trace (pre-v7 recording): self time degrades to total time\n";
   Printf.bprintf buf "\n## Phases (by self time)\n\n";
   Printf.bprintf buf
     "| span | count | total s | self s | self %% | max s |\n|---|---:|---:|---:|---:|---:|\n";
@@ -491,7 +485,6 @@ let to_json r =
       ("busy_s", Json.Float r.total_busy_s);
       ("self_sum_s", Json.Float self_sum);
       ("parallelism", Json.Float r.parallelism);
-      ("has_parents", Json.Bool r.has_parents);
       ( "phases",
         Json.List
           (List.map

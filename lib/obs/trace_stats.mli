@@ -5,9 +5,8 @@
     [ppreport trace FILE] renders a report without loading the trace
     into an external viewer.
 
-    Span nesting comes from the [sid]/[parent] ids recorded since
-    trace v7; on an older trace (no parent ids) self time degrades to
-    total time and the report says so. *)
+    Span nesting comes from the [sid]/[parent] ids every span records;
+    a span with no children has self time equal to its total time. *)
 
 type span = {
   name : string;
@@ -77,7 +76,6 @@ type report = {
   domain_count : int;
   total_busy_s : float;
   parallelism : float;     (** busy / wall *)
-  has_parents : bool;
   phases : phase list;     (** sorted by self time, descending *)
   domains : domain_row list;
   critical_path : path_step list;  (** outermost first *)

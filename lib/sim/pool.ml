@@ -22,8 +22,9 @@ let boundaries sched ~tasks ~jobs ~chunk =
   let chunk = Stdlib.max 1 chunk in
   match sched with
   | `Fixed ->
+    (* ceiling division that cannot overflow on a chunk near max_int *)
     Array.init
-      ((tasks + chunk - 1) / chunk)
+      ((tasks / chunk) + if tasks mod chunk > 0 then 1 else 0)
       (fun ci ->
         let lo = ci * chunk in
         (lo, Stdlib.min tasks (lo + chunk)))

@@ -1,7 +1,8 @@
 (* Tests for the distributed scan stack: the wire protocol round-trips
    through arbitrary packet fragmentation, the lease table's
-   grant/complete/reassign bookkeeping is exact, v1 checkpoints still
-   load as v2 ledgers, and — the contract everything else exists for —
+   grant/complete/reassign bookkeeping is exact, only the current
+   frame and ledger formats decode, and — the contract everything else
+   exists for —
    a scan distributed across workers that die at random moments merges
    to the byte-identical single-process result. The simulation props
    drive the exact code the real coordinator runs (Dist.Lease +
@@ -24,10 +25,7 @@ let result_eq (a : Busy_beaver.scan_result) (b : Busy_beaver.scan_result) =
 
 let sample_msgs =
   [
-    (* v1-shaped Hello (no host, no stamp) and the full v2 one *)
-    Dist.Wire.Hello { worker = "w0"; pid = 4242; host = ""; sent_s = None };
-    Dist.Wire.Hello
-      { worker = "w1"; pid = 17; host = "node-a"; sent_s = Some 12.5 };
+    Dist.Wire.Hello { worker = "w1"; pid = 17; host = "node-a"; sent_s = 12.5 };
     Dist.Wire.Welcome
       {
         config = Obs.Json.Obj [ ("n", Obs.Json.Int 2) ];
@@ -51,11 +49,12 @@ let sample_msgs =
         epoch = 3;
         state = Obs.Json.Obj [ ("scanned", Obs.Json.Int 16) ];
       };
-    Dist.Wire.Heartbeat { worker = "w0"; sent_s = None; metrics = None };
+    (* telemetry off: no metric delta *)
+    Dist.Wire.Heartbeat { worker = "w0"; sent_s = 3.0; metrics = None };
     Dist.Wire.Heartbeat
       {
         worker = "w1";
-        sent_s = Some 99.25;
+        sent_s = 99.25;
         metrics =
           Some (Obs.Json.Obj [ ("dist.chunks_done", Obs.Json.Int 3) ]);
       };
@@ -68,17 +67,71 @@ let sample_msgs =
     Dist.Wire.Shutdown;
   ]
 
+let v3_frame payload =
+  Printf.sprintf "#3 %d %08x %s\n" (String.length payload)
+    (Dist.Wire.crc32 payload) payload
+
+let payload_of m = Obs.Json.to_string (Dist.Wire.to_json m)
+
+let with_pipe f =
+  let rfd, wfd = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close rfd with Unix.Unix_error _ -> ());
+      try Unix.close wfd with Unix.Unix_error _ -> ())
+    (fun () -> f rfd wfd)
+
+let write_str fd s =
+  let pos = ref 0 in
+  while !pos < String.length s do
+    pos := !pos + Unix.write_substring fd s !pos (String.length s - !pos)
+  done
+
+let pump rd =
+  let got = ref [] in
+  let rec go () =
+    match Dist.Wire.recv rd with
+    | Some m ->
+      got := m :: !got;
+      go ()
+    | None -> ()
+  in
+  go ();
+  List.rev !got
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_wire_roundtrip () =
   List.iter
     (fun m ->
       match Dist.Wire.of_json (Dist.Wire.to_json m) with
       | Ok m' -> Alcotest.(check bool) "round-trips" true (m = m')
       | Error e -> Alcotest.fail e)
+    sample_msgs;
+  (* every field the encoder writes is required, except a heartbeat's
+     optional metric delta *)
+  List.iter
+    (fun m ->
+      match Dist.Wire.to_json m with
+      | Obs.Json.Obj fields ->
+        List.iter
+          (fun (k, _) ->
+            if k <> "metrics" then
+              let without = Obs.Json.Obj (List.remove_assoc k fields) in
+              match Dist.Wire.of_json without with
+              | Error e ->
+                Alcotest.(check bool) ("the error names " ^ k) true
+                  (contains e k)
+              | Ok _ -> Alcotest.failf "%s without %S decoded" (payload_of m) k)
+          fields
+      | _ -> Alcotest.fail "message did not encode as an object")
     sample_msgs
 
-let test_wire_v1_welcome_bytes () =
-  (* a telemetry-off Welcome must be byte-identical to what a v1
-     encoder wrote, so v1 readers never even see the new field *)
+let test_wire_welcome_telemetry_false () =
+  (* every field is written, even a false one: the decoder requires it *)
   match
     Dist.Wire.to_json
       (Dist.Wire.Welcome
@@ -91,22 +144,34 @@ let test_wire_v1_welcome_bytes () =
          })
   with
   | Obs.Json.Obj fields ->
-    Alcotest.(check bool) "no telemetry field when false" true
-      (not (List.mem_assoc "telemetry" fields))
+    Alcotest.(check bool) "telemetry written as false" true
+      (List.assoc_opt "telemetry" fields = Some (Obs.Json.Bool false));
+    Alcotest.(check bool) "a Welcome without it is refused" true
+      (Result.is_error
+         (Dist.Wire.of_json (Obs.Json.Obj (List.remove_assoc "telemetry" fields))))
   | _ -> Alcotest.fail "Welcome did not encode as an object"
 
 let test_wire_unknown_kind () =
-  match Dist.Wire.of_json (Obs.Json.Obj [ ("msg", Obs.Json.String "frobnicate") ]) with
-  | Ok (Dist.Wire.Unknown k) ->
-    Alcotest.(check string) "kind surfaces" "frobnicate" k
-  | Ok _ -> Alcotest.fail "unknown kind decoded as a known message"
-  | Error e -> Alcotest.fail ("unknown kind must not be an error: " ^ e)
+  let unknown = Obs.Json.Obj [ ("msg", Obs.Json.String "frobnicate") ] in
+  (match Dist.Wire.of_json unknown with
+   | Error e ->
+     Alcotest.(check bool) "the error names the kind" true
+       (contains e "frobnicate")
+   | Ok _ -> Alcotest.fail "unknown kind decoded as a message");
+  (* through the reader, a CRC-valid frame of that kind is a broken
+     peer, like a frame missing a required field *)
+  with_pipe (fun rfd wfd ->
+      write_str wfd (v3_frame (Obs.Json.to_string unknown));
+      Unix.close wfd;
+      match Dist.Wire.recv (Dist.Wire.reader rfd) with
+      | exception Dist.Wire.Protocol_error e ->
+        Alcotest.(check bool) "Protocol_error names the kind" true
+          (contains e "frobnicate")
+      | _ -> Alcotest.fail "a CRC-valid unknown kind must raise")
 
-(* forward compatibility: a *newer* peer may add fields to any known
-   message — decoders must skip what they do not know, exactly as the
-   v2 decoder's lenient field handling promises. Inject junk fields at
-   random positions into every sample message's JSON and require the
-   identical decode. *)
+(* a peer may add fields to any known message — decoders must skip
+   what they do not know. Inject junk fields at random positions into
+   every sample message's JSON and require the identical decode. *)
 let wire_unknown_fields_prop =
   prop "decoders skip unknown fields in known messages" ~count:100
     QCheck.(pair (int_range 1 4) (int_range 0 1000))
@@ -153,9 +218,7 @@ let wire_fragmentation_prop =
         (fun () ->
           let bytes =
             String.concat ""
-              (List.map
-                 (fun m -> Obs.Json.to_string (Dist.Wire.to_json m) ^ "\n")
-                 sample_msgs)
+              (List.map (fun m -> v3_frame (payload_of m)) sample_msgs)
           in
           let pos = ref 0 in
           while !pos < String.length bytes do
@@ -362,38 +425,6 @@ let test_lease_grant_sizing_small_todo () =
 
 (* -- Wire: v3 framing, CRC, corrupt-frame tolerance -------------------------- *)
 
-let v3_frame payload =
-  Printf.sprintf "#3 %d %08x %s\n" (String.length payload)
-    (Dist.Wire.crc32 payload) payload
-
-let payload_of m = Obs.Json.to_string (Dist.Wire.to_json m)
-
-let with_pipe f =
-  let rfd, wfd = Unix.pipe () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close rfd with Unix.Unix_error _ -> ());
-      try Unix.close wfd with Unix.Unix_error _ -> ())
-    (fun () -> f rfd wfd)
-
-let write_str fd s =
-  let pos = ref 0 in
-  while !pos < String.length s do
-    pos := !pos + Unix.write_substring fd s !pos (String.length s - !pos)
-  done
-
-let pump rd =
-  let got = ref [] in
-  let rec go () =
-    match Dist.Wire.recv rd with
-    | Some m ->
-      got := m :: !got;
-      go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !got
-
 let test_crc32_vectors () =
   Alcotest.(check int) "crc32 of empty is 0" 0 (Dist.Wire.crc32 "");
   Alcotest.(check int) "IEEE 802.3 check value" 0xCBF43926
@@ -456,34 +487,32 @@ let test_wire_valid_crc_bad_json_raises () =
       | exception Dist.Wire.Protocol_error _ -> ()
       | _ -> Alcotest.fail "CRC-valid garbage payload must raise")
 
-let test_wire_v2_bytes_still_decode () =
-  (* a v1/v2 peer writes bare JSON lines; the v3 reader accepts the
-     byte stream unchanged, even interleaved with v3 frames *)
+let test_wire_bare_lines_counted () =
+  (* bare JSON lines are not frames: each is counted and skipped, even
+     between frames, and only the frame decodes *)
   with_pipe (fun rfd wfd ->
       let bare m = payload_of m ^ "\n" in
+      let hello = List.hd sample_msgs in
+      let grant = Dist.Wire.Grant { lo_chunk = 4; hi_chunk = 9; epoch = 3 } in
       write_str wfd
-        (bare (List.nth sample_msgs 0)
-        ^ v3_frame (payload_of (List.nth sample_msgs 4))
-        ^ bare Dist.Wire.Shutdown);
+        (bare hello ^ v3_frame (payload_of grant) ^ bare Dist.Wire.Shutdown);
       Unix.close wfd;
       let rd = Dist.Wire.reader rfd in
-      Alcotest.(check bool) "mixed v2/v3 stream decodes in order" true
-        (pump rd
-         = [ List.nth sample_msgs 0; List.nth sample_msgs 4; Dist.Wire.Shutdown ]);
-      Alcotest.(check int) "nothing counted corrupt" 0
+      Alcotest.(check bool) "only the frame decodes" true (pump rd = [ grant ]);
+      Alcotest.(check int) "both bare lines counted corrupt" 2
         (Dist.Wire.corrupt_count rd))
 
-let test_wire_garbage_strict_then_lenient () =
-  (* pre-v3, an unparseable bare line is a broken peer... *)
+let test_wire_garbage_counted () =
+  (* an unparseable line is counted and skipped on any connection: on a
+     fresh one... *)
   with_pipe (fun rfd wfd ->
       write_str wfd "garbage\n";
       Unix.close wfd;
       let rd = Dist.Wire.reader rfd in
-      match Dist.Wire.recv rd with
-      | exception Dist.Wire.Protocol_error _ -> ()
-      | _ -> Alcotest.fail "garbage on a v1/v2 connection must raise");
-  (* ...but once the connection has spoken v3, it reads as a frame
-     whose "#3 " prefix was mangled in transit: count and skip *)
+      Alcotest.(check bool) "nothing decodes" true (pump rd = []);
+      Alcotest.(check int) "the line is counted, not fatal" 1
+        (Dist.Wire.corrupt_count rd));
+  (* ...and after a valid frame *)
   with_pipe (fun rfd wfd ->
       write_str wfd (v3_frame (payload_of Dist.Wire.Shutdown) ^ "garbage\n");
       Unix.close wfd;
@@ -492,6 +521,93 @@ let test_wire_garbage_strict_then_lenient () =
         (pump rd = [ Dist.Wire.Shutdown ]);
       Alcotest.(check int) "the mangled line is counted, not fatal" 1
         (Dist.Wire.corrupt_count rd))
+
+(* -- Decoders of outside bytes never crash ------------------------------------ *)
+
+(* Everything a reader makes of [bytes] sent through a socketpair: the
+   decoded messages and the corrupt-line count. *)
+let read_through_socket bytes =
+  let rfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close rfd;
+      Unix.close wfd)
+    (fun () ->
+      write_str wfd bytes;
+      Unix.shutdown wfd Unix.SHUTDOWN_SEND;
+      let rd = Dist.Wire.reader rfd in
+      let msgs = pump rd in
+      Ok (msgs, Dist.Wire.corrupt_count rd))
+
+(* frame pieces; the only CRC-valid lines they can form are the
+   complete frames of known messages among them *)
+let frame_vocab =
+  let shutdown = v3_frame (payload_of Dist.Wire.Shutdown) in
+  let grant =
+    v3_frame (payload_of (Dist.Wire.Grant { lo_chunk = 0; hi_chunk = 2; epoch = 1 }))
+  in
+  [ shutdown; grant; String.sub grant 0 (String.length grant - 1);
+    String.sub shutdown 0 9; "#3 "; "#3"; "#"; " "; "\n"; "\n"; "-1";
+    "4611686018427387903"; "ffffffff"; "{"; "}"; {|"msg"|}; ":";
+    {|"shutdown"|} ]
+
+(* message members, with negative and max_int values *)
+let message_vocab =
+  [ {|"msg":"hello"|}; {|"msg":"welcome"|}; {|"msg":"grant"|};
+    {|"msg":"result"|}; {|"msg":"heartbeat"|}; {|"msg":"events"|};
+    {|"msg":"shutdown"|}; {|"msg":"frobnicate"|}; {|"worker":"w"|};
+    {|"pid":-1|}; {|"host":"h"|}; {|"sent_s":-1|};
+    {|"sent_s":4611686018427387903|}; {|"config":{}|};
+    {|"config_hash":"h"|}; {|"epoch":-1|};
+    {|"total_chunks":4611686018427387903|}; {|"telemetry":true|};
+    {|"lo_chunk":-1|}; {|"hi_chunk":4611686018427387903|}; {|"chunk":-1|};
+    {|"state":null|}; {|"metrics":{"x":-1}|}; {|"origin_s":-1|};
+    {|"lines":["a",-1]|}; {|"lines":[]|} ]
+
+let wire_fuzz_props =
+  Fuzz_gen.properties ~decoder:"Wire reader" ~vocab:frame_vocab
+    read_through_socket
+  (* a frame the CRC vouches for may only fail as a Protocol_error *)
+  @ Fuzz_gen.properties ~record:true
+      ~decoder:"Wire reader on CRC-valid frames, bar Protocol_error,"
+      ~vocab:message_vocab
+      (fun payload ->
+        match read_through_socket (v3_frame payload) with
+        | r -> r
+        | exception Dist.Wire.Protocol_error e -> Error e)
+
+let of_parsed decode s = Result.bind (Obs.Json.parse s) decode
+
+let checkpoint_fuzz_props =
+  Fuzz_gen.properties ~record:true ~decoder:"Checkpoint.of_json"
+    ~vocab:
+      [ {|"schema":"ppcheckpoint/v2"|}; {|"schema":"ppcheckpoint/v1"|};
+        {|"config_hash":"h"|}; {|"config":{"n":-1}|};
+        {|"total_chunks":4611686018427387903|}; {|"total_chunks":-1|};
+        {|"total_chunks":2|}; {|"epoch":-1|}; {|"epoch":4611686018427387903|};
+        {|"chunks":[]|}; {|"chunks":[{"index":-1,"state":0}]|};
+        {|"chunks":[{"index":4611686018427387903,"state":{}}]|};
+        {|"chunks":[{"index":1,"state":null}]|}; {|"leases":[]|};
+        {|"leases":[{"chunk":-1,"holder":"w","epoch":0}]|};
+        {|"leases":[{"chunk":1,"holder":"w","epoch":-1}]|};
+        {|"leases":[{"chunk":4611686018427387903}]|} ]
+    (of_parsed Obs.Checkpoint.of_json)
+
+(* n stays at 1 or 2 so that a configuration which does decode is a
+   cheap plan *)
+let plan_fuzz_props =
+  Fuzz_gen.properties ~record:true ~decoder:"Busy_beaver.plan_of_config"
+    ~vocab:
+      [ {|"workload":"bbsearch"|}; {|"n":1|}; {|"n":2|}; {|"n":-1|};
+        {|"n":4611686018427387903|}; {|"max_input":-1|};
+        {|"max_input":4611686018427387903|}; {|"max_configs":-1|};
+        {|"eta_budget_s":-1|}; {|"prune":true|}; {|"chunk":-1|};
+        {|"chunk":4611686018427387903|}; {|"sample":[-1,5]|};
+        {|"sample":[4611686018427387903,5]|}; {|"sample":[2,-1]|};
+        {|"sample":null|}; {|"schedule":"guided"|}; {|"jobs":-1|};
+        {|"jobs":4611686018427387903|}; {|"total":2|}; {|"total":-1|};
+        {|"total":4611686018427387903|} ]
+    (of_parsed Busy_beaver.plan_of_config)
 
 let test_select_eintr_rides_signals () =
   (* an interval timer delivers SIGALRM every 50ms; a 0.3s select must
@@ -573,9 +689,9 @@ let test_chaos_budget_bounds_faults () =
   Alcotest.(check bool) "passthrough after exhaustion" true
     (Dist.Chaos.apply t f = [ f ])
 
-(* -- Checkpoint v1 -> v2 read compatibility ---------------------------------- *)
+(* -- Checkpoint: one ledger format ------------------------------------------- *)
 
-let test_checkpoint_v1_reads_as_v2 () =
+let test_checkpoint_v1_refused () =
   let v1 =
     Obs.Json.Obj
       [
@@ -594,26 +710,102 @@ let test_checkpoint_v1_reads_as_v2 () =
             ] );
       ]
   in
-  match Obs.Checkpoint.of_json v1 with
-  | Error e -> Alcotest.fail e
-  | Ok c ->
-    Alcotest.(check int) "v1 loads at epoch 0" 0 (Obs.Checkpoint.epoch c);
-    Alcotest.(check int) "completed chunks survive" 1 (Obs.Checkpoint.num_done c);
-    Alcotest.(check bool) "lease table is empty" true
-      (List.init 5 (fun i -> Obs.Checkpoint.lease c i)
-       |> List.for_all (( = ) None));
-    (* and re-saving emits v2, which round-trips with leases *)
-    ignore (Obs.Checkpoint.bump_epoch c);
-    Obs.Checkpoint.set_lease c 3 ~holder:"w1";
-    (match Obs.Checkpoint.of_json (Obs.Checkpoint.to_json c) with
-     | Error e -> Alcotest.fail e
-     | Ok c' ->
-       Alcotest.(check int) "epoch round-trips" 1 (Obs.Checkpoint.epoch c');
-       Alcotest.(check bool) "lease round-trips" true
-         (Obs.Checkpoint.lease c' 3
-          = Some { Obs.Checkpoint.holder = "w1"; lease_epoch = 1 });
-       Alcotest.(check (list int)) "leased_to agrees" [ 3 ]
-         (Obs.Checkpoint.leased_to c' ~holder:"w1"))
+  (match Obs.Checkpoint.of_json v1 with
+   | Error e ->
+     Alcotest.(check bool) "the error names the schema" true
+       (contains e "ppcheckpoint/v1")
+   | Ok _ -> Alcotest.fail "a v1 checkpoint loaded");
+  let path = Filename.temp_file "v1ledger" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc (Obs.Json.to_string v1));
+      match
+        Obs.Checkpoint.open_or_resume ~path ~resume:true
+          ~config:(Obs.Json.Obj [ ("n", Obs.Json.Int 2) ])
+          ~total_chunks:5
+      with
+      | exception Invalid_argument e ->
+        Alcotest.(check bool) "open_or_resume names the schema" true
+          (contains e "ppcheckpoint/v1")
+      | _ -> Alcotest.fail "open_or_resume resumed a v1 checkpoint");
+  (* the same content as v2 round-trips with its epoch and leases, and
+     each of the two is required *)
+  let c =
+    Obs.Checkpoint.create
+      ~config:(Obs.Json.Obj [ ("n", Obs.Json.Int 2) ])
+      ~total_chunks:5
+  in
+  Obs.Checkpoint.mark_done c 2 (Obs.Json.Obj [ ("scanned", Obs.Json.Int 7) ]);
+  ignore (Obs.Checkpoint.bump_epoch c);
+  Obs.Checkpoint.set_lease c 3 ~holder:"w1";
+  (match Obs.Checkpoint.of_json (Obs.Checkpoint.to_json c) with
+   | Error e -> Alcotest.fail e
+   | Ok c' ->
+     Alcotest.(check int) "epoch round-trips" 1 (Obs.Checkpoint.epoch c');
+     Alcotest.(check int) "completed chunks survive" 1 (Obs.Checkpoint.num_done c');
+     Alcotest.(check bool) "lease round-trips" true
+       (Obs.Checkpoint.lease c' 3
+        = Some { Obs.Checkpoint.holder = "w1"; lease_epoch = 1 });
+     Alcotest.(check (list int)) "leased_to agrees" [ 3 ]
+       (Obs.Checkpoint.leased_to c' ~holder:"w1"));
+  match Obs.Checkpoint.to_json c with
+  | Obs.Json.Obj fields ->
+    List.iter
+      (fun k ->
+        let without = Obs.Json.Obj (List.remove_assoc k fields) in
+        match Obs.Checkpoint.of_json without with
+        | Error e ->
+          Alcotest.(check bool) ("the error names " ^ k) true (contains e k)
+        | Ok _ -> Alcotest.failf "a checkpoint without %S loaded" k)
+      [ "epoch"; "leases" ]
+  | _ -> Alcotest.fail "checkpoint did not encode as an object"
+
+(* counts read from outside bytes size allocations: out of range they
+   must come back as an [Error] naming them, never as an exception *)
+let test_outside_counts_are_errors () =
+  let ckpt total =
+    Obs.Json.Obj
+      [
+        ("schema", Obs.Json.String Obs.Checkpoint.schema);
+        ("config_hash", Obs.Json.String "h");
+        ("config", Obs.Json.Obj []);
+        ("total_chunks", Obs.Json.Int total);
+        ("epoch", Obs.Json.Int 0);
+        ("chunks", Obs.Json.List []);
+        ("leases", Obs.Json.List []);
+      ]
+  in
+  (match Obs.Checkpoint.of_json (ckpt max_int) with
+   | Error e ->
+     Alcotest.(check bool) "names total_chunks" true (contains e "total_chunks")
+   | Ok _ -> Alcotest.fail "a max_int chunk count loaded");
+  let config ?(chunk = 8) (count, total) =
+    match Busy_beaver.plan_config (Busy_beaver.plan ~chunk ~n:1 ()) with
+    | Obs.Json.Obj fields ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match k with
+             | "sample" -> (k, Obs.Json.List [ Obs.Json.Int count; Obs.Json.Int 5 ])
+             | "total" -> (k, Obs.Json.Int total)
+             | _ -> (k, v))
+           fields)
+    | _ -> Alcotest.fail "plan_config is not an object"
+  in
+  List.iter
+    (fun (count, total) ->
+      match Busy_beaver.plan_of_config (config (count, total)) with
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "sample %d, total %d: names the count" count total)
+          true
+          (contains e (string_of_int count))
+      | Ok _ -> Alcotest.failf "sample count %d decoded" count)
+    [ (-1, -1); (-1, 2); (max_int, max_int); (max_int, 2) ];
+  Alcotest.(check bool) "a max_int chunk still plans" true
+    (Result.is_ok (Busy_beaver.plan_of_config (config ~chunk:max_int (2, 2))))
 
 let test_mismatch_diff () =
   let expected =
@@ -625,11 +817,6 @@ let test_mismatch_diff () =
   let diff = Obs.Checkpoint.config_diff ~expected ~found in
   Alcotest.(check (list string)) "only the changed field" [ "n" ]
     (List.map (fun d -> d.Obs.Checkpoint.field) diff);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   let msg = Obs.Checkpoint.mismatch_message ~path:"x.ckpt" diff in
   Alcotest.(check bool) "message shows both values" true
     (contains msg "run has 3" && contains msg "snapshot has 2");
@@ -865,12 +1052,12 @@ let test_offset_min_filter () =
   (* worker clock = coordinator clock + 3: sent stamps are +3, and
      delivery delays shrink over time — the estimate must keep the
      minimum, converging on -3 + min delay *)
-  Dist.Telemetry.join t ~worker:"w" ~host:"h" ~pid:1
-    ~sent_s:(Some (10.0 +. 3.0)) ~now:(10.0 +. 0.5);
-  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(Some (20.0 +. 3.0))
-    ~metrics:None ~now:(20.0 +. 0.01);
-  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(Some (30.0 +. 3.0))
-    ~metrics:None ~now:(30.0 +. 0.2);
+  Dist.Telemetry.join t ~worker:"w" ~host:"h" ~pid:1 ~sent_s:(10.0 +. 3.0)
+    ~now:(10.0 +. 0.5);
+  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(20.0 +. 3.0) ~metrics:None
+    ~now:(20.0 +. 0.01);
+  Dist.Telemetry.heartbeat t ~worker:"w" ~sent_s:(30.0 +. 3.0) ~metrics:None
+    ~now:(30.0 +. 0.2);
   let est = Dist.Telemetry.offset t ~worker:"w" in
   Alcotest.(check bool) "min-filtered to the best sample" true
     (Float.abs (est -. (-3.0 +. 0.01)) < 1e-9)
@@ -1171,9 +1358,9 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "message round-trip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "telemetry-off Welcome is v1-identical" `Quick
-            test_wire_v1_welcome_bytes;
-          Alcotest.test_case "unknown kind decodes as Unknown" `Quick
+          Alcotest.test_case "telemetry-off Welcome says false" `Quick
+            test_wire_welcome_telemetry_false;
+          Alcotest.test_case "unknown kind raises Protocol_error" `Quick
             test_wire_unknown_kind;
           wire_unknown_fields_prop;
           wire_fragmentation_prop;
@@ -1189,13 +1376,14 @@ let () =
             test_wire_corrupt_frames_skipped;
           Alcotest.test_case "CRC-valid garbage payload raises" `Quick
             test_wire_valid_crc_bad_json_raises;
-          Alcotest.test_case "v1/v2 byte streams still decode" `Quick
-            test_wire_v2_bytes_still_decode;
-          Alcotest.test_case "bare garbage: strict pre-v3, lenient after"
-            `Quick test_wire_garbage_strict_then_lenient;
+          Alcotest.test_case "bare lines are counted, not decoded" `Quick
+            test_wire_bare_lines_counted;
+          Alcotest.test_case "bare garbage is counted on any stream" `Quick
+            test_wire_garbage_counted;
           Alcotest.test_case "select_eintr rides out signals" `Quick
             test_select_eintr_rides_signals;
-        ] );
+        ]
+        @ wire_fuzz_props );
       ( "chaos",
         [
           Alcotest.test_case "parse_spec accepts PROFILE[:SEED]" `Quick
@@ -1237,11 +1425,14 @@ let () =
         ] );
       ( "ledger",
         [
-          Alcotest.test_case "v1 checkpoint reads as v2" `Quick
-            test_checkpoint_v1_reads_as_v2;
+          Alcotest.test_case "v1 checkpoint is refused" `Quick
+            test_checkpoint_v1_refused;
           Alcotest.test_case "mismatch diff names the field" `Quick
             test_mismatch_diff;
-        ] );
+          Alcotest.test_case "outside counts are errors, not crashes" `Quick
+            test_outside_counts_are_errors;
+        ]
+        @ checkpoint_fuzz_props @ plan_fuzz_props );
       ("recovery", [ kill_recovery_prop ]);
       ( "processes",
         [

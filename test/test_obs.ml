@@ -1018,7 +1018,26 @@ let test_trace_report_golden () =
     in
     Alcotest.(check string) "ppreport trace markdown matches the golden file"
       expected
-      (Obs.Trace_stats.to_markdown report)
+      (Obs.Trace_stats.to_markdown report);
+    (* a flat trace, every span a root, is a current recording too: the
+       report carries no legacy note, and self time is total time *)
+    let flat =
+      match
+        Result.bind
+          (Obs.Json.parse
+             {|[{"name":"a","ph":"X","ts":0,"dur":1000,"tid":1,"sid":1},
+                {"name":"b","ph":"X","ts":1000,"dur":500,"tid":1,"sid":2}]|})
+          Obs.Trace_stats.spans_of_json
+      with
+      | Ok spans -> Obs.Trace_stats.analyse spans
+      | Error e -> Alcotest.failf "flat trace: %s" e
+    in
+    Alcotest.(check bool) "no pre-v7 note on a flat trace" false
+      (contains (Obs.Trace_stats.to_markdown flat) "parent ids");
+    Alcotest.(check bool) "flat spans keep their whole duration" true
+      (List.for_all
+         (fun p -> p.Obs.Trace_stats.ph_self_s = p.Obs.Trace_stats.ph_total_s)
+         flat.Obs.Trace_stats.phases)
 
 let test_trace_report_json_schema () =
   match Obs.Trace_stats.load "data/mini_trace.json" with

@@ -149,17 +149,24 @@ let test_ledger_bad_line () =
     Out_channel.open_gen
       [ Open_append; Open_text ] 0o644 (Obs.History.ledger_file dir)
   in
-  (* a valid line truncated mid-object, then plain garbage *)
+  (* a valid line truncated mid-object, plain garbage, and a complete
+     run in the retired ppbench/v1 schema *)
+  let v1_run = "{\"schema\": \"ppbench/v1\", \"sections\": []}" in
   Out_channel.output_string oc "{\"schema\": \"ppbench/v2\", \"sect\n";
   Out_channel.output_string oc "not json\n";
+  Out_channel.output_string oc (v1_run ^ "\n");
   Out_channel.close oc;
   Obs.History.append ~dir b;
+  (match Obs.History.parse_run v1_run with
+   | Error e ->
+     Alcotest.(check string) "v1 refused by name" "unknown schema \"ppbench/v1\"" e
+   | Ok _ -> Alcotest.fail "a ppbench/v1 run parsed");
   match Obs.History.load_ledger dir with
   | Error e -> Alcotest.fail e
   | Ok (runs, skipped) ->
     Alcotest.(check int) "both good runs survive" 2 (List.length runs);
     Alcotest.(check bool) "order preserved" true (runs = [ a; b ]);
-    Alcotest.(check int) "bad lines counted" 2 skipped
+    Alcotest.(check int) "bad lines counted" 3 skipped
 
 (* -- medians -------------------------------------------------------------- *)
 
@@ -382,7 +389,9 @@ let test_export_write_now () =
   (match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
    | Ok (Obs.Json.Obj fields) ->
      Alcotest.(check bool) "schema" true
-       (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v1"));
+       (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v2"));
+     Alcotest.(check bool) "empty workers section" true
+       (List.assoc_opt "workers" fields = Some (Obs.Json.List []));
      Alcotest.(check bool) "has meta" true (List.mem_assoc "meta" fields);
      (match List.assoc_opt "metrics" fields with
       | Some m ->
@@ -491,13 +500,15 @@ let test_export_fleet () =
        ~infix:
          "pp_worker_ensemble_trial_steps_bucket{worker=\"fork0-123\",host=\"node-a\",le=\"+Inf\"} 3"
        prom_text);
-  (* and with the provider removed the schema drops back to v1 *)
+  (* with the provider removed the schema stays, the workers empty *)
   Obs.Export.set_fleet None;
   Obs.Export.write_now ~t0:(Obs.Clock.now_ns ()) ~path ();
   match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok (Obs.Json.Obj fields) ->
-    Alcotest.(check bool) "back to ppmetrics/v1" true
-      (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v1"))
+    Alcotest.(check bool) "still ppmetrics/v2" true
+      (List.assoc_opt "schema" fields = Some (Obs.Json.String "ppmetrics/v2"));
+    Alcotest.(check bool) "with an empty workers section" true
+      (List.assoc_opt "workers" fields = Some (Obs.Json.List []))
   | _ -> Alcotest.fail "second snapshot does not parse"
 
 let test_export_periodic () =
@@ -540,7 +551,19 @@ let () =
           run_bytes_stable_prop;
           meta_roundtrip_prop;
           Alcotest.test_case "Run_meta.collect" `Quick test_run_meta_collect;
-        ] );
+        ]
+        @ Fuzz_gen.properties ~record:true ~decoder:"History.parse_run"
+            ~vocab:
+              [ {|"schema":"ppbench/v2"|}; {|"schema":"ppbench/v1"|};
+                {|"meta":{"git_rev":"r","hostname":"h","ocaml_version":"5","timestamp":"t","jobs":-1}|};
+                {|"meta":-1|}; {|"sections":[]|};
+                {|"sections":[{"id":"E1","wall_s":-1,"metrics":{}}]|};
+                {|"sections":[{"id":"E1","wall_s":4611686018427387903,"metrics":{"c":{"type":"counter","value":-1}}}]|};
+                {|"sections":[{"id":"E1","wall_s":0,"metrics":{"h":{"type":"histogram","bounds":[-1],"counts":[4611686018427387903],"sum":-1,"count":-1}}}]|};
+                {|"sections":[{"id":-1}]|}; {|"timings":[]|};
+                {|"timings":[{"name":"t","ns_per_run":-1}]|};
+                {|"timings":4611686018427387903|} ]
+            Obs.History.parse_run );
       ( "ledger",
         [
           ledger_roundtrip_prop;
