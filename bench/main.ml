@@ -313,7 +313,9 @@ let e7p () =
     codes;
   let w_ref = ref 0.0 and w_pk = ref 0.0 in
   let graphs = ref 0 and identical = ref true in
-  Busy_beaver.iter_protocols ~sample:(codes, 20260705) ~n:3 (fun p ->
+  Array.iter
+    (fun (assignment, output_bits) ->
+      let p = Busy_beaver.protocol_of_code ~n:3 ~assignment ~output_bits in
       for i = 2 to 12 do
         let c0 = Population.initial_single p i in
         let g, w = time (fun () -> Configgraph.explore p c0) in
@@ -328,7 +330,8 @@ let e7p () =
                (Array.mapi
                   (fun j c -> Mset.equal c (Configgraph.Packed.config pg j))
                   g.Configgraph.configs)
-      done);
+      done)
+    (Busy_beaver.sample_codes ~n:3 ~count:codes ~seed:20260705);
   row "  %d graphs   multiset: %.2fs   packed: %.2fs   speedup x%.2f   \
        graphs identical: %b\n"
     !graphs !w_ref !w_pk (!w_ref /. !w_pk) !identical
@@ -750,6 +753,9 @@ let e15 () =
       "n=%d: %d protocols, f(%d) = %d (apparent, cutoff 12); %d never reach All_1\n"
       n r.Section_4_1.num_protocols n r.Section_4_1.max_f
       r.Section_4_1.num_unreachable;
+    if r.Section_4_1.num_aborted > 0 then
+      row "   unknown (exploration over budget): %d protocols\n"
+        r.Section_4_1.num_aborted;
     List.iter
       (fun (i, c) -> row "   min accepting input %-3d %d protocols\n" i c)
       r.Section_4_1.histogram

@@ -218,10 +218,13 @@ let no_prune_arg =
 
 let eta_budget_arg =
   Arg.(value & opt (some float) None & info [ "eta-budget" ] ~docv:"S"
-         ~doc:"Wall-clock budget in seconds for verifying any single \
-               protocol; over-budget protocols are counted as unknown \
-               instead of aborting the scan. Machine-dependent — leave \
-               off when byte-identical reruns matter.")
+         ~doc:"Wall-clock budget in seconds for exploring any single \
+               transition assignment: one deadline spans the \
+               configuration graphs of all its inputs, which every \
+               output map of the assignment shares. Protocols whose \
+               verdict needs an over-budget graph are counted as \
+               unknown instead of aborting the scan. Machine-dependent \
+               — leave off when byte-identical reruns matter.")
 
 let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"

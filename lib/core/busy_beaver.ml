@@ -18,10 +18,15 @@ let pairs n =
     (List.init n Fun.id)
   |> Array.of_list
 
-let num_deterministic_protocols n =
+let num_assignments n =
   let p = n * (n + 1) / 2 in
   let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  pow p p 1 * (1 lsl n)
+  pow p p 1
+
+let num_deterministic_protocols n = num_assignments n * (1 lsl n)
+
+let code_name n ~assignment ~output_bits =
+  Printf.sprintf "bb-%d-%d-%d" n assignment output_bits
 
 (* Decode a protocol from (transition assignment index, output bitmap). *)
 let decode n ~pair_list ~assignment ~output_bits =
@@ -37,7 +42,7 @@ let decode n ~pair_list ~assignment ~output_bits =
   done;
   let output = Array.init n (fun s -> output_bits land (1 lsl s) <> 0) in
   Population.make
-    ~name:(Printf.sprintf "bb-%d-%d-%d" n assignment output_bits)
+    ~name:(code_name n ~assignment ~output_bits)
     ~states:(Array.init n (fun i -> Printf.sprintf "q%d" i))
     ~transitions:!transitions
     ~inputs:[ ("x", 0) ]
@@ -54,7 +59,11 @@ let protocol_of_code ~n ~assignment ~output_bits =
 (* Sampled codes come from per-index splits of the master stream (the
    [Ensemble.rng_for_trial] scheme): sample [i] depends only on the seed
    and [i], never on the chunking or the domain count. *)
-let sample_codes ~seed ~count ~num_assignments ~num_outputs =
+let sample_codes ~n ~count ~seed =
+  check_n "sample_codes" n;
+  if count < 0 || count > Sys.max_array_length then
+    invalid_arg (Printf.sprintf "Busy_beaver.sample_codes: count %d" count);
+  let num_assignments = num_assignments n and num_outputs = 1 lsl n in
   let master = Splitmix64.create seed in
   let codes = Array.make count (0, 0) in
   for i = 0 to count - 1 do
@@ -174,6 +183,82 @@ let m_scanned = Obs.Metrics.counter "bbsearch.protocols_scanned"
 let m_threshold = Obs.Metrics.counter "bbsearch.threshold_protocols"
 let m_aborted = Obs.Metrics.counter "bbsearch.config_budget_aborts"
 let m_pruned = Obs.Metrics.counter "bbsearch.pruned_symmetry"
+let m_summaries = Obs.Metrics.counter "bbsearch.summaries"
+
+(* A code's configuration graphs depend on its transition assignment
+   alone; the output map only labels them. So the census explores each
+   (assignment, input) once and reads every output map's verdicts from
+   that one summary. The cache holds one assignment at a time: the
+   exhaustive enumeration is assignment-major (code index = a * 2^n + o),
+   so a chunk meets each of its assignments in one run of codes, while
+   a sampled chunk rarely meets an assignment twice. *)
+module Summaries = struct
+  type slot = Unfilled | Summary of Fair_semantics.summary | Aborted
+
+  type t = {
+    n : int;
+    pair_list : (int * int) array;
+    max_configs : int;
+    budget_s : float option;
+    inputs : int list;
+    slots : slot array;  (* slot k: input k + 2, the least valid input *)
+    mutable assignment : int;  (* -1 until the first [get] *)
+    mutable protocol : Population.t;
+    mutable deadline : Obs.Budget.deadline option;
+  }
+
+  let create ?(max_configs = 60_000) ?eta_budget_s ~n ~max_input () =
+    check_n "Summaries.create" n;
+    let pair_list = pairs n in
+    let protocol = decode n ~pair_list ~assignment:0 ~output_bits:0 in
+    (* every code has the same valid inputs: no leaders, so 2..max_input *)
+    let inputs = Fair_semantics.valid_inputs_single protocol ~max:max_input in
+    {
+      n;
+      pair_list;
+      max_configs;
+      budget_s = eta_budget_s;
+      inputs;
+      slots = Array.make (List.length inputs) Unfilled;
+      assignment = -1;
+      protocol;
+      deadline = None;
+    }
+
+  let inputs t = t.inputs
+
+  let get t ~assignment i =
+    if assignment <> t.assignment then begin
+      (* a new assignment is asked for because one of its graphs is
+         needed now: its one deadline starts here *)
+      t.assignment <- assignment;
+      t.protocol <- decode t.n ~pair_list:t.pair_list ~assignment ~output_bits:0;
+      t.deadline <-
+        Option.map (Obs.Budget.deadline_in ~source:"bbsearch.summarise") t.budget_s;
+      Array.fill t.slots 0 (Array.length t.slots) Unfilled
+    end;
+    let k = i - 2 in
+    match t.slots.(k) with
+    | Summary s -> Some s
+    | Aborted -> None
+    | Unfilled ->
+      let p = t.protocol in
+      Obs.Metrics.incr m_summaries;
+      let slot =
+        match
+          Obs.Trace.with_span "bbsearch.summarise" ~cat:"bbsearch"
+            ~args:[ ("protocol", p.Population.name); ("input", string_of_int i) ]
+            (fun () ->
+              Fair_semantics.summarise ~max_configs:t.max_configs
+                ?deadline:t.deadline p (Population.initial_config p [| i |]))
+        with
+        | s -> Summary s
+        | exception (Configgraph.Too_many_configs _ | Obs.Budget.Exceeded _) ->
+          Aborted
+      in
+      t.slots.(k) <- slot;
+      (match slot with Summary s -> Some s | Unfilled | Aborted -> None)
+end
 
 (* Per-chunk accumulator. Chunks are a fixed partition of the code
    space, each owned by exactly one worker; the driver reduces them in
@@ -301,21 +386,11 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
   check_n "plan" n;
   let pair_list = pairs n in
-  let np = Array.length pair_list in
-  let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  let num_assignments = pow np np 1 in
   let num_outputs = 1 lsl n in
-  let codes =
-    Option.map
-      (fun (count, seed) ->
-        if count < 0 || count > Sys.max_array_length then
-          invalid_arg (Printf.sprintf "Busy_beaver.plan: sample count %d" count);
-        sample_codes ~seed ~count ~num_assignments ~num_outputs)
-      sample
-  in
+  let codes = Option.map (fun (count, seed) -> sample_codes ~n ~count ~seed) sample in
   let total =
     match codes with
-    | None -> num_assignments * num_outputs
+    | None -> num_deterministic_protocols n
     | Some codes -> Array.length codes
   in
   let chunk = Stdlib.max 1 chunk in
@@ -480,7 +555,13 @@ type display = {
   d_progress : Obs.Progress.t;
 }
 
-let examine plan part display ~weight ~assignment ~output_bits =
+(* An exploration a code needs was aborted: its verdict is unknown. *)
+exception Unknown
+
+(* One canonical code's verdict, read from its assignment's summaries:
+   the same threshold sweep as [Eta_search.find], over verdicts under
+   this code's output map. *)
+let examine plan sums part display ~weight ~assignment ~output_bits =
   part.p_scanned <- part.p_scanned + weight;
   if Obs.Metrics.enabled () then Obs.Metrics.add m_scanned weight;
   (match display with
@@ -495,7 +576,6 @@ let examine plan part display ~weight ~assignment ~output_bits =
   (* all-reject output maps short-circuit *)
   if output_bits = 0 then part.p_reject_all <- part.p_reject_all + weight
   else begin
-    let p = decode plan.pl_n ~pair_list:plan.pl_pair_list ~assignment ~output_bits in
     let bump_hist eta =
       part.p_threshold <- part.p_threshold + weight;
       if Obs.Metrics.enabled () then Obs.Metrics.add m_threshold weight;
@@ -519,17 +599,21 @@ let examine plan part display ~weight ~assignment ~output_bits =
            in
            raise_disp ());
         Obs.Trace.instant "bbsearch.new_best" ~cat:"bbsearch"
-          ~args:[ ("eta", string_of_int eta); ("protocol", p.Population.name) ]
+          ~args:
+            [
+              ("eta", string_of_int eta);
+              ("protocol", code_name plan.pl_n ~assignment ~output_bits);
+            ]
       end
     in
-    match
-      (* eager exploration: the scan decides almost every input, so
-         lazy SCC detection saves <0.1% of the nodes while its DFS
-         machinery costs ~25% per node *)
-      Eta_search.find ~max_configs:plan.pl_max_configs
-        ?wall_budget_s:plan.pl_eta_budget_s ~incremental:false p
-        ~max_input:plan.pl_max_input
-    with
+    let verdict i =
+      match Summaries.get sums ~assignment i with
+      | Some s ->
+        Fair_semantics.verdict_of_unions ~output:output_bits
+          s.Fair_semantics.bottoms
+      | None -> raise Unknown
+    in
+    match Eta_search.sweep (Summaries.inputs sums) verdict with
     | Eta_search.Eta eta ->
       bump_hist eta;
       record_best eta
@@ -540,22 +624,26 @@ let examine plan part display ~weight ~assignment ~output_bits =
       record_best 2
     | Eta_search.Always_rejects -> part.p_reject_all <- part.p_reject_all + weight
     | Eta_search.Not_threshold _ -> ()
-    | exception Configgraph.Too_many_configs _ ->
+    | exception Unknown ->
+      (* a node budget or the assignment's wall budget tripped on an
+         input this code needs: its verdict degrades to unknown, the
+         scan itself keeps going *)
       part.p_aborted <- part.p_aborted + weight;
-      Obs.Metrics.incr m_aborted
-    | exception Obs.Budget.Exceeded _ ->
-      (* wall budget hit on this protocol: its verdict degrades to
-         unknown, the scan itself keeps going *)
-      part.p_aborted <- part.p_aborted + weight;
-      Obs.Metrics.incr m_aborted
+      Obs.Metrics.add m_aborted weight
   end
 
 (* One chunk of the plan, from a fresh accumulator — the unit of work a
    pool domain or a remote worker process performs. A retried or
    re-leased chunk restarts from scratch by construction, so its counts
-   can never double. *)
+   can never double; its summary cache is its own, so chunk content
+   (counters included) depends only on the plan and the index. *)
 let run_chunk ?display plan ci =
   let part = fresh_partial () in
+  let sums =
+    Summaries.create ~max_configs:plan.pl_max_configs
+      ?eta_budget_s:plan.pl_eta_budget_s ~n:plan.pl_n
+      ~max_input:plan.pl_max_input ()
+  in
   let lo, hi = plan_chunk_range plan ci in
   for idx = lo to hi - 1 do
     match plan.pl_codes with
@@ -568,19 +656,18 @@ let run_chunk ?display plan ci =
       let assignment, output_bits =
         match plan.pl_sym with
         | None -> (assignment, output_bits)
-        | Some s ->
-          let a, o = Symmetry.canonical s ~assignment ~output_bits in
-          (a, o)
+        | Some s -> Symmetry.canonical s ~assignment ~output_bits
       in
-      examine plan part display ~weight:1 ~assignment ~output_bits
+      examine plan sums part display ~weight:1 ~assignment ~output_bits
     | None ->
       let assignment = idx / plan.pl_num_outputs
       and output_bits = idx mod plan.pl_num_outputs in
       (match plan.pl_sym with
-       | None -> examine plan part display ~weight:1 ~assignment ~output_bits
+       | None -> examine plan sums part display ~weight:1 ~assignment ~output_bits
        | Some s ->
          (match Symmetry.canonical_weight s ~assignment ~output_bits with
-          | Some weight -> examine plan part display ~weight ~assignment ~output_bits
+          | Some weight ->
+            examine plan sums part display ~weight ~assignment ~output_bits
           | None ->
             (* a smaller orbit member is (or will be) verified with
                this code's count folded into its weight *)
@@ -773,23 +860,3 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
       Printf.sprintf "%d protocols scanned, %d threshold, best eta %d"
         acc.p_scanned acc.p_threshold acc.p_best_eta);
   result
-
-let iter_protocols ?sample ~n f =
-  check_n "iter_protocols" n;
-  let pair_list = pairs n in
-  let np = Array.length pair_list in
-  let rec pow b e acc = if e = 0 then acc else pow b (e - 1) (acc * b) in
-  let num_assignments = pow np np 1 in
-  let num_outputs = 1 lsl n in
-  match sample with
-  | None ->
-    for assignment = 0 to num_assignments - 1 do
-      for output_bits = 0 to num_outputs - 1 do
-        f (decode n ~pair_list ~assignment ~output_bits)
-      done
-    done
-  | Some (count, seed) ->
-    Array.iter
-      (fun (assignment, output_bits) ->
-        f (decode n ~pair_list ~assignment ~output_bits))
-      (sample_codes ~seed ~count ~num_assignments ~num_outputs)

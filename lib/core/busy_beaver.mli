@@ -17,16 +17,29 @@
     [chunk] setting. Symmetry pruning ({!Symmetry}) skips
     non-canonical codes and weights canonical ones by their orbit size,
     which preserves every aggregate exactly while verifying only one
-    protocol per isomorphism class. *)
+    protocol per isomorphism class.
+
+    A code is a transition assignment plus an output map, and its
+    configuration graphs depend on the assignment alone. So a chunk
+    explores each (assignment, input) it needs once ({!Summaries}) and
+    reads the verdicts of all of the assignment's canonical output maps
+    from that one summary. Codes are numbered assignment-major, so a
+    chunk of [k · 2^n] codes holds [k] whole assignments; a chunk
+    boundary inside an assignment only means both chunks summarise it.
+    The [configgraph.*], [fair.*] and [bbsearch.summaries] counters of
+    a scan therefore depend on the chunk partition; the aggregates and
+    the per-code counters ([bbsearch.protocols_scanned],
+    [threshold_protocols], [pruned_symmetry], [config_budget_aborts],
+    [eta_search.inputs_checked]) do not. *)
 
 type scan_result = {
   num_protocols : int;       (** protocols enumerated (or sampled) *)
   num_threshold : int;       (** with a certified threshold pattern up to the cutoff *)
   num_reject_all : int;      (** reject every checked input (threshold may exceed cutoff) *)
   num_aborted : int;
-      (** verdict unknown: the verifier hit its node budget
-          ({!Configgraph.Too_many_configs}) or the [eta_budget_s] wall
-          budget on these protocols *)
+      (** verdict unknown: an exploration these protocols needed hit
+          the node budget ({!Configgraph.Too_many_configs}) or its
+          assignment's [eta_budget_s] wall budget *)
   best_eta : int;            (** largest threshold seen *)
   best : Population.t option;
   histogram : (int * int) list;  (** threshold value -> number of protocols *)
@@ -77,10 +90,12 @@ val scan :
     {!Configgraph.Packed.applicable} holds, which it always does here.
     Defaults: [max_input = 12], [max_configs = 60_000].
 
-    {b Robustness.} [?eta_budget_s] caps the wall-clock spent verifying
-    any single protocol; over-budget protocols count into [num_aborted]
-    (unknown verdict) instead of killing the scan — note wall budgets
-    make which protocols abort machine-dependent, so leave it off when
+    {b Robustness.} [?eta_budget_s] caps the wall-clock spent exploring
+    any single transition assignment (one deadline across its inputs,
+    shared by all its output maps); codes whose verdict needs an
+    over-budget exploration count into [num_aborted] (unknown verdict)
+    instead of killing the scan — note wall budgets make which
+    protocols abort machine-dependent, so leave it off when
     byte-identical reruns matter. [?on_task_error] (default [`Fail]) is
     the {!Pool.run} fault policy for unexpected per-chunk exceptions.
     [?should_stop] is a cancellation token polled between chunks;
@@ -181,11 +196,47 @@ val protocol_of_code :
     [output_bits] is the output bitmap ([bit s] set iff state [s] maps
     to true). This is the enumeration {!scan} walks. *)
 
-val iter_protocols :
-  ?sample:int * int -> n:int -> (Population.t -> unit) -> unit
-(** Enumerate (or uniformly sample) the same deterministic complete
-    leaderless protocol space that {!scan} searches, calling the
-    function on each protocol. Used by {!Section_4_1}. *)
+val num_assignments : int -> int
+(** [P^P], the number of transition assignments; each has [2^n] output
+    maps. *)
+
+val sample_codes : n:int -> count:int -> seed:int -> (int * int) array
+(** The [(assignment, output_bits)] codes a [~sample:(count, seed)] scan
+    draws, in order: code [i] comes from the [i]-th split of the seed's
+    stream, so it depends on nothing else.
+    @raise Invalid_argument on a negative or oversized [count]. *)
+
+(** Per-assignment summaries, the unit the census explores. A code's
+    configuration graphs depend on its transition assignment alone, so
+    one {!Fair_semantics.summary} per (assignment, input) serves every
+    output map: code [(a, o)]'s verdict on input [i] is
+    [Fair_semantics.verdict_of_unions ~output:o] of [a]'s summary for
+    [i]. A cache holds one assignment at a time and fills its inputs
+    lazily, in the order they are asked for, so an input no code needs
+    is never explored. {!scan} keeps one cache per chunk and
+    {!Section_4_1.scan} one for the whole space. Each summary counts
+    into [bbsearch.summaries] inside a [bbsearch.summarise] span. *)
+module Summaries : sig
+  type t
+
+  val create :
+    ?max_configs:int -> ?eta_budget_s:float -> n:int -> max_input:int ->
+    unit -> t
+  (** An empty cache for the [n]-state code space with the same defaults
+      as {!scan}. [eta_budget_s] is one wall-clock deadline per
+      assignment, started by its first exploration and spanning all of
+      its inputs. *)
+
+  val inputs : t -> int list
+  (** The valid inputs up to [max_input], ascending: [2..max_input]. *)
+
+  val get : t -> assignment:int -> int -> Fair_semantics.summary option
+  (** [get t ~assignment i] is the summary of [IC(i)] under
+      [assignment], exploring it on first request; [None] when the
+      exploration hit the node budget or the assignment's deadline
+      (remembered, so every output map of the assignment reads the
+      same abort). Asking for another assignment empties the cache. *)
+end
 
 (** The symmetry group of the code space: state permutations fixing the
     input state 0 (isomorphic to [S_{n-1}]). Relabelling states by such

@@ -61,6 +61,7 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
     { rd = Wire.reader fd; chaos = stream; name = None; corrupt_seen = 0 }
   in
   let conns = ref (List.map mk_conn fds) in
+  let forked = !conns in
   let chunks_done = ref 0 in
   let duplicates = ref 0 in
   let stale_dropped = ref 0 in
@@ -295,6 +296,22 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
     | Wire.Welcome _ | Wire.Grant _ | Wire.Shutdown ->
         raise (Wire.Protocol_error "coordinator-bound stream carried a coordinator message")
   in
+  (* read and dispatch whatever arrived on the readable ones of [cs] *)
+  let serve_readable readable cs =
+    List.iter
+      (fun c ->
+        if List.memq (Wire.reader_fd c.rd) readable then
+          match Wire.drain c.rd with
+          | exception Wire.Protocol_error e ->
+              note_corrupt c;
+              drop_conn c ("protocol error: " ^ e)
+          | msgs, eof ->
+              note_corrupt c;
+              (try List.iter (handle_msg c) msgs
+               with Wire.Protocol_error e -> drop_conn c ("protocol error: " ^ e));
+              if eof && List.memq c !conns then drop_conn c "eof")
+      cs
+  in
   let tick_timeout = Stdlib.min 1.0 (heartbeat_timeout /. 2.0) in
   let finished () = Lease.is_complete lease in
   if telemetry then
@@ -329,20 +346,7 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
               conns := mk_conn wfd :: !conns
           | _ -> ());
           (* worker traffic; snapshot the list — handlers mutate it *)
-          List.iter
-            (fun c ->
-              if List.memq (Wire.reader_fd c.rd) readable then
-                match Wire.drain c.rd with
-                | exception Wire.Protocol_error e ->
-                    note_corrupt c;
-                    drop_conn c ("protocol error: " ^ e)
-                | msgs, eof ->
-                    note_corrupt c;
-                    (try List.iter (handle_msg c) msgs
-                     with Wire.Protocol_error e ->
-                       drop_conn c ("protocol error: " ^ e));
-                    if eof && List.memq c !conns then drop_conn c "eof")
-            !conns;
+          serve_readable readable !conns;
           (* progress-expiry backup path: a worker sitting on leases
              without completing anything — wedged, or cut off from its
              Grant by a dropped frame — gets its chunks reclaimed but
@@ -385,6 +389,24 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
           feed_idle ()
         end
       done;
+      (* A forked child whose Hello has not been read yet is still
+         starting: hear it out before the Shutdown (for at most one
+         heartbeat timeout, and no longer once [should_stop] fires), so
+         that which workers joined a finished scan never depends on how
+         fast the others got through it. *)
+      let hello_deadline = now_s () +. heartbeat_timeout in
+      let rec await_hellos () =
+        let remaining = hello_deadline -. now_s () in
+        match List.filter (fun c -> c.name = None && List.memq c !conns) forked with
+        | _ :: _ as pending
+          when remaining > 0.0 && (not !interrupted) && not (should_stop ()) ->
+            let fds = List.map (fun c -> Wire.reader_fd c.rd) pending in
+            let readable = Wire.select_eintr fds (Float.min remaining tick_timeout) in
+            serve_readable readable pending;
+            await_hellos ()
+        | _ -> ()
+      in
+      await_hellos ();
       List.iter (fun c -> send_safe c Wire.Shutdown) !conns;
       (* give workers a beat to flush their final telemetry before the
          sockets close: their last Events/Heartbeat only races the

@@ -84,7 +84,12 @@ val run :
     waits forever. [config]/[config_hash] are what joining workers
     receive in their {!Wire.Welcome}; [epoch] stamps every grant, and
     results carrying any other epoch are dropped as stale.
-    [completed] seeds the ledger from a resumed checkpoint.
+    [completed] seeds the ledger from a resumed checkpoint. Before its
+    final {!Wire.Shutdown} the loop waits (at most one
+    [heartbeat_timeout], and not after [should_stop] returns [true])
+    until every [fds] worker has sent its {!Wire.Hello} or closed its
+    socket, so every forked child of a completed scan counts in
+    [workers_seen], however fast the others finished.
     [heartbeat_timeout] (default 10s) bounds how long an unproductive
     worker can sit on a lease; [max_batch] (default 16) caps grant
     sizes (see {!Lease}). [chaos] arms deterministic fault injection

@@ -16,7 +16,30 @@ let pp_result fmt = function
 let m_inputs = Obs.Metrics.counter "eta_search.inputs_checked"
 let m_stable_hits = Obs.Metrics.counter "eta_search.stable_hits"
 
-let find ?max_configs ?wall_budget_s ?incremental ?(jobs = 1)
+(* Scan upwards; record where the output flips to 1 and insist it
+   never flips back. *)
+let sweep inputs decide =
+  let rec go flipped = function
+    | [] ->
+      (match flipped with
+       | Some eta -> if eta = List.hd inputs then Always_accepts else Eta eta
+       | None -> Always_rejects)
+    | i :: rest ->
+      Obs.Metrics.incr m_inputs;
+      (match decide i with
+       | Fair_semantics.Decides true ->
+         go (match flipped with Some _ -> flipped | None -> Some i) rest
+       | Fair_semantics.Decides false ->
+         (match flipped with
+          | Some _ -> Not_threshold ([| i |], Fair_semantics.Decides false)
+          | None -> go None rest)
+       | verdict -> Not_threshold ([| i |], verdict))
+  in
+  if inputs = [] then
+    invalid_arg "Eta_search.sweep: no valid inputs below the cutoff";
+  go None inputs
+
+let find ?max_configs ?wall_budget_s ?(jobs = 1)
     ?(stable = `Off) p ~max_input =
   if Array.length p.Population.input_vars <> 1 then
     invalid_arg "Eta_search.find: single-input protocols only";
@@ -57,33 +80,18 @@ let find ?max_configs ?wall_budget_s ?incremental ?(jobs = 1)
       Obs.Metrics.incr m_stable_hits;
       verdict
     | None ->
-      Fair_semantics.decide_config ?max_configs ?deadline ?incremental p c0
+      Fair_semantics.decide_config ?max_configs ?deadline p c0
   in
   let inputs = Fair_semantics.valid_inputs_single p ~max:max_input in
   let total = List.length inputs in
   let progress = Obs.Progress.create "eta_search.find" in
-  (* Scan upwards; record where the output flips to 1 and insist it
-     never flips back. *)
-  let rec go checked flipped = function
-    | [] ->
-      (match flipped with
-       | Some eta ->
-         let first = List.hd inputs in
-         if eta = first then Always_accepts else Eta eta
-       | None -> Always_rejects)
-    | i :: rest ->
-      Obs.Progress.tick progress (fun () ->
-          Printf.sprintf "input %d (%d/%d checked)" i checked total);
-      Obs.Metrics.incr m_inputs;
-      (match decide_input i with
-       | Fair_semantics.Decides true ->
-         let flipped = match flipped with Some _ -> flipped | None -> Some i in
-         go (checked + 1) flipped rest
-       | Fair_semantics.Decides false ->
-         (match flipped with
-          | Some _ -> Not_threshold ([| i |], Fair_semantics.Decides false)
-          | None -> go (checked + 1) None rest)
-       | verdict -> Not_threshold ([| i |], verdict))
+  let checked = ref 0 in
+  let decide i =
+    Obs.Progress.tick progress (fun () ->
+        Printf.sprintf "input %d (%d/%d checked)" i !checked total);
+    let verdict = decide_input i in
+    incr checked;
+    verdict
   in
   match inputs with
   | [] -> invalid_arg "Eta_search.find: no valid inputs below the cutoff"
@@ -91,7 +99,7 @@ let find ?max_configs ?wall_budget_s ?incremental ?(jobs = 1)
     Obs.Trace.with_span "eta_search.find" ~cat:"verify"
       ~args:[ ("protocol", p.Population.name); ("max_input", string_of_int max_input) ]
       (fun () ->
-        let r = go 0 None inputs in
+        let r = sweep inputs decide in
         Obs.Progress.finish progress (fun () ->
             Format.asprintf "%a" pp_result r);
         r)

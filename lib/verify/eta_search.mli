@@ -16,19 +16,17 @@ type result =
       (** some input breaks the 0*1* threshold pattern, or is undecided *)
 
 val find :
-  ?max_configs:int -> ?wall_budget_s:float ->
-  ?incremental:bool -> ?jobs:int ->
+  ?max_configs:int -> ?wall_budget_s:float -> ?jobs:int ->
   ?stable:[ `Off | `Per_input | `Memo ] -> Population.t ->
   max_input:int -> result
 (** [find p ~max_input] decides every valid input [<= max_input] of a
     single-input-variable protocol with {!Fair_semantics.decide_config},
     where {!Configgraph.Packed.applicable} alone picks the
-    configuration-graph representation. [?incremental] selects the
-    exploration strategy; the result is identical either way —
-    incremental exploration stops as soon as a consensus-free bottom
-    component is found, which pays on non-threshold protocols, while
-    eager exploration has less per-node machinery and is the better fit
-    for decide-heavy workloads like the busy-beaver scan.
+    configuration-graph representation. Each input is explored
+    incrementally, so the search stops building a graph at its first
+    consensus-free bottom component. The busy-beaver census does not
+    call it: it reads the same verdicts from per-assignment
+    {!Fair_semantics.summary} values, and the tests compare the two.
     [?wall_budget_s] bounds the {e total} wall-clock time spent on
     this protocol (one deadline spans all its configuration-graph
     explorations); note a wall budget makes aborts machine-dependent, so
@@ -45,5 +43,14 @@ val find :
     identical for every [stable]/[jobs] setting.
     @raise Invalid_argument if the protocol has several input variables.
     @raise Obs.Budget.Exceeded when the wall budget expires. *)
+
+val sweep : int list -> (int -> Fair_semantics.verdict) -> result
+(** [sweep inputs decide] is the threshold pattern [0*1*] read over
+    ascending [inputs]: it asks [decide] for one input at a time and
+    stops at the first that breaks the pattern or is undecided. {!find}
+    is [sweep] over {!Fair_semantics.decide_config}; the busy-beaver
+    census runs it over verdicts read from summaries. Every input it
+    asks about counts into [eta_search.inputs_checked].
+    @raise Invalid_argument on an empty input list. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -28,61 +28,66 @@ let component_output ~output_of_node members =
   in
   go members None
 
-(* Shared bottom-SCC consensus logic, abstracted over the configuration
-   representation: [output_of_node] is the consensus output of one
-   configuration (None when its agents disagree). Every node of the
-   graph is reachable from the root by construction, so every bottom SCC
-   is relevant; a finite non-empty graph has at least one.
-
-   The verdict is canonical — No_consensus over Conflicting over
-   Decides, independent of the order components are examined — so the
-   eager path here and the incremental path (which pops bottom SCCs in
-   its own DFS order) always agree. *)
-let verdict_of_bottom ~output_of_node (scc : Scc.t) bottom =
-  let rec go seen conflict = function
+(* The canonical verdict of a graph's bottom components, [consensus c]
+   being component [c]'s consensus output: No_consensus if any lacks
+   one, else Conflicting if two disagree, else Decides. Every node of
+   the graph is reachable from the root by construction, so every
+   bottom SCC is relevant, and a finite non-empty graph has at least
+   one. The verdict does not depend on the order components are
+   examined, so the lazy path (which pops bottom SCCs in its own DFS
+   order) agrees with a verdict read from a whole graph's summary. *)
+let canonical_verdict consensus comps =
+  let rec go zero one = function
     | [] ->
-      if conflict then Conflicting
-      else (match seen with Some b -> Decides b | None -> assert false)
-    | comp :: rest ->
-      (match component_output ~output_of_node scc.Scc.members.(comp) with
+      if zero && one then Conflicting
+      else if one then Decides true
+      else if zero then Decides false
+      else assert false
+    | c :: rest ->
+      (match consensus c with
        | None -> No_consensus
-       | Some b ->
-         (match seen with
-          | None -> go (Some b) conflict rest
-          | Some b' -> go seen (conflict || b <> b') rest))
+       | Some b -> go (zero || not b) (one || b) rest)
   in
-  go None false bottom
+  go false false comps
 
-(* The incremental counterpart: fed one bottom component at a time by
-   {!Configgraph.explore_sccs}. A component without consensus decides
-   the (canonically maximal) verdict No_consensus outright, so the
-   exploration can stop there; agreeing components merely accumulate. *)
-type incremental = {
-  mutable seen : bool option;
-  mutable conflict : bool;
-  mutable undecided : bool;
-  mutable bottoms : int;
-}
+(* The bottom-SCC rule on supports. A configuration's consensus output
+   depends on its support alone, so a component whose members' supports
+   have union [u] (a state bitmask) is a 1-consensus iff u ⊆ output, a
+   0-consensus iff u ∩ output = ∅, and has no consensus otherwise. Only
+   the empty configuration has an empty support; it has no consensus. *)
+let consensus_of_union ~output u =
+  if u = 0 then None
+  else if u land lnot output = 0 then Some true
+  else if u land output = 0 then Some false
+  else None
 
-let incremental_start () =
-  { seen = None; conflict = false; undecided = false; bottoms = 0 }
+let verdict_of_unions ~output unions =
+  canonical_verdict (consensus_of_union ~output) unions
 
-let incremental_step st = function
-  | None ->
-    st.bottoms <- st.bottoms + 1;
-    st.undecided <- true;
-    `Stop
-  | Some b ->
-    st.bottoms <- st.bottoms + 1;
-    (match st.seen with
-     | None -> st.seen <- Some b
-     | Some b' -> if b <> b' then st.conflict <- true);
-    `Continue
+let output_mask p =
+  let mask = ref 0 in
+  Array.iteri (fun s b -> if b then mask := !mask lor (1 lsl s)) p.Population.output;
+  !mask
 
-let incremental_verdict st =
-  if st.undecided then No_consensus
-  else if st.conflict then Conflicting
-  else match st.seen with Some b -> Decides b | None -> assert false
+(* Support bitmask of a packed configuration: state [s] holds byte [s]
+   (at most 7 of them, see {!Mset.pack}). The three shifts OR each
+   byte's bits into its lowest one; the multiplication then gathers the
+   lowest bit of byte [s] at bit [56 + s] — the partial products land on
+   pairwise distinct bits, so nothing carries — and the shift brings
+   them down. It runs once per node of every summarised graph, where a
+   loop over the states costs measurably more. *)
+let packed_support c =
+  let x = c lor (c lsr 4) in
+  let x = x lor (x lsr 2) in
+  let x = (x lor (x lsr 1)) land 0x01010101010101 in
+  ((x * 0x102040810204080) lsr 56) land 0x7f
+
+let mset_support ~num_states c =
+  let mask = ref 0 in
+  for s = 0 to num_states - 1 do
+    if Mset.get c s <> 0 then mask := !mask lor (1 lsl s)
+  done;
+  !mask
 
 let publish ~sccs ~bottoms =
   if Obs.Metrics.enabled () then begin
@@ -91,87 +96,81 @@ let publish ~sccs ~bottoms =
     Obs.Metrics.add m_bottom_sccs bottoms
   end
 
-(* The packed path never materialises multisets: a configuration's
-   output depends only on its support, so a 2^states table indexed by
-   the support bitmask answers [output_of_config] in two shifts. Slots:
-   0 = no consensus, 1 = all-reject, 2 = all-accept. *)
-let support_output_table p =
-  let d = Population.num_states p in
-  let tbl = Bytes.make (1 lsl d) '\000' in
-  for mask = 1 to (1 lsl d) - 1 do
-    let rec go s acc =
-      if s >= d then (match acc with Some false -> 1 | Some true -> 2 | None -> 0)
-      else if mask land (1 lsl s) = 0 then go (s + 1) acc
-      else
-        match acc with
-        | None -> go (s + 1) (Some p.Population.output.(s))
-        | Some b -> if p.Population.output.(s) = b then go (s + 1) acc else 0
-    in
-    Bytes.set tbl mask (Char.chr (go 0 None))
-  done;
-  tbl
+(* The lazy path on either representation: bottom SCCs are judged as
+   Tarjan pops them ([consensus] being one component's consensus output,
+   given its member configurations), and a consensus-free one —
+   canonically the maximal verdict — stops the exploration before the
+   rest of the graph is built. *)
+let decide_with explore_sccs consensus =
+  let seen = ref [] in
+  let sccs =
+    explore_sccs ~on_bottom:(fun members ->
+        let c = consensus members in
+        seen := c :: !seen;
+        match c with None -> `Stop | Some _ -> `Continue)
+  in
+  publish ~sccs ~bottoms:(List.length !seen);
+  canonical_verdict Fun.id !seen
 
-(* Output of a packed configuration: project its support bitmask and
-   index the table. *)
-let packed_output ~num_states tbl c =
-  let mask = ref 0 in
-  for s = 0 to num_states - 1 do
-    if (c lsr (8 * s)) land 0xff <> 0 then mask := !mask lor (1 lsl s)
-  done;
-  match Bytes.get tbl !mask with
-  | '\001' -> Some false
-  | '\002' -> Some true
-  | _ -> None
-
-(* Either strategy on either representation: [explore_sccs] feeds the
-   lazy path its bottom components, [explore] materialises the graph for
-   the eager one, and [output] is the consensus output of one node's
-   configuration. *)
-let decide_with ~incremental ~explore_sccs ~explore output =
-  if incremental then begin
-    (* Lazy path: bottom SCCs are judged as Tarjan pops them, and a
-       consensus-free one — canonically the maximal verdict — stops the
-       exploration before the rest of the graph is built. *)
-    let st = incremental_start () in
-    let sccs =
-      explore_sccs ~on_bottom:(fun members ->
-          incremental_step st (component_output ~output_of_node:output members))
-    in
-    publish ~sccs ~bottoms:st.bottoms;
-    incremental_verdict st
-  end
-  else begin
-    let succ, configs = explore () in
-    let scc = Scc.compute succ in
-    let bottom = Scc.bottom_components scc in
-    publish ~sccs:scc.Scc.num_components ~bottoms:(List.length bottom);
-    verdict_of_bottom ~output_of_node:(fun v -> output configs.(v)) scc bottom
-  end
-
-let decide_config ?max_configs ?deadline ?(incremental = true) p c0 =
+let decide_config ?max_configs ?deadline p c0 =
   Obs.Trace.with_span "fair_semantics.decide" ~cat:"verify"
     ~args:[ ("protocol", p.Population.name) ]
     (fun () ->
       if Configgraph.Packed.applicable p c0 then
-        decide_with ~incremental
-          ~explore_sccs:
-            (Configgraph.Packed.explore_sccs ?max_configs ?deadline p c0)
-          ~explore:(fun () ->
-            let g = Configgraph.Packed.explore ?max_configs ?deadline p c0 in
-            (g.Configgraph.Packed.succ, g.Configgraph.Packed.configs))
-          (packed_output ~num_states:(Population.num_states p)
-             (support_output_table p))
+        let output = output_mask p in
+        decide_with
+          (Configgraph.Packed.explore_sccs ?max_configs ?deadline p c0)
+          (fun members ->
+            consensus_of_union ~output
+              (List.fold_left
+                 (fun u c -> u lor packed_support c)
+                 0 members))
       else
-        decide_with ~incremental
-          ~explore_sccs:(Configgraph.explore_sccs ?max_configs ?deadline p c0)
-          ~explore:(fun () ->
-            let g = Configgraph.explore ?max_configs ?deadline p c0 in
-            (g.Configgraph.succ, g.Configgraph.configs))
-          (Population.output_of_config p))
+        decide_with
+          (Configgraph.explore_sccs ?max_configs ?deadline p c0)
+          (component_output ~output_of_node:(Population.output_of_config p)))
 
-let decide ?max_configs ?deadline ?incremental p v =
-  decide_config ?max_configs ?deadline ?incremental p
-    (Population.initial_config p v)
+type summary = { bottoms : int list; reached : int list }
+
+let summarise ?max_configs ?deadline p c0 =
+  let num_states = Population.num_states p in
+  let succ, support =
+    if Configgraph.Packed.applicable p c0 then
+      let g = Configgraph.Packed.explore ?max_configs ?deadline p c0 in
+      let configs = g.Configgraph.Packed.configs in
+      (g.Configgraph.Packed.succ, fun v -> packed_support configs.(v))
+    else if num_states < Sys.int_size then
+      let g = Configgraph.explore ?max_configs ?deadline p c0 in
+      let configs = g.Configgraph.configs in
+      (g.Configgraph.succ, fun v -> mset_support ~num_states configs.(v))
+    else invalid_arg "Fair_semantics.summarise: too many states for a support mask"
+  in
+  let scc = Scc.compute succ in
+  let bottom = Scc.bottom_components scc in
+  publish ~sccs:scc.Scc.num_components ~bottoms:(List.length bottom);
+  let union comp =
+    List.fold_left (fun u v -> u lor support v) 0 scc.Scc.members.(comp)
+  in
+  (* the distinct supports: a seen-table over all 2^d masks when they
+     are few (always on packed graphs), a sort otherwise *)
+  let reached =
+    if num_states <= Mset.max_packed_dim then begin
+      let seen = Bytes.make (1 lsl num_states) '\000' in
+      for v = 0 to Array.length succ - 1 do
+        Bytes.set seen (support v) '\001'
+      done;
+      let acc = ref [] in
+      for m = (1 lsl num_states) - 1 downto 0 do
+        if Bytes.get seen m = '\001' then acc := m :: !acc
+      done;
+      !acc
+    end
+    else List.sort_uniq Int.compare (List.init (Array.length succ) support)
+  in
+  { bottoms = List.sort_uniq Int.compare (List.map union bottom); reached }
+
+let decide ?max_configs ?deadline p v =
+  decide_config ?max_configs ?deadline p (Population.initial_config p v)
 
 type check_result =
   | Ok_all of int

@@ -455,6 +455,119 @@ let test_pool_should_stop_cancels () =
     true
     (Atomic.get claimed < 100)
 
+(* -- Assignment summaries: one exploration serves every output map ------ *)
+
+(* Code (a, o)'s verdicts read from a's summaries, through the same
+   sweep the scan runs; [None] when an exploration aborted. *)
+let summary_result sums ~assignment ~output_bits =
+  match
+    Eta_search.sweep (Busy_beaver.Summaries.inputs sums) (fun i ->
+        match Busy_beaver.Summaries.get sums ~assignment i with
+        | Some s ->
+          Fair_semantics.verdict_of_unions ~output:output_bits
+            s.Fair_semantics.bottoms
+        | None -> raise Exit)
+  with
+  | r -> Some r
+  | exception Exit -> None
+
+(* Every output map of one assignment against the per-code references:
+   Eta_search.find's result, and on every input the verdict of the
+   multiset oracle, which shares no code with the support rule (o = 0
+   and o = all included, though the scan itself never reads o = 0). *)
+let assignment_agrees ~n sums assignment =
+  List.for_all
+    (fun output_bits ->
+      let p = Busy_beaver.protocol_of_code ~n ~assignment ~output_bits in
+      summary_result sums ~assignment ~output_bits
+      = Some (Eta_search.find p ~max_input:12)
+      && List.for_all
+           (fun i ->
+             match Busy_beaver.Summaries.get sums ~assignment i with
+             | Some s ->
+               Fair_semantics.verdict_of_unions ~output:output_bits
+                 s.Fair_semantics.bottoms
+               = Verdict_oracle.verdict p [| i |]
+             | None -> false)
+           (Busy_beaver.Summaries.inputs sums))
+    (List.init (1 lsl n) Fun.id)
+
+let test_summaries_match_find_small () =
+  List.iter
+    (fun n ->
+      let sums = Busy_beaver.Summaries.create ~n ~max_input:12 () in
+      for assignment = 0 to Busy_beaver.num_assignments n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d assignment %d" n assignment)
+          true
+          (assignment_agrees ~n sums assignment)
+      done)
+    [ 1; 2 ]
+
+let summaries_match_find_prop ~n ~count =
+  prop
+    (Printf.sprintf "summary verdicts = Eta_search.find on n=%d codes" n)
+    ~count
+    QCheck.(int_range 0 (Busy_beaver.num_assignments n - 1))
+    (fun assignment ->
+      assignment_agrees ~n
+        (Busy_beaver.Summaries.create ~n ~max_input:12 ())
+        assignment)
+
+(* The plan cuts the code space by index, so a chunk boundary can fall
+   inside an assignment's output maps: both chunks then summarise it,
+   and the aggregate must not notice. n = 2 has 4 output maps per
+   assignment, so chunks of 3 split most assignments. *)
+let test_split_assignments () =
+  let m_summaries = Obs.Metrics.counter "bbsearch.summaries" in
+  let m_explorations = Obs.Metrics.counter "configgraph.explorations" in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let counted f =
+    let s0 = Obs.Metrics.value m_summaries in
+    let e0 = Obs.Metrics.value m_explorations in
+    let r = f () in
+    (r, Obs.Metrics.value m_summaries - s0, Obs.Metrics.value m_explorations - e0)
+  in
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled was)
+    (fun () ->
+      let reference, s_ref, e_ref = counted (fun () -> Busy_beaver.scan ~n:2 ()) in
+      Alcotest.(check int) "one exploration per summary" s_ref e_ref;
+      List.iter
+        (fun (label, run) ->
+          let r, s, e = counted run in
+          Alcotest.(check bool) (label ^ ": identical result") true
+            (result_eq reference r);
+          Alcotest.(check int) (label ^ ": one exploration per summary") s e;
+          Alcotest.(check bool) (label ^ ": split assignments re-summarised")
+            true (s > s_ref))
+        [
+          ("chunk 3", fun () -> Busy_beaver.scan ~n:2 ~chunk:3 ());
+          ( "guided jobs 2 chunk 3",
+            fun () -> Busy_beaver.scan ~n:2 ~chunk:3 ~jobs:2 ~schedule:`Guided () );
+        ])
+
+(* A zero wall budget aborts every assignment's first exploration, so
+   every code with an output-1 state is unknown; the abort counter
+   weighs each canonical code by its orbit, like num_aborted. *)
+let test_eta_budget_aborts () =
+  let m_aborted = Obs.Metrics.counter "bbsearch.config_budget_aborts" in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let before = Obs.Metrics.value m_aborted in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled was)
+      (fun () -> Busy_beaver.scan ~n:3 ~eta_budget_s:0.0 ())
+  in
+  Alcotest.(check int) "aborted" 326_592 r.Busy_beaver.num_aborted;
+  Alcotest.(check int) "counter = num_aborted" r.Busy_beaver.num_aborted
+    (Obs.Metrics.value m_aborted - before);
+  Alcotest.(check int) "reject-all (output map 0)" 46_656
+    r.Busy_beaver.num_reject_all;
+  Alcotest.(check int) "threshold" 0 r.Busy_beaver.num_threshold
+
 (* -- Checkpoint/resume: kill at a random chunk, resume, compare ------------- *)
 
 let with_temp_checkpoint f =
@@ -542,6 +655,17 @@ let () =
             test_pool_callback_exception_identity;
           Alcotest.test_case "run_rounds joins all domains when next raises"
             `Quick test_run_rounds_next_raise_joins;
+        ] );
+      ( "summaries",
+        [
+          Alcotest.test_case "verdicts = Eta_search.find (n <= 2)" `Quick
+            test_summaries_match_find_small;
+          summaries_match_find_prop ~n:3 ~count:100;
+          summaries_match_find_prop ~n:4 ~count:15;
+          Alcotest.test_case "assignments split across chunks" `Quick
+            test_split_assignments;
+          Alcotest.test_case "zero eta budget aborts every code" `Quick
+            test_eta_budget_aborts;
         ] );
       ("checkpoint", [ checkpoint_resume_prop ]);
     ]

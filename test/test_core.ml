@@ -297,7 +297,26 @@ let test_f_min_accepting () =
          ~output:[| false |] ())
   in
   Alcotest.(check (option int)) "no accepting state" None
-    (Section_4_1.min_accepting_input p ~max_input:6)
+    (Section_4_1.min_accepting_input p ~max_input:6);
+  (* flock-succinct-6 has 8 states, one more than a packed configuration
+     holds, so its summaries come from the multiset graph *)
+  let p = Flock.succinct 6 in
+  Alcotest.(check (option int)) "flock-succinct-6, multiset graphs" (Some 64)
+    (Section_4_1.min_accepting_input p ~max_input:64);
+  Alcotest.(check (option int)) "flock-succinct-6 = oracle"
+    (Section_4_1_oracle.min_accepting_input p ~max_input:64)
+    (Section_4_1.min_accepting_input p ~max_input:64);
+  (* a support bitmask has one bit per state: 63 states do not fit *)
+  let p =
+    Population.complete
+      (Population.make ~name:"wide"
+         ~states:(Array.init 63 (Printf.sprintf "s%d"))
+         ~transitions:[] ~inputs:[ ("x", 0) ]
+         ~output:(Array.init 63 (fun s -> s = 0)) ())
+  in
+  Alcotest.check_raises "too many states for a support mask"
+    (Invalid_argument "Fair_semantics.summarise: too many states for a support mask")
+    (fun () -> ignore (Section_4_1.min_accepting_input p ~max_input:3))
 
 let test_f_scan () =
   let r = Section_4_1.scan ~n:2 ~max_input:10 () in
@@ -313,6 +332,57 @@ let test_f_dominates_busy_beaver () =
   let bb = Busy_beaver.scan ~n:2 ~max_input:10 () in
   Alcotest.(check bool) "f >= BB" true
     (f.Section_4_1.max_f >= bb.Busy_beaver.best_eta)
+
+(* An exploration over its node budget leaves the answer unknown: it is
+   counted apart, never as "never reaches All_1". With a budget of 2
+   nodes, 27 of the 108 two-state protocols have no output-1 state, 9
+   others explore every input within budget without reaching All_1, 24
+   abort, and 48 reach All_1 at input 2. *)
+let test_f_aborts_counted_apart () =
+  let r = Section_4_1.scan ~n:2 ~max_configs:2 () in
+  Alcotest.(check int) "space size" 108 r.Section_4_1.num_protocols;
+  Alcotest.(check int) "never reach All_1" 36 r.Section_4_1.num_unreachable;
+  Alcotest.(check int) "aborted" 24 r.Section_4_1.num_aborted;
+  Alcotest.(check (list (pair int int))) "histogram" [ (2, 48) ]
+    r.Section_4_1.histogram;
+  let unreachable, aborted, hist = Section_4_1_oracle.scan ~max_configs:2 ~n:2 () in
+  Alcotest.(check (triple int int (list (pair int int)))) "oracle agrees"
+    (unreachable, aborted, hist)
+    (r.Section_4_1.num_unreachable, r.Section_4_1.num_aborted, r.Section_4_1.histogram)
+
+(* The assignment-major scan against the protocol-by-protocol multiset
+   oracle, on every protocol with n <= 2, at two cutoffs. *)
+let test_f_scan_matches_oracle () =
+  List.iter
+    (fun (n, max_input) ->
+      let r = Section_4_1.scan ~n ~max_input () in
+      let unreachable, aborted, hist = Section_4_1_oracle.scan ~max_input ~n () in
+      let label = Printf.sprintf "n=%d max_input=%d" n max_input in
+      Alcotest.(check (triple int int (list (pair int int)))) label
+        (unreachable, aborted, hist)
+        (r.Section_4_1.num_unreachable, r.Section_4_1.num_aborted, r.Section_4_1.histogram);
+      Alcotest.(check int) (label ^ " max_f")
+        (List.fold_left (fun m (i, _) -> Stdlib.max m i) 0 hist)
+        r.Section_4_1.max_f)
+    [ (1, 12); (2, 12); (2, 5) ];
+  for assignment = 0 to Busy_beaver.num_assignments 2 - 1 do
+    for output_bits = 0 to 3 do
+      let p = Busy_beaver.protocol_of_code ~n:2 ~assignment ~output_bits in
+      Alcotest.(check (option int)) p.Population.name
+        (Section_4_1_oracle.min_accepting_input p ~max_input:12)
+        (Section_4_1.min_accepting_input p ~max_input:12)
+    done
+  done
+
+let f_oracle_n3_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"min accepting input = multiset oracle on n=3 codes"
+       ~count:300
+       QCheck.(pair (int_range 0 46655) (int_range 0 7))
+       (fun (assignment, output_bits) ->
+         let p = Busy_beaver.protocol_of_code ~n:3 ~assignment ~output_bits in
+         Section_4_1.min_accepting_input p ~max_input:12
+         = Section_4_1_oracle.min_accepting_input p ~max_input:12))
 
 (* -- State_complexity ---------------------------------------------------------------- *)
 
@@ -382,6 +452,11 @@ let () =
           Alcotest.test_case "min accepting input" `Quick test_f_min_accepting;
           Alcotest.test_case "f scan" `Quick test_f_scan;
           Alcotest.test_case "f dominates BB" `Quick test_f_dominates_busy_beaver;
+          Alcotest.test_case "budget aborts counted apart" `Quick
+            test_f_aborts_counted_apart;
+          Alcotest.test_case "scan = multiset oracle (n <= 2)" `Quick
+            test_f_scan_matches_oracle;
+          f_oracle_n3_prop;
         ] );
       ( "state-complexity",
         [

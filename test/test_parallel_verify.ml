@@ -160,26 +160,21 @@ let test_lazy_vs_eager_corpus () =
             | 1 -> [| i |]
             | k -> Array.make k i
           in
-          (* the multiset oracle against both strategies, on the
-             representation Fair_semantics picks *)
-          let reference = Verdict_oracle.verdict p v in
-          List.iter
-            (fun incremental ->
-              Alcotest.check verdict
-                (Printf.sprintf "%s input %d packed=%b incremental=%b" file i
-                   (Configgraph.Packed.applicable p
-                      (Population.initial_config p v))
-                   incremental)
-                reference
-                (Fair_semantics.decide ~incremental p v))
-            [ true; false ])
+          (* the lazy verdict, on the representation Fair_semantics
+             picks, against the eager multiset oracle *)
+          Alcotest.check verdict
+            (Printf.sprintf "%s input %d packed=%b" file i
+               (Configgraph.Packed.applicable p
+                  (Population.initial_config p v)))
+            (Verdict_oracle.verdict p v)
+            (Fair_semantics.decide p v))
         inputs)
     checks
 
 let test_lazy_stops_early () =
   (* A consensus-free bottom SCC lets the lazy path abandon the
      exploration, so it must intern strictly fewer configurations than
-     the eager path. The "mixer" protocol reaches absorbing
+     the full graph has. The "mixer" protocol reaches absorbing
      configurations populating both an accepting and a rejecting state,
      and its graph branches, so the first such sink the DFS pops prunes
      whole sibling subtrees. *)
@@ -192,20 +187,24 @@ let test_lazy_stops_early () =
              ~output:[| false; true; false |] ())
       in
       let v = [| 10 |] in
-      let count incremental =
-        let verdict, cs =
-          counters_during [ "configgraph.configs" ] (fun () ->
-              Fair_semantics.decide ~incremental p v)
-        in
-        (verdict, List.assoc "configgraph.configs" cs)
+      let full =
+        Array.length
+          (Configgraph.explore p (Population.initial_config p v))
+            .Configgraph.configs
       in
-      let ve, eager = count false in
-      let vl, lazy_ = count true in
-      Alcotest.check verdict "mixer verdict" Fair_semantics.No_consensus ve;
-      Alcotest.check verdict "lazy verdict agrees" ve vl;
-      if lazy_ >= eager then
+      let vl, cs =
+        counters_during [ "configgraph.configs" ] (fun () ->
+            Fair_semantics.decide p v)
+      in
+      let lazy_ = List.assoc "configgraph.configs" cs in
+      Alcotest.check verdict "mixer verdict" Fair_semantics.No_consensus
+        (Verdict_oracle.verdict p v);
+      Alcotest.check verdict "lazy verdict agrees" Fair_semantics.No_consensus
+        vl;
+      if lazy_ >= full then
         Alcotest.failf
-          "lazy path explored %d configs, eager %d: no early stop" lazy_ eager)
+          "lazy path explored %d configs, the full graph has %d: no early stop"
+          lazy_ full)
 
 (* -- property tests ------------------------------------------------------- *)
 
@@ -270,14 +269,14 @@ let eta_invariance_prop =
             Fair_semantics.decide p [| i |] = Verdict_oracle.verdict p [| i |])
           (Fair_semantics.valid_inputs_single p ~max:6)
         && List.for_all
-             (fun (incremental, stable) ->
+             (fun stable ->
                match
-                 Eta_search.find ~incremental ~stable ~jobs:2 p
-                   ~max_configs:60_000 ~max_input:6
+                 Eta_search.find ~stable ~jobs:2 p ~max_configs:60_000
+                   ~max_input:6
                with
                | r -> r = reference
                | exception Configgraph.Too_many_configs _ -> false)
-             [ (false, `Off); (true, `Memo); (true, `Per_input) ]
+             [ `Memo; `Per_input ]
       | exception Configgraph.Too_many_configs _ -> true)
 
 (* -- budget and fault behaviour ------------------------------------------- *)
