@@ -58,7 +58,7 @@ let run_worker (host, port) chaos_kill chaos_net heartbeat_timeout =
     Printf.eprintf "bbsearch: worker: %s\n" e;
     1
 
-let run n max_input sample seed jobs chunk schedule no_prune eta_budget
+let run n max_input sample seed jobs chunk schedule eta_budget
     checkpoint ckpt_chunks ckpt_secs resume on_error print_best workers serve
     connect chaos_kill chaos_worker chaos_net heartbeat_timeout () =
   match connect with
@@ -80,8 +80,7 @@ let run n max_input sample seed jobs chunk schedule no_prune eta_budget
             let pjobs = if workers > 0 then workers else jobs in
             let plan =
               Busy_beaver.plan ?sample ~jobs:pjobs ~chunk ~schedule
-                ~prune:(not no_prune) ?eta_budget_s:eta_budget ~max_input ~n
-                ()
+                ?eta_budget_s:eta_budget ~max_input ~n ()
             in
             let serve_fd =
               Option.map (fun port -> Distributed_scan.listen ~port ()) serve
@@ -119,7 +118,7 @@ let run n max_input sample seed jobs chunk schedule no_prune eta_budget
           end
           else
             Busy_beaver.scan ?sample ~jobs ~chunk ~schedule
-              ~prune:(not no_prune) ?eta_budget_s:eta_budget ?checkpoint
+              ?eta_budget_s:eta_budget ?checkpoint
               ~checkpoint_every_chunks:ckpt_chunks ~checkpoint_every_s:ckpt_secs
               ~resume ~on_task_error:on_error ~max_input ~n ())
     with
@@ -209,12 +208,6 @@ let schedule_arg =
                1, cutting the straggler tail; the chunk partition — and so \
                the checkpoint fingerprint — then depends on the worker \
                count). Aggregates are byte-identical either way.")
-
-let no_prune_arg =
-  Arg.(value & flag & info [ "no-prune" ]
-         ~doc:"Disable symmetry pruning (scan every code instead of one \
-               canonical representative per state-relabelling orbit). \
-               The aggregate result is identical either way.")
 
 let eta_budget_arg =
   Arg.(value & opt (some float) None & info [ "eta-budget" ] ~docv:"S"
@@ -356,7 +349,7 @@ let cmd =
   Cmd.v (Cmd.info "bbsearch" ~doc:"Busy-beaver search over small protocols")
     Term.(
       const run $ n_arg $ max_input_arg $ sample_arg $ seed_arg $ jobs_arg
-      $ chunk_arg $ schedule_arg $ no_prune_arg $ eta_budget_arg
+      $ chunk_arg $ schedule_arg $ eta_budget_arg
       $ checkpoint_arg $ ckpt_chunks_arg $ ckpt_secs_arg $ resume_arg
       $ on_error_arg $ best_arg $ workers_arg $ serve_arg $ connect_arg
       $ chaos_kill_arg $ chaos_worker_arg $ chaos_net_arg

@@ -16,81 +16,10 @@
 let hist_len = 48
 let stale_after_s = 10.0
 
-type frow = {
-  f_worker : string;
-  f_host : string;
-  f_pid : int;
-  f_last_seen_s : float;
-  f_offset_s : float;
-  f_chunks : int;
-  f_leased : int;
-  f_events : int;
-}
-
-type sample = {
-  elapsed_s : float;
-  snap : Obs.Metrics.snapshot;
-  workers : frow list;
-}
-
-let jnumber = function
-  | Some (Obs.Json.Float f) -> f
-  | Some (Obs.Json.Int i) -> float_of_int i
-  | _ -> 0.0
-
-let jint = function Some (Obs.Json.Int i) -> i | _ -> 0
-
-let jstring = function Some (Obs.Json.String s) -> s | _ -> ""
-
-let frow_of_json = function
-  | Obs.Json.Obj f ->
-    let g k = List.assoc_opt k f in
-    Some
-      {
-        f_worker = jstring (g "worker");
-        f_host = jstring (g "host");
-        f_pid = jint (g "pid");
-        f_last_seen_s = jnumber (g "last_seen_s");
-        f_offset_s = jnumber (g "offset_s");
-        f_chunks = jint (g "chunks_done");
-        f_leased = jint (g "leased");
-        f_events = jint (g "events");
-      }
-  | _ -> None
-
 let read_snapshot path =
-  let ( let* ) = Result.bind in
-  let* contents =
-    try Ok (In_channel.with_open_text path In_channel.input_all)
-    with Sys_error e -> Error e
-  in
-  let* json = Obs.Json.parse contents in
-  match json with
-  | Obs.Json.Obj fields ->
-    let* () =
-      match List.assoc_opt "schema" fields with
-      | Some (Obs.Json.String s) when s = Obs.Export.schema -> Ok ()
-      | Some (Obs.Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
-      | _ -> Error "no \"schema\" field (is this a ppmetrics file?)"
-    in
-    let elapsed_s = jnumber (List.assoc_opt "elapsed_s" fields) in
-    let meta =
-      Option.bind
-        (List.assoc_opt "meta" fields)
-        (fun j -> Result.to_option (Obs.Run_meta.of_json j))
-    in
-    let* workers =
-      match List.assoc_opt "workers" fields with
-      | Some (Obs.Json.List items) -> Ok (List.filter_map frow_of_json items)
-      | _ -> Error "no \"workers\" list"
-    in
-    let* snap =
-      match List.assoc_opt "metrics" fields with
-      | Some m -> Obs.Metrics.of_json_value m
-      | None -> Error "no \"metrics\" field (is this a ppmetrics file?)"
-    in
-    Ok (meta, { elapsed_s; snap; workers })
-  | _ -> Error "not a JSON object (is this a ppmetrics file?)"
+  match In_channel.with_open_text path In_channel.input_all with
+  | contents -> Result.bind (Obs.Json.parse contents) Obs.Export.snapshot_of_json
+  | exception Sys_error e -> Error e
 
 (* per-metric series of recent values (gauges) or rates (counters),
    oldest first, capped at [hist_len] *)
@@ -115,35 +44,38 @@ let number f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.3f" f
 
-let render_fleet buf ~prev ~cur ~dt =
+let render_fleet buf ~(prev : Obs.Export.snapshot option)
+    ~(cur : Obs.Export.snapshot) ~dt =
   Printf.bprintf buf "\n%-24s %-12s %7s %8s %7s %7s %9s %6s  %s\n" "WORKER"
     "host" "chunks" "chunks/s" "leased" "events" "offset" "seen" "";
   List.iter
-    (fun w ->
+    (fun (w : Obs.Export.fleet_worker) ->
       let rate =
         match
           ( dt,
             Option.bind prev (fun p ->
-                List.find_opt (fun x -> x.f_worker = w.f_worker) p.workers) )
+                List.find_opt (fun x -> x.Obs.Export.fw_worker = w.fw_worker)
+                  p.fleet) )
         with
-        | Some dt, Some p -> float_of_int (w.f_chunks - p.f_chunks) /. dt
+        | Some dt, Some p ->
+          float_of_int (w.fw_chunks_done - p.fw_chunks_done) /. dt
         | _ -> 0.0
       in
-      let key = "worker:" ^ w.f_worker in
+      let key = "worker:" ^ w.fw_worker in
       push key rate;
       let seen =
-        if w.f_last_seen_s > stale_after_s then
-          Printf.sprintf "%.0fs!" w.f_last_seen_s
-        else Printf.sprintf "%.0fs" w.f_last_seen_s
+        if w.fw_last_seen_s > stale_after_s then
+          Printf.sprintf "%.0fs!" w.fw_last_seen_s
+        else Printf.sprintf "%.0fs" w.fw_last_seen_s
       in
       Printf.bprintf buf "%-24s %-12s %7d %8s %7d %7d %8.1gs %6s  %s\n"
-        (fit 24 w.f_worker) (fit 12 w.f_host) w.f_chunks (number rate)
-        w.f_leased w.f_events w.f_offset_s seen (spark key))
-    cur.workers;
+        (fit 24 w.fw_worker) (fit 12 w.fw_host) w.fw_chunks_done (number rate)
+        w.fw_leased w.fw_events w.fw_offset_s seen (spark key))
+    cur.fleet;
   (* recovery counters, shown only once something went wrong: a clean
      run keeps the fleet view clean *)
   let v name =
-    match List.assoc_opt name cur.snap with
+    match List.assoc_opt name cur.metrics with
     | Some (Obs.Metrics.Counter n) -> float_of_int n
     | Some (Obs.Metrics.Gauge g) -> g
     | Some _ | None -> 0.0
@@ -158,10 +90,11 @@ let render_fleet buf ~prev ~cur ~dt =
        corrupt frames\n"
       (number restarts) (number rejoins) (number expired) (number corrupt)
 
-let render ~path ~meta ~prev ~cur ~filters =
+let render ~path ~(prev : Obs.Export.snapshot option)
+    ~(cur : Obs.Export.snapshot) ~filters =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "pptop — %s   elapsed %.1fs%s\n" path cur.elapsed_s
-    (match meta with
+    (match cur.meta with
      | Some m ->
        Printf.sprintf "   [%s@%s jobs=%d]" m.Obs.Run_meta.git_rev
          m.Obs.Run_meta.hostname m.Obs.Run_meta.jobs
@@ -171,15 +104,15 @@ let render ~path ~meta ~prev ~cur ~filters =
     | Some p when cur.elapsed_s > p.elapsed_s -> Some (cur.elapsed_s -. p.elapsed_s)
     | _ -> None
   in
-  if cur.workers <> [] then render_fleet buf ~prev ~cur ~dt;
+  if cur.fleet <> [] then render_fleet buf ~prev ~cur ~dt;
   let prev_value name =
-    Option.bind prev (fun p -> List.assoc_opt name p.snap)
+    Option.bind prev (fun p -> List.assoc_opt name p.metrics)
   in
   let keep name =
     filters = [] || List.exists (fun f -> String.starts_with ~prefix:f name) filters
   in
   let entries =
-    List.filter (fun (name, _) -> keep name) cur.snap
+    List.filter (fun (name, _) -> keep name) cur.metrics
     |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let counters, gauges, hists =
@@ -259,8 +192,8 @@ let run path interval once filters =
         Unix.sleepf interval;
         loop prev (waited + 1)
       end
-    | Ok (meta, cur) ->
-      let frame = render ~path ~meta ~prev ~cur ~filters in
+    | Ok cur ->
+      let frame = render ~path ~prev ~cur ~filters in
       if once then begin
         print_string frame;
         0

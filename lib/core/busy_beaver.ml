@@ -311,49 +311,22 @@ let partial_to_json part =
     ]
 
 let partial_of_json j =
-  let open Obs.Json in
-  match j with
-  | Obj fields ->
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Int n) -> Ok n
-      | _ -> Error (Printf.sprintf "chunk state: missing int field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let* scanned = int "scanned" in
-    let* threshold = int "threshold" in
-    let* reject_all = int "reject_all" in
-    let* aborted = int "aborted" in
-    let* best_eta = int "best_eta" in
-    let part = fresh_partial () in
-    part.p_scanned <- scanned;
-    part.p_threshold <- threshold;
-    part.p_reject_all <- reject_all;
-    part.p_aborted <- aborted;
-    part.p_best_eta <- best_eta;
-    let* () =
-      match List.assoc_opt "best_code" fields with
-      | Some Null | None -> Ok ()
-      | Some (List [ Int a; Int o ]) ->
-        part.p_best_code <- Some (a, o);
-        Ok ()
-      | Some _ -> Error "chunk state: malformed best_code"
-    in
-    (match List.assoc_opt "hist" fields with
-     | Some (List entries) ->
-       List.fold_left
-         (fun acc entry ->
-           let* () = acc in
-           match entry with
-           | List [ Int eta; Int count ] ->
-             Hashtbl.replace part.p_hist eta count;
-             Ok ()
-           | _ -> Error "chunk state: malformed hist entry")
-         (Ok ()) entries
-       |> Result.map (fun () -> part)
-     | None -> Ok part
-     | Some _ -> Error "chunk state: malformed hist")
-  | _ -> Error "chunk state: object expected"
+  let open Obs.Json.Decode in
+  Result.map_error (( ^ ) "chunk state: ")
+    (let* p_scanned = field "scanned" int j in
+     let* p_threshold = field "threshold" int j in
+     let* p_reject_all = field "reject_all" int j in
+     let* p_aborted = field "aborted" int j in
+     let* p_best_eta = field "best_eta" int j in
+     let* p_best_code = field_opt "best_code" (pair int int) j in
+     let* hist = field_opt "hist" (list (pair int int)) j in
+     let p_hist = Hashtbl.create 8 in
+     List.iter
+       (fun (eta, n) -> Hashtbl.replace p_hist eta n)
+       (Option.value ~default:[] hist);
+     Ok
+       { p_scanned; p_threshold; p_reject_all; p_aborted; p_best_eta;
+         p_best_code; p_hist })
 
 (* ------------------------------------------------------------- plans *)
 
@@ -473,74 +446,49 @@ let plan_config plan =
      | `Fixed -> []
      | `Guided -> [ ("schedule", String "guided"); ("jobs", Int plan.pl_jobs) ])
 
-let plan_of_config json =
-  let open Obs.Json in
-  match json with
-  | Obj fields ->
-    let ( let* ) = Result.bind in
-    let int k =
-      match List.assoc_opt k fields with
-      | Some (Int n) -> Ok n
-      | _ -> Error (Printf.sprintf "scan config: missing int field %S" k)
-    in
-    let bool k =
-      match List.assoc_opt k fields with
-      | Some (Bool b) -> Ok b
-      | _ -> Error (Printf.sprintf "scan config: missing bool field %S" k)
-    in
-    let* () =
-      match List.assoc_opt "workload" fields with
-      | Some (String "bbsearch") -> Ok ()
-      | _ -> Error "scan config: not a bbsearch configuration"
-    in
-    let* n = int "n" in
-    if n < 1 || n > 4 then Error "scan config: 1 <= n <= 4"
-    else
-      let* max_input = int "max_input" in
-      let* max_configs = int "max_configs" in
-      let* eta_budget_s =
-        match List.assoc_opt "eta_budget_s" fields with
-        | Some Null | None -> Ok None
-        | Some (Float s) -> Ok (Some s)
-        | Some (Int s) -> Ok (Some (float_of_int s))
-        | Some _ -> Error "scan config: malformed eta_budget_s"
-      in
-      let* prune = bool "prune" in
-      let* chunk = int "chunk" in
-      let* sample =
-        match List.assoc_opt "sample" fields with
-        | Some Null | None -> Ok None
-        | Some (List [ Int count; Int seed ]) -> Ok (Some (count, seed))
-        | Some _ -> Error "scan config: malformed sample"
-      in
-      let* schedule, jobs =
-        match List.assoc_opt "schedule" fields with
-        | None -> Ok (`Fixed, 1)
-        | Some (String "guided") ->
-          let* jobs = int "jobs" in
-          Ok (`Guided, jobs)
-        | Some _ -> Error "scan config: malformed schedule"
-      in
-      let* total = int "total" in
-      (* the total is checked before [plan] allocates anything sized by
-         it: a sample count comes from outside bytes *)
-      let space =
-        match sample with
-        | Some (count, _) -> count
-        | None -> num_deterministic_protocols n
-      in
-      if total <> space then
-        Error
-          (Printf.sprintf "scan config: total %d does not match the space (%d)"
-             total space)
-      else (
-        match
-          plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
-            ?eta_budget_s ?sample ~n ()
-        with
-        | p -> Ok p
-        | exception Invalid_argument e -> Error ("scan config: " ^ e))
-  | _ -> Error "scan config: object expected"
+let plan_of_config j =
+  let open Obs.Json.Decode in
+  Result.map_error (( ^ ) "scan config: ")
+    (let* () =
+       match field "workload" string j with
+       | Ok "bbsearch" -> Ok ()
+       | _ -> Error "not a bbsearch configuration"
+     in
+     let* n = field "n" int j in
+     if n < 1 || n > 4 then Error "1 <= n <= 4"
+     else
+       let* max_input = field "max_input" int j in
+       let* max_configs = field "max_configs" int j in
+       let* eta_budget_s = field_opt "eta_budget_s" number j in
+       let* prune = field "prune" bool j in
+       let* chunk = field "chunk" int j in
+       let* sample = field_opt "sample" (pair int int) j in
+       let* schedule = field_opt "schedule" string j in
+       let* schedule, jobs =
+         match schedule with
+         | None -> Ok (`Fixed, 1)
+         | Some "guided" ->
+           Result.map (fun jobs -> (`Guided, jobs)) (field "jobs" int j)
+         | Some s -> Error (Printf.sprintf "unknown schedule %S" s)
+       in
+       let* total = field "total" int j in
+       (* the total is checked before [plan] allocates anything sized by
+          it: a sample count comes from outside bytes *)
+       let space =
+         match sample with
+         | Some (count, _) -> count
+         | None -> num_deterministic_protocols n
+       in
+       if total <> space then
+         Error
+           (Printf.sprintf "total %d does not match the space (%d)" total space)
+       else
+         match
+           plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
+             ?eta_budget_s ?sample ~n ()
+         with
+         | p -> Ok p
+         | exception Invalid_argument e -> Error e)
 
 (* ------------------------------------------------------ chunk running *)
 

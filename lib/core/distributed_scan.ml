@@ -6,6 +6,7 @@ let worker_runner config =
     Ok
       {
         Dist.Worker.scan = Busy_beaver.scan_chunk plan;
+        chunks = Busy_beaver.plan_chunks plan;
         range = Some (Busy_beaver.plan_chunk_range plan);
       }
   | Error e -> Error e

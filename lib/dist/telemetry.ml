@@ -127,11 +127,6 @@ let offset t ~worker =
 
 (* ------------------------------------------------- event realignment *)
 
-let number = function
-  | Some (Obs.Json.Float f) -> Some f
-  | Some (Obs.Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 (* Rewrite one forwarded ppevents line into the receiving sink's time
    basis and tag it with its origin. [offset_s]/[origin_s] come from
    the sender ([worker absolute ts = origin_s + ts_s], then + offset to
@@ -142,10 +137,10 @@ let number = function
 let align_line ~offset_s ~origin_s ~sink_origin_s ~tags line =
   match Obs.Json.parse line with
   | Error _ -> None
-  | Ok (Obs.Json.Obj fields) ->
+  | Ok (Obs.Json.Obj fields as j) ->
     if List.mem_assoc "schema" fields then None
     else
-      let ts = Option.value ~default:0.0 (number (List.assoc_opt "ts_s" fields)) in
+      let ts = Obs.Json.Decode.(field_or "ts_s" number ~default:0.0 j) in
       let ts' = ts +. origin_s +. offset_s -. sink_origin_s in
       let fields =
         List.map

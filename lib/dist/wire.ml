@@ -81,82 +81,45 @@ let to_json msg =
   | Shutdown -> Obj [ ("msg", String "shutdown") ]
 
 let of_json j =
-  let open Obs.Json in
-  let field name fields = List.assoc_opt name fields in
-  let str name fields =
-    match field name fields with
-    | Some (String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
-  let int name fields =
-    match field name fields with
-    | Some (Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "missing int field %S" name)
-  in
-  let float name fields =
-    match field name fields with
-    | Some (Float f) -> Ok f
-    | Some (Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing float field %S" name)
-  in
-  let bool name fields =
-    match field name fields with
-    | Some (Bool b) -> Ok b
-    | _ -> Error (Printf.sprintf "missing bool field %S" name)
-  in
-  let json name fields =
-    match field name fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let strings name fields =
-    let string = function String s -> Some s | _ -> None in
-    match field name fields with
-    | Some (List items) when Stdlib.List.for_all (fun i -> string i <> None) items
-      ->
-        Ok (Stdlib.List.filter_map string items)
-    | _ -> Error (Printf.sprintf "missing string list field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  match j with
-  | Obj fields -> (
-      let* kind = str "msg" fields in
-      match kind with
-      | "hello" ->
-          let* worker = str "worker" fields in
-          let* pid = int "pid" fields in
-          let* host = str "host" fields in
-          let* sent_s = float "sent_s" fields in
-          Ok (Hello { worker; pid; host; sent_s })
-      | "welcome" ->
-          let* config = json "config" fields in
-          let* config_hash = str "config_hash" fields in
-          let* epoch = int "epoch" fields in
-          let* total_chunks = int "total_chunks" fields in
-          let* telemetry = bool "telemetry" fields in
-          Ok (Welcome { config; config_hash; epoch; total_chunks; telemetry })
-      | "grant" ->
-          let* lo_chunk = int "lo_chunk" fields in
-          let* hi_chunk = int "hi_chunk" fields in
-          let* epoch = int "epoch" fields in
-          Ok (Grant { lo_chunk; hi_chunk; epoch })
-      | "result" ->
-          let* chunk = int "chunk" fields in
-          let* epoch = int "epoch" fields in
-          let* state = json "state" fields in
-          Ok (Result { chunk; epoch; state })
-      | "heartbeat" ->
-          let* worker = str "worker" fields in
-          let* sent_s = float "sent_s" fields in
-          Ok (Heartbeat { worker; sent_s; metrics = field "metrics" fields })
-      | "events" ->
-          let* worker = str "worker" fields in
-          let* origin_s = float "origin_s" fields in
-          let* lines = strings "lines" fields in
-          Ok (Events { worker; origin_s; lines })
-      | "shutdown" -> Ok Shutdown
-      | k -> Error (Printf.sprintf "unknown message kind %S" k))
-  | _ -> Error "message is not a JSON object"
+  let open Obs.Json.Decode in
+  let any = Result.ok in
+  let* kind = field "msg" string j in
+  match kind with
+  | "hello" ->
+      let* worker = field "worker" string j in
+      let* pid = field "pid" int j in
+      let* host = field "host" string j in
+      let* sent_s = field "sent_s" number j in
+      Ok (Hello { worker; pid; host; sent_s })
+  | "welcome" ->
+      let* config = field "config" any j in
+      let* config_hash = field "config_hash" string j in
+      let* epoch = field "epoch" int j in
+      let* total_chunks = field "total_chunks" int j in
+      let* telemetry = field "telemetry" bool j in
+      Ok (Welcome { config; config_hash; epoch; total_chunks; telemetry })
+  | "grant" ->
+      let* lo_chunk = field "lo_chunk" int j in
+      let* hi_chunk = field "hi_chunk" int j in
+      let* epoch = field "epoch" int j in
+      Ok (Grant { lo_chunk; hi_chunk; epoch })
+  | "result" ->
+      let* chunk = field "chunk" int j in
+      let* epoch = field "epoch" int j in
+      let* state = field "state" any j in
+      Ok (Result { chunk; epoch; state })
+  | "heartbeat" ->
+      let* worker = field "worker" string j in
+      let* sent_s = field "sent_s" number j in
+      let* metrics = field_opt "metrics" any j in
+      Ok (Heartbeat { worker; sent_s; metrics })
+  | "events" ->
+      let* worker = field "worker" string j in
+      let* origin_s = field "origin_s" number j in
+      let* lines = field "lines" (list string) j in
+      Ok (Events { worker; origin_s; lines })
+  | "shutdown" -> Ok Shutdown
+  | k -> Error (Printf.sprintf "unknown message kind %S" k)
 
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the frame
    checksum of ppdist/v3. Table-driven; crc32 "123456789" = 0xCBF43926. *)

@@ -2,6 +2,7 @@ let now_s () = Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
 type chunk_runner = {
   scan : int -> Obs.Json.t;
+  chunks : int;
   range : (int -> int * int) option;
 }
 
@@ -107,8 +108,8 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
   let rec await_welcome retries =
     match Wire.recv_within rd ~timeout_s:welcome_timeout with
     | `Eof -> Error "coordinator closed the connection before Welcome"
-    | `Msg (Wire.Welcome { config; config_hash; telemetry; _ }) ->
-        Ok (config, config_hash, telemetry)
+    | `Msg (Wire.Welcome { config; config_hash; telemetry; total_chunks; _ }) ->
+        Ok (config, config_hash, telemetry, total_chunks)
     | `Msg Wire.Shutdown -> Error "coordinator shut down before Welcome"
     | `Msg (Wire.Grant _ | Wire.Heartbeat _ | Wire.Events _) ->
         (* traffic before the Welcome means the Welcome frame itself
@@ -128,11 +129,15 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
     send (hello ());
     match await_welcome hello_retries with
     | Error e -> Error e
-    | Ok (config, config_hash, telemetry) -> (
+    | Ok (config, config_hash, telemetry, total_chunks) -> (
         on_welcome ~config_hash;
         if telemetry then start_telemetry ();
         match runner config with
         | Error e -> Error (Printf.sprintf "rejected coordinator config: %s" e)
+        | Ok cr when cr.chunks <> total_chunks ->
+            Error
+              (Printf.sprintf "Welcome announces %d chunks, its config plans %d"
+                 total_chunks cr.chunks)
         | Ok cr ->
             let rec loop () =
               (* waking every half-beat keeps heartbeats flowing while
@@ -151,6 +156,16 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
                    with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
                   Ok ()
               | `Msg (Wire.Grant { lo_chunk; hi_chunk; epoch }) ->
+                  (* as a Result outside the plan is to the coordinator *)
+                  if
+                    lo_chunk < hi_chunk
+                    && (lo_chunk < 0 || hi_chunk > cr.chunks)
+                  then
+                    raise
+                      (Wire.Protocol_error
+                         (Printf.sprintf "granted chunk %d out of range"
+                            (if lo_chunk < 0 then lo_chunk
+                             else max lo_chunk cr.chunks)));
                   for chunk = lo_chunk to hi_chunk - 1 do
                     beat ();
                     let state =

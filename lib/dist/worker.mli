@@ -31,6 +31,10 @@
 
 type chunk_runner = {
   scan : int -> Obs.Json.t;  (** chunk index -> serialised accumulator *)
+  chunks : int;
+      (** the plan's chunk count: a Welcome announcing another count is
+          refused, and a Grant reaching outside [0, chunks) is a
+          {!Wire.Protocol_error} naming the chunk *)
   range : (int -> int * int) option;
       (** chunk index -> its [lo, hi) code range, used only to size
           [worker.chunk] telemetry records; [None] drops the lo/hi

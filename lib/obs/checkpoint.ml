@@ -174,82 +174,52 @@ let to_json t =
       ("leases", Json.List leases);
     ]
 
-let of_json = function
-  | Json.Obj fields ->
-    let ( let* ) = Result.bind in
-    let* () =
-      match List.assoc_opt "schema" fields with
-      | Some (Json.String s) when s = schema -> Ok ()
-      | Some (Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
-      | _ -> Error "missing \"schema\" field"
+let of_json j =
+  let module D = Json.Decode in
+  let ( let* ) = Result.bind in
+  let in_range what ~hi i =
+    if i >= 0 && i <= hi then Ok i
+    else Error (Printf.sprintf "%s %d out of range" what i)
+  in
+  let* () = D.schema schema j in
+  let* config_hash = D.field "config_hash" D.string j in
+  let* config = D.field "config" Result.ok j in
+  (* the count sizes the arrays below: it comes from outside bytes *)
+  let* total_chunks =
+    Result.bind (D.field "total_chunks" D.int j)
+      (in_range "total_chunks" ~hi:Sys.max_array_length)
+  in
+  let entry what index value e =
+    let* i =
+      Result.bind (D.field index D.int e) (in_range what ~hi:(total_chunks - 1))
     in
-    let* config_hash =
-      match List.assoc_opt "config_hash" fields with
-      | Some (Json.String h) -> Ok h
-      | _ -> Error "missing \"config_hash\" field"
-    in
-    let* config =
-      match List.assoc_opt "config" fields with
-      | Some j -> Ok j
-      | None -> Error "missing \"config\" field"
-    in
-    let* total_chunks =
-      match List.assoc_opt "total_chunks" fields with
-      | Some (Json.Int n) when n >= 0 && n <= Sys.max_array_length -> Ok n
-      | Some (Json.Int n) ->
-        Error (Printf.sprintf "total_chunks %d out of range" n)
-      | _ -> Error "missing \"total_chunks\" field"
-    in
-    let state = Array.make total_chunks None in
-    let* () =
-      match List.assoc_opt "chunks" fields with
-      | Some (Json.List l) ->
-        let rec go = function
-          | [] -> Ok ()
-          | Json.Obj cf :: rest ->
-            (match (List.assoc_opt "index" cf, List.assoc_opt "state" cf) with
-             | Some (Json.Int i), Some s when i >= 0 && i < total_chunks ->
-               state.(i) <- Some s;
-               go rest
-             | Some (Json.Int i), Some _ ->
-               Error (Printf.sprintf "chunk index %d out of range" i)
-             | _ -> Error "chunk entry needs \"index\" and \"state\"")
-          | _ :: _ -> Error "chunk entry must be an object"
-        in
-        go l
-      | _ -> Error "missing \"chunks\" list"
-    in
-    let* epoch =
-      match List.assoc_opt "epoch" fields with
-      | Some (Json.Int e) when e >= 0 -> Ok e
-      | _ -> Error "missing \"epoch\" field"
-    in
-    let leases = Array.make total_chunks None in
-    let* () =
-      match List.assoc_opt "leases" fields with
-      | Some (Json.List l) ->
-        let rec go = function
-          | [] -> Ok ()
-          | Json.Obj lf :: rest ->
-            (match
-               ( List.assoc_opt "chunk" lf,
-                 List.assoc_opt "holder" lf,
-                 List.assoc_opt "epoch" lf )
-             with
-             | Some (Json.Int i), Some (Json.String holder), Some (Json.Int e)
-               when i >= 0 && i < total_chunks ->
-               leases.(i) <- Some { holder; lease_epoch = e };
-               go rest
-             | Some (Json.Int i), _, _ when i < 0 || i >= total_chunks ->
-               Error (Printf.sprintf "lease chunk %d out of range" i)
-             | _ -> Error "lease entry needs \"chunk\", \"holder\", \"epoch\"")
-          | _ :: _ -> Error "lease entry must be an object"
-        in
-        go l
-      | _ -> Error "missing \"leases\" list"
-    in
-    Ok { config_hash; config; total_chunks; state; epoch; leases }
-  | _ -> Error "checkpoint must be a JSON object"
+    Result.map (fun v -> (i, v)) (value e)
+  in
+  let* chunks =
+    D.field "chunks"
+      (D.list (entry "chunk index" "index" (D.field "state" Result.ok)))
+      j
+  in
+  let* epoch =
+    Result.bind (D.field "epoch" D.int j) (in_range "epoch" ~hi:max_int)
+  in
+  let* leases =
+    D.field "leases"
+      (D.list
+         (entry "lease chunk" "chunk" (fun l ->
+              let* holder = D.field "holder" D.string l in
+              let* lease_epoch = D.field "epoch" D.int l in
+              Ok { holder; lease_epoch })))
+      j
+  in
+  let fill entries =
+    let a = Array.make total_chunks None in
+    List.iter (fun (i, v) -> a.(i) <- Some v) entries;
+    a
+  in
+  Ok
+    { config_hash; config; total_chunks; state = fill chunks; epoch;
+      leases = fill leases }
 
 (* ----------------------------------------------------------------- file *)
 
@@ -266,10 +236,7 @@ let save ~path t =
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | contents ->
-    (match Json.parse contents with
-     | Error e -> Error e
-     | Ok j -> of_json j)
+  | contents -> Result.bind (Json.parse contents) of_json
 
 let open_or_resume ~path ~resume ~config ~total_chunks =
   if resume && Sys.file_exists path then begin

@@ -253,6 +253,44 @@ let snapshot_json ?meta ?(fleet = []) ~elapsed_s s =
         ("workers", Json.List (List.map fleet_worker_json fleet));
       ])
 
+type snapshot = {
+  meta : Run_meta.t option;
+  elapsed_s : float;
+  metrics : Metrics.snapshot;
+  fleet : fleet_worker list;
+}
+
+let fleet_worker_of_json j =
+  let open Json.Decode in
+  let* fw_worker = field "worker" string j in
+  let* fw_host = field "host" string j in
+  let* fw_pid = field "pid" int j in
+  let* fw_last_seen_s = field "last_seen_s" number j in
+  let* fw_offset_s = field "offset_s" number j in
+  let* fw_chunks_done = field "chunks_done" int j in
+  let* fw_leased = field "leased" int j in
+  let* fw_events = field "events" int j in
+  let* fw_metrics = field "metrics" Metrics.of_json_value j in
+  Ok
+    { fw_worker; fw_host; fw_pid; fw_last_seen_s; fw_offset_s; fw_chunks_done;
+      fw_leased; fw_events; fw_metrics }
+
+let snapshot_of_json j =
+  let module D = Json.Decode in
+  let ( let* ) = Result.bind in
+  let* () = D.schema schema j in
+  let* metrics = D.field "metrics" Metrics.of_json_value j in
+  let* fleet = D.field "workers" (D.list fleet_worker_of_json) j in
+  Ok
+    {
+      (* the header only labels the view: a damaged one is shown as
+         absent, not refused *)
+      meta = Result.to_option (D.field "meta" Run_meta.of_json j);
+      elapsed_s = D.field_or "elapsed_s" D.number ~default:0.0 j;
+      metrics;
+      fleet;
+    }
+
 (* -------------------------------------------------------- file output *)
 
 let prom_path path =

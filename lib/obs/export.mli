@@ -70,6 +70,23 @@ val snapshot_json :
 (** The JSON snapshot; [fleet] (default empty) becomes the ["workers"]
     array. *)
 
+type snapshot = {
+  meta : Run_meta.t option;
+  elapsed_s : float;
+  metrics : Metrics.snapshot;
+  fleet : fleet_worker list;  (** the ["workers"] array *)
+}
+(** A decoded {!snapshot_json}. *)
+
+val snapshot_of_json : Json.t -> (snapshot, string) result
+(** Inverse of {!snapshot_json}, for [pptop]. The schema must be
+    {!schema}; ["metrics"] and ["workers"] are required, and every
+    worker row needs every field {!snapshot_json} writes. The header
+    fields only label the view: an absent or malformed ["meta"] reads
+    as [None], an absent or malformed ["elapsed_s"] as 0. Errors name
+    the field (and the metric, for a histogram whose counts do not
+    match its bounds). *)
+
 val prom_path : string -> string
 (** The sibling Prometheus file: [x.json] maps to [x.prom], anything
     else gets [".prom"] appended. *)

@@ -42,17 +42,6 @@ let schema = "ppfleet-report/v1"
 
 (* ------------------------------------------------------- tiny helpers *)
 
-let jstr = function Json.String s -> Some s | _ -> None
-
-let jnum = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let jint = function Json.Int i -> Some i | _ -> None
-
-let fget fields k = List.assoc_opt k fields
-
 let percentile sorted q =
   (* linear interpolation on an already-sorted array *)
   let n = Array.length sorted in
@@ -73,8 +62,9 @@ type acc = {
   hosts : (string, string * int) Hashtbl.t;  (** worker -> host, pid *)
   chunks : (string, int) Hashtbl.t;
   lost : (string, int) Hashtbl.t;
-  grants : (int, float * string) Hashtbl.t;  (** chunk -> grant ts, worker *)
-  lease_lat : (string, float list ref) Hashtbl.t;
+  mutable grants : (int * int * float * string) list;
+      (** newest first: lo, hi (exclusive), grant ts, worker *)
+  lease_lat : (string, float list) Hashtbl.t;
   mutable spans : Trace_stats.span list;
   mutable chron : entry list;
   mutable t_min : float;
@@ -112,63 +102,53 @@ let span_time a ts =
    ["worker"] tag (added by the coordinator's realignment); the
    coordinator's own dist.* records name the subject worker inside
    [data]. *)
-let record_worker fields data =
-  match Option.bind (fget fields "worker") jstr with
-  | Some w -> Some w
-  | None -> Option.bind (Option.bind data (fun d -> fget d "worker")) jstr
+let record_worker j data =
+  let open Json.Decode in
+  match field "worker" string j with
+  | Ok w -> Some w
+  | Error _ -> Result.to_option (field "worker" string data)
 
 let chron a ~ts ~ev detail =
   a.chron <- { c_ts_s = ts; c_ev = ev; c_detail = detail } :: a.chron
 
-let ingest_record a fields =
-  let data =
-    match fget fields "data" with Some (Json.Obj d) -> Some d | _ -> None
-  in
-  let dfield k = Option.bind data (fun d -> fget d k) in
-  let ts = Option.value ~default:0.0 (Option.bind (fget fields "ts_s") jnum) in
+(* An event log is display-only input: a field a record lacks or
+   mistypes reads as its default ("?", 0, ...), or drops the record
+   from the tallies that need it. *)
+let ingest_record a j =
+  let open Json.Decode in
+  let data = field_or "data" Result.ok ~default:Json.Null j in
+  let ts = field_or "ts_s" number ~default:0.0 j in
   span_time a ts;
-  let ev =
-    Option.value ~default:"" (Option.bind (fget fields "ev") jstr)
-  in
-  let worker = record_worker fields data in
+  let worker = record_worker j data in
   (match worker with Some w -> note_worker a w | None -> ());
-  match ev with
+  let who = Option.value ~default:"?" worker in
+  match field_or "ev" string ~default:"" j with
   | "dist.worker_join" -> (
       match worker with
       | None -> ()
       | Some w ->
-          let host =
-            Option.value ~default:"" (Option.bind (dfield "host") jstr)
-          in
-          let pid = Option.value ~default:0 (Option.bind (dfield "pid") jint) in
-          Hashtbl.replace a.hosts w (host, pid);
+          let host = field_or "host" string ~default:"" data in
+          Hashtbl.replace a.hosts w (host, field_or "pid" int ~default:0 data);
           chron a ~ts ~ev:"join"
             (if host = "" then w else Printf.sprintf "%s @ %s" w host))
   | "dist.lease" -> (
-      match
-        ( worker,
-          Option.bind (dfield "lo_chunk") jint,
-          Option.bind (dfield "hi_chunk") jint )
-      with
-      | Some w, Some lo, Some hi ->
-          for chunk = lo to hi - 1 do
-            Hashtbl.replace a.grants chunk (ts, w)
-          done
+      match (worker, field "lo_chunk" int data, field "hi_chunk" int data) with
+      | Some w, Ok lo, Ok hi -> a.grants <- (lo, hi, ts, w) :: a.grants
       | _ -> ())
   | "dist.chunk_done" -> (
-      match (worker, Option.bind (dfield "chunk") jint) with
-      | Some w, Some chunk -> (
-          match Hashtbl.find_opt a.grants chunk with
-          | Some (t_grant, holder) when holder = w && ts >= t_grant ->
-              let r =
-                match Hashtbl.find_opt a.lease_lat w with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.replace a.lease_lat w r;
-                    r
-              in
-              r := (ts -. t_grant) :: !r
+      match (worker, field "chunk" int data) with
+      | Some w, Ok chunk -> (
+          (* the newest grant covering the chunk holds its lease; a
+             range is looked up, never enumerated *)
+          match
+            List.find_opt
+              (fun (lo, hi, _, _) -> lo <= chunk && chunk < hi)
+              a.grants
+          with
+          | Some (_, _, t_grant, holder) when holder = w && ts >= t_grant ->
+              Hashtbl.replace a.lease_lat w
+                ((ts -. t_grant)
+                :: Option.value ~default:[] (Hashtbl.find_opt a.lease_lat w))
           | _ -> ())
       | _ -> ())
   | "dist.worker_lost" ->
@@ -177,75 +157,65 @@ let ingest_record a fields =
           bump a.lost w 1;
           chron a ~ts ~ev:"lost"
             (Printf.sprintf "%s (%s, %d chunks leased)" w
-               (Option.value ~default:"?" (Option.bind (dfield "reason") jstr))
-               (Option.value ~default:0 (Option.bind (dfield "leased") jint)))
+               (field_or "reason" string ~default:"?" data)
+               (field_or "leased" int ~default:0 data))
       | None -> ())
   | "dist.reassign" ->
       let n =
-        match dfield "chunks" with
-        | Some (Json.List l) -> List.length l
-        | _ -> 0
+        List.length (field_or "chunks" (list Result.ok) ~default:[] data)
       in
       chron a ~ts ~ev:"reassign"
-        (Printf.sprintf "%d chunks from %s back to the pool" n
-           (Option.value ~default:"?" worker))
+        (Printf.sprintf "%d chunks from %s back to the pool" n who)
   | "dist.stale_result" ->
       chron a ~ts ~ev:"stale"
         (Printf.sprintf "chunk %d from epoch %d dropped"
-           (Option.value ~default:(-1) (Option.bind (dfield "chunk") jint))
-           (Option.value ~default:(-1) (Option.bind (dfield "result_epoch") jint)))
+           (field_or "chunk" int ~default:(-1) data)
+           (field_or "result_epoch" int ~default:(-1) data))
   | "dist.worker_rejoin" ->
       a.rejoins <- a.rejoins + 1;
       chron a ~ts ~ev:"rejoin"
-        (Printf.sprintf "%s back on a new connection, leases kept"
-           (Option.value ~default:"?" worker))
+        (Printf.sprintf "%s back on a new connection, leases kept" who)
   | "dist.lease_expired" ->
       a.expired <- a.expired + 1;
       chron a ~ts ~ev:"expired"
         (Printf.sprintf "%s silent on %d chunks, reclaimed (still registered)"
-           (Option.value ~default:"?" worker)
-           (Option.value ~default:0 (Option.bind (dfield "leased") jint)))
+           who (field_or "leased" int ~default:0 data))
   | "dist.corrupt_frames" ->
-      let n = Option.value ~default:0 (Option.bind (dfield "n") jint) in
+      let n = field_or "n" int ~default:0 data in
       a.corrupt <- a.corrupt + n;
       chron a ~ts ~ev:"corrupt"
         (Printf.sprintf "%d mangled frame%s from %s skipped by CRC" n
            (if n = 1 then "" else "s")
-           (Option.value ~default:"?" worker))
+           who)
   | "dist.reconnect" ->
       a.reconnects <- a.reconnects + 1;
       chron a ~ts ~ev:"reconnect"
-        (Printf.sprintf "%s redialing (attempt %d): %s"
-           (Option.value ~default:"?" worker)
-           (Option.value ~default:0 (Option.bind (dfield "attempt") jint))
-           (Option.value ~default:"?" (Option.bind (dfield "error") jstr)))
+        (Printf.sprintf "%s redialing (attempt %d): %s" who
+           (field_or "attempt" int ~default:0 data)
+           (field_or "error" string ~default:"?" data))
   | "dist.recovery" ->
-      let epoch = Option.value ~default:1 (Option.bind (dfield "epoch") jint) in
+      let epoch = field_or "epoch" int ~default:1 data in
       a.restarts <- a.restarts + Stdlib.max 0 (epoch - 1);
       chron a ~ts ~ev:"recover"
         (Printf.sprintf
            "ledger adopted at epoch %d: %d/%d chunks done, %d stale leases \
             cleared"
            epoch
-           (Option.value ~default:0 (Option.bind (dfield "done_chunks") jint))
-           (Option.value ~default:0 (Option.bind (dfield "total_chunks") jint))
-           (Option.value ~default:0
-              (Option.bind (dfield "stale_leases_cleared") jint)))
+           (field_or "done_chunks" int ~default:0 data)
+           (field_or "total_chunks" int ~default:0 data)
+           (field_or "stale_leases_cleared" int ~default:0 data))
   | "worker.chunk" -> (
-      match (worker, Option.bind (dfield "chunk") jint) with
-      | Some w, Some chunk ->
+      match (worker, field "chunk" int data) with
+      | Some w, Ok chunk ->
           bump a.chunks w 1;
-          let dur =
-            Option.value ~default:0.0 (Option.bind (dfield "dur_s") jnum)
-          in
+          let dur = field_or "dur_s" number ~default:0.0 data in
           span_time a (ts -. dur);
           a.next_sid <- a.next_sid + 1;
           let args =
             [ ("chunk", string_of_int chunk) ]
             @
-            match (Option.bind (dfield "lo") jint, Option.bind (dfield "hi") jint)
-            with
-            | Some lo, Some hi ->
+            match (field "lo" int data, field "hi" int data) with
+            | Ok lo, Ok hi ->
                 [ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
             | _ -> []
           in
@@ -273,7 +243,7 @@ let analyse ?(source = "<fleet>") lines =
       hosts = Hashtbl.create 8;
       chunks = Hashtbl.create 8;
       lost = Hashtbl.create 8;
-      grants = Hashtbl.create 256;
+      grants = [];
       lease_lat = Hashtbl.create 8;
       spans = [];
       chron = [];
@@ -293,9 +263,9 @@ let analyse ?(source = "<fleet>") lines =
     (fun line ->
       if String.trim line <> "" then
         match Json.parse line with
-        | Ok (Json.Obj fields) when not (List.mem_assoc "schema" fields) ->
+        | Ok (Json.Obj fields as j) when not (List.mem_assoc "schema" fields) ->
             a.total <- a.total + 1;
-            ingest_record a fields
+            ingest_record a j
         | Ok (Json.Obj _) -> () (* header *)
         | Ok _ | Error _ -> a.skipped <- a.skipped + 1)
     lines;
@@ -313,9 +283,8 @@ let analyse ?(source = "<fleet>") lines =
           Option.value ~default:("", 0) (Hashtbl.find_opt a.hosts name)
         in
         let lat =
-          match Hashtbl.find_opt a.lease_lat name with
-          | Some r -> Array.of_list !r
-          | None -> [||]
+          Array.of_list
+            (Option.value ~default:[] (Hashtbl.find_opt a.lease_lat name))
         in
         Array.sort compare lat;
         let d = domain_of tid in

@@ -55,7 +55,10 @@ type report = {
 
 val analyse : ?source:string -> string list -> report
 (** Pure analysis of raw JSONL lines (header and blank lines are
-    skipped silently; malformed lines are counted in [skipped]). *)
+    skipped silently; malformed lines are counted in [skipped]; a field
+    a record lacks or mistypes reads as its default). Lease latency
+    looks each finished chunk up in the granted ranges, so a grant
+    costs one entry whatever its width. *)
 
 val load : string -> (report, string) result
 (** Read and analyse a merged events file. *)

@@ -36,79 +36,29 @@ let run_to_json r =
                r.timings) );
       ])
 
-let float_field fields k =
-  match List.assoc_opt k fields with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int n) -> Ok (float_of_int n)
-  | _ -> Error (Printf.sprintf "missing float field %S" k)
+let section_of_json j =
+  let open Json.Decode in
+  let* id = field "id" string j in
+  let* wall_s = field "wall_s" number j in
+  let* metrics = field "metrics" Metrics.of_json_value j in
+  Ok (id, { wall_s; metrics })
 
-let section_of_json = function
-  | Json.Obj fields ->
-    let ( let* ) = Result.bind in
-    let* id =
-      match List.assoc_opt "id" fields with
-      | Some (Json.String id) -> Ok id
-      | _ -> Error "section: missing string field \"id\""
-    in
-    let* wall_s = float_field fields "wall_s" in
-    let* metrics =
-      match List.assoc_opt "metrics" fields with
-      | Some j -> Metrics.of_json_value j
-      | None -> Error (Printf.sprintf "section %s: missing \"metrics\"" id)
-    in
-    Ok (id, { wall_s; metrics })
-  | _ -> Error "section must be a JSON object"
+let timing_of_json j =
+  let open Json.Decode in
+  let* name = field "name" string j in
+  let* ns = field "ns_per_run" number j in
+  Ok (name, ns)
 
-let timing_of_json = function
-  | Json.Obj fields ->
-    let ( let* ) = Result.bind in
-    let* name =
-      match List.assoc_opt "name" fields with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error "timing: missing string field \"name\""
-    in
-    let* ns = float_field fields "ns_per_run" in
-    Ok (name, ns)
-  | _ -> Error "timing must be a JSON object"
+let run_of_json j =
+  let module D = Json.Decode in
+  let ( let* ) = Result.bind in
+  let* () = D.schema schema j in
+  let* meta = D.field_opt "meta" Run_meta.of_json j in
+  let* sections = D.field "sections" (D.list section_of_json) j in
+  let* timings = D.field_opt "timings" (D.list timing_of_json) j in
+  Ok { meta; sections; timings = Option.value ~default:[] timings }
 
-let rec result_map f = function
-  | [] -> Ok []
-  | x :: rest ->
-    (match f x with
-     | Error _ as e -> e
-     | Ok y ->
-       (match result_map f rest with Ok ys -> Ok (y :: ys) | Error _ as e -> e))
-
-let run_of_json = function
-  | Json.Obj fields ->
-    let ( let* ) = Result.bind in
-    let* () =
-      match List.assoc_opt "schema" fields with
-      | Some (Json.String s) when s = schema -> Ok ()
-      | Some (Json.String s) -> Error (Printf.sprintf "unknown schema %S" s)
-      | _ -> Error "missing \"schema\" field"
-    in
-    let* meta =
-      match List.assoc_opt "meta" fields with
-      | None -> Ok None
-      | Some j -> Result.map Option.some (Run_meta.of_json j)
-    in
-    let* sections =
-      match List.assoc_opt "sections" fields with
-      | Some (Json.List l) -> result_map section_of_json l
-      | _ -> Error "missing \"sections\" list"
-    in
-    let* timings =
-      match List.assoc_opt "timings" fields with
-      | Some (Json.List l) -> result_map timing_of_json l
-      | None -> Ok []
-      | Some _ -> Error "\"timings\" must be a list"
-    in
-    Ok { meta; sections; timings }
-  | _ -> Error "run must be a JSON object"
-
-let parse_run s =
-  match Json.parse s with Error e -> Error e | Ok j -> run_of_json j
+let parse_run s = Result.bind (Json.parse s) run_of_json
 
 let load_file path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -211,3 +211,65 @@ let parse s =
   with
   | v -> Ok v
   | exception Parse_error msg -> Error msg
+
+(* ------------------------------------------------------------ decoder *)
+
+module Decode = struct
+  type 'a decoder = t -> ('a, string) result
+
+  let ( let* ) = Result.bind
+  let int = function Int i -> Ok i | _ -> Error "expected an int"
+
+  let number = function
+    | Float f -> Ok f
+    | Int i -> Ok (float_of_int i)
+    | _ -> Error "expected a number"
+
+  let string = function String s -> Ok s | _ -> Error "expected a string"
+  let bool = function Bool b -> Ok b | _ -> Error "expected a bool"
+
+  let list d = function
+    | List items ->
+      let rec go acc i = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest ->
+          (match d x with
+           | Ok v -> go (v :: acc) (i + 1) rest
+           | Error e -> Error (Printf.sprintf "item %d: %s" i e))
+      in
+      go [] 0 items
+    | _ -> Error "expected a list"
+
+  let pair da db = function
+    | List [ a; b ] ->
+      let* a = da a in
+      let* b = db b in
+      Ok (a, b)
+    | _ -> Error "expected a pair"
+
+  let in_field name d v =
+    match d v with
+    | Ok _ as ok -> ok
+    | Error e -> Error (Printf.sprintf "field %S: %s" name e)
+
+  let field name d = function
+    | Obj fields ->
+      (match List.assoc_opt name fields with
+       | Some v -> in_field name d v
+       | None -> Error (Printf.sprintf "missing field %S" name))
+    | _ -> Error "expected an object"
+
+  let field_opt name d = function
+    | Obj fields ->
+      (match List.assoc_opt name fields with
+       | Some Null | None -> Ok None
+       | Some v -> Result.map Option.some (in_field name d v))
+    | _ -> Error "expected an object"
+
+  let field_or name d ~default j =
+    match field name d j with Ok v -> v | Error _ -> default
+
+  let schema expected j =
+    let* s = field "schema" string j in
+    if s = expected then Ok () else Error (Printf.sprintf "unknown schema %S" s)
+end

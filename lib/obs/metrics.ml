@@ -342,43 +342,31 @@ let json_of_v = function
 let to_json_value s = Json.Obj (List.map (fun (n, v) -> (n, json_of_v v)) s)
 let to_json s = Json.to_string (to_json_value s)
 
-let v_of_json = function
-  | Json.Obj fields ->
-    let field k = List.assoc_opt k fields in
-    (match field "type" with
-     | Some (Json.String "counter") ->
-       (match field "value" with Some (Json.Int n) -> Ok (Counter n) | _ -> Error "counter value")
-     | Some (Json.String "gauge") ->
-       (match field "value" with
-        | Some (Json.Float f) -> Ok (Gauge f)
-        | Some (Json.Int n) -> Ok (Gauge (float_of_int n))
-        | _ -> Error "gauge value")
-     | Some (Json.String "histogram") ->
-       (match (field "bounds", field "counts", field "sum", field "count") with
-        | Some (Json.List bs), Some (Json.List cs), Some sum, Some (Json.Int count) ->
-          let float_of = function
-            | Json.Float f -> Some f
-            | Json.Int n -> Some (float_of_int n)
-            | _ -> None
-          in
-          let int_of = function Json.Int n -> Some n | _ -> None in
-          let bounds = List.map float_of bs and counts = List.map int_of cs in
-          if List.for_all Option.is_some bounds
-             && List.for_all Option.is_some counts
-             && Option.is_some (float_of sum)
-          then
-            Ok
-              (Histogram
-                 {
-                   bounds = Array.of_list (List.filter_map Fun.id bounds);
-                   counts = Array.of_list (List.filter_map Fun.id counts);
-                   sum = Option.get (float_of sum);
-                   count;
-                 })
-          else Error "histogram fields"
-        | _ -> Error "histogram fields")
-     | _ -> Error "unknown metric type")
-  | _ -> Error "metric must be an object"
+let v_of_json j =
+  let open Json.Decode in
+  let* kind = field "type" string j in
+  match kind with
+  | "counter" -> Result.map (fun n -> Counter n) (field "value" int j)
+  | "gauge" -> Result.map (fun f -> Gauge f) (field "value" number j)
+  | "histogram" ->
+    let* bounds = field "bounds" (list number) j in
+    let* counts = field "counts" (list int) j in
+    let* sum = field "sum" number j in
+    let* count = field "count" int j in
+    (* every reader indexes counts by bucket: one per bound plus +inf *)
+    let nb = List.length bounds and nc = List.length counts in
+    if nc <> nb + 1 then
+      Error (Printf.sprintf "histogram has %d counts for %d bounds" nc nb)
+    else
+      Ok
+        (Histogram
+           {
+             bounds = Array.of_list bounds;
+             counts = Array.of_list counts;
+             sum;
+             count;
+           })
+  | k -> Error (Printf.sprintf "unknown metric type %S" k)
 
 let of_json_value = function
   | Json.Obj fields ->
@@ -392,7 +380,4 @@ let of_json_value = function
     go [] fields
   | _ -> Error "snapshot must be a JSON object"
 
-let of_json s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> of_json_value j
+let of_json s = Result.bind (Json.parse s) of_json_value

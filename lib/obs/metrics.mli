@@ -111,4 +111,7 @@ val of_json_value : Json.t -> (snapshot, string) result
 (** As {!of_json}, from an already-parsed tree. *)
 
 val of_json : string -> (snapshot, string) result
-(** Inverse of [to_json]: [of_json (to_json s) = Ok s]. *)
+(** Inverse of [to_json]: [of_json (to_json s) = Ok s]. Gauges accept
+    ints. A histogram must carry one count per bound plus the [+inf]
+    count, as every reader indexes by bucket; any other shape is an
+    [Error] naming the metric. *)

@@ -97,23 +97,15 @@ let to_json m =
       ("timestamp", Json.String m.timestamp);
     ]
 
-let of_json = function
-  | Json.Obj fields ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error (Printf.sprintf "meta: missing string field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let* git_rev = str "git_rev" in
-    let* hostname = str "hostname" in
-    let* ocaml_version = str "ocaml_version" in
-    let* timestamp = str "timestamp" in
-    (match List.assoc_opt "jobs" fields with
-     | Some (Json.Int jobs) ->
-       Ok { git_rev; hostname; ocaml_version; jobs; timestamp }
-     | _ -> Error "meta: missing int field \"jobs\"")
-  | _ -> Error "meta must be a JSON object"
+let of_json j =
+  let open Json.Decode in
+  Result.map_error (( ^ ) "meta: ")
+    (let* git_rev = field "git_rev" string j in
+     let* hostname = field "hostname" string j in
+     let* ocaml_version = field "ocaml_version" string j in
+     let* timestamp = field "timestamp" string j in
+     let* jobs = field "jobs" int j in
+     Ok { git_rev; hostname; ocaml_version; jobs; timestamp })
 
 let to_text m =
   Printf.sprintf "rev %s · %s · OCaml %s · %d jobs · %s" m.git_rev m.hostname

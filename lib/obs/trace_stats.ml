@@ -63,38 +63,29 @@ type report = {
 
 (* ------------------------------------------------------------- parsing *)
 
-let field name fields = List.assoc_opt name fields
-
-let number = function
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
-
-let int_field name fields =
-  match field name fields with Some (Json.Int i) -> i | _ -> 0
-
-let string_field name fields =
-  match field name fields with Some (Json.String s) -> s | _ -> ""
-
-let span_of_fields fields =
-  let args =
-    match field "args" fields with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with Json.String s -> Some (k, s) | _ -> None)
-        kvs
-    | _ -> []
+(* A trace is display-only input: a field a span lacks or mistypes
+   reads as its default, and the rest of the span still counts. *)
+let span_of_json j =
+  let open Json.Decode in
+  (* args: the string-valued members; the others are not ours *)
+  let string_members = function
+    | Json.Obj kvs ->
+      Ok
+        (List.filter_map
+           (fun (k, v) ->
+             Option.map (fun s -> (k, s)) (Result.to_option (string v)))
+           kvs)
+    | _ -> Error "expected an object"
   in
   {
-    name = string_field "name" fields;
-    cat = string_field "cat" fields;
-    ts_us = Option.value ~default:0.0 (number (field "ts" fields));
-    dur_us = Option.value ~default:0.0 (number (field "dur" fields));
-    tid = int_field "tid" fields;
-    sid = int_field "sid" fields;
-    parent = int_field "parent" fields;
-    args;
+    name = field_or "name" string ~default:"" j;
+    cat = field_or "cat" string ~default:"" j;
+    ts_us = field_or "ts" number ~default:0.0 j;
+    dur_us = field_or "dur" number ~default:0.0 j;
+    tid = field_or "tid" int ~default:0 j;
+    sid = field_or "sid" int ~default:0 j;
+    parent = field_or "parent" int ~default:0 j;
+    args = field_or "args" string_members ~default:[] j;
   }
 
 let spans_of_json = function
@@ -102,12 +93,9 @@ let spans_of_json = function
     let spans = ref [] and instants = ref 0 in
     List.iter
       (fun item ->
-        match item with
-        | Json.Obj fields ->
-          (match field "ph" fields with
-           | Some (Json.String "X") -> spans := span_of_fields fields :: !spans
-           | Some (Json.String "i") -> incr instants
-           | _ -> ())
+        match Json.Decode.field_or "ph" Json.Decode.string ~default:"" item with
+        | "X" -> spans := span_of_json item :: !spans
+        | "i" -> incr instants
         | _ -> ())
       items;
     Ok (List.rev !spans, !instants)
@@ -262,7 +250,9 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
   let total_busy_s = List.fold_left (fun a d -> a +. d.d_busy_s) 0.0 domains in
   let parallelism = if wall_s > 0.0 then total_busy_s /. wall_s else 0.0 in
   (* critical path: the longest root, then repeatedly the longest
-     direct child — the chain an optimiser has to shorten *)
+     direct child — the chain an optimiser has to shorten. Each id's
+     children are taken once, so a span naming itself (or a cycle) as
+     its parent ends the path. *)
   let children = Hashtbl.create (2 * span_count + 1) in
   List.iter
     (fun sp ->
@@ -289,9 +279,9 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
         }
         :: acc
       in
-      match
-        longest (Option.value ~default:[] (Hashtbl.find_opt children sp.sid))
-      with
+      let kids = Option.value ~default:[] (Hashtbl.find_opt children sp.sid) in
+      Hashtbl.remove children sp.sid;
+      match longest kids with
       | Some child -> descend acc child
       | None -> List.rev acc
     in

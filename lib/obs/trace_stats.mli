@@ -84,7 +84,8 @@ type report = {
 
 val spans_of_json : Json.t -> (span list * int, string) result
 (** Extract complete spans (and count instants) from a Chrome
-    trace-event array; unknown event kinds are skipped. *)
+    trace-event array; unknown event kinds are skipped, and a field an
+    event lacks or mistypes reads as its default (0, [""], no args). *)
 
 val analyse :
   ?source:string ->
@@ -93,7 +94,9 @@ val analyse :
   span list * int ->
   report
 (** Pure analysis (deterministic for a given trace). Defaults: 48
-    timeline buckets, straggler factor 2.0. *)
+    timeline buckets, straggler factor 2.0. Span and parent ids come
+    from the file: the critical path expands each id once, so a span
+    that names itself (or a cycle) as its parent ends it. *)
 
 val load : string -> (report, string) result
 (** Read, parse and analyse a trace file. *)

@@ -990,6 +990,23 @@ let align_canonical ~num_workers ~offsets ~assign events =
   in
   List.sort compare (List.map (fun (i, j) -> (ts_of j, i)) aligned)
 
+(* forwarded lines are outside bytes too: any record realigns or is
+   dropped, and what comes out prints *)
+let align_fuzz_props =
+  Fuzz_gen.properties ~record:true ~decoder:"Telemetry.align_line"
+    ~vocab:
+      [ {|"ts_s":0|}; {|"ts_s":-1e308|}; {|"ts_s":1e999|};
+        {|"ts_s":4611686018427387903|}; {|"ts_s":"x"|}; {|"ts_s":null|};
+        {|"schema":"ppevents/v1"|}; {|"ev":"worker.chunk"|};
+        {|"worker":7|}; {|"host":"h"|}; {|"data":{"chunk":-1}|} ]
+    (fun line ->
+      Ok
+        (Option.map Obs.Json.to_string
+           (Dist.Telemetry.align_line ~offset_s:1e308 ~origin_s:(-2.0)
+              ~sink_origin_s:0.5
+              ~tags:[ ("worker", Obs.Json.String "w"); ("wpid", Obs.Json.Int 3) ]
+              line)))
+
 let offset_alignment_prop =
   prop "skewed worker streams align to one monotone, stable timeline"
     ~count:100
@@ -1236,6 +1253,7 @@ let test_worker_cache_resends () =
             (fun i ->
               incr scans;
               Obs.Json.Int i);
+          chunks = 3;
           range = None;
         }
     in
@@ -1249,6 +1267,75 @@ let test_worker_cache_resends () =
     Alcotest.(check int) "each chunk computed exactly once" 3 !scans;
     Alcotest.(check bool) "scripted coordinator satisfied" true
       (status = Unix.WEXITED 0)
+
+(* -- Worker: a Welcome or Grant outside the derived plan is refused ---------- *)
+
+(* A scripted coordinator in a child process answers the worker's Hello
+   with [msgs], then waits for it to hang up; the worker runs the real
+   plan_of_config runner and must return [Error], never raise. *)
+let run_against_script msgs =
+  let coord_fd, worker_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close worker_fd;
+    let rd = Dist.Wire.reader coord_fd in
+    (try
+       ignore (Dist.Wire.recv rd);
+       List.iter (Dist.Wire.send coord_fd) msgs;
+       while Dist.Wire.recv rd <> None do () done
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close coord_fd;
+    let runner config =
+      Result.map
+        (fun plan ->
+          {
+            Dist.Worker.scan = Busy_beaver.scan_chunk plan;
+            chunks = Busy_beaver.plan_chunks plan;
+            range = None;
+          })
+        (Busy_beaver.plan_of_config config)
+    in
+    let res =
+      match
+        Dist.Worker.run ~heartbeat_every:0.2 ~name:"rangetest" ~fd:worker_fd
+          ~runner ()
+      with
+      | r -> r
+      | exception e -> Alcotest.failf "worker raised %s" (Printexc.to_string e)
+    in
+    (try Unix.close worker_fd with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid);
+    res
+
+let test_worker_refuses_outside_plan () =
+  let plan = Busy_beaver.plan ~n:2 () in
+  Alcotest.(check int) "the n = 2 plan has one chunk" 1
+    (Busy_beaver.plan_chunks plan);
+  let welcome total_chunks =
+    Dist.Wire.Welcome
+      {
+        config = Busy_beaver.plan_config plan;
+        config_hash = "h";
+        epoch = 1;
+        total_chunks;
+        telemetry = false;
+      }
+  in
+  (match
+     run_against_script
+       [ welcome 1; Dist.Wire.Grant { lo_chunk = 1; hi_chunk = 2; epoch = 1 } ]
+   with
+   | Error e ->
+     Alcotest.(check bool) ("the error names chunk 1: " ^ e) true
+       (contains e "chunk 1")
+   | Ok () -> Alcotest.fail "a Grant outside the plan was served");
+  match run_against_script [ welcome 7 ] with
+  | Error e ->
+    Alcotest.(check bool) ("the error names the count: " ^ e) true
+      (contains e "7 chunks")
+  | Ok () -> Alcotest.fail "a Welcome with the wrong chunk count was served"
 
 (* -- The tentpole invariant end to end: randomized chaos x kill points -------- *)
 
@@ -1399,7 +1486,8 @@ let () =
             test_align_skips_headers_and_tags;
           Alcotest.test_case "offset estimate is min-filtered" `Quick
             test_offset_min_filter;
-        ] );
+        ]
+        @ align_fuzz_props );
       ( "lease",
         [
           Alcotest.test_case "grants lowest free chunks" `Quick
@@ -1446,6 +1534,8 @@ let () =
             test_fork_telemetry;
           Alcotest.test_case "cached chunk states resend, not redo" `Quick
             test_worker_cache_resends;
+          Alcotest.test_case "Welcome or Grant outside the plan refused" `Quick
+            test_worker_refuses_outside_plan;
         ] );
       ( "chaos-e2e",
         [

@@ -1060,6 +1060,86 @@ let test_trace_report_json_schema () =
          (Float.abs (busy -. self_sum) <= 0.02 *. busy)
      | _ -> Alcotest.fail "report is not a JSON object")
 
+(* Ids and ranges in trace files and event logs come from outside
+   bytes. Two spans sharing an id, one naming itself as its parent,
+   once sent the critical-path descent round a loop forever; a lease
+   over 2^62 chunks once filled a table entry per chunk. *)
+let test_hostile_ids_and_ranges () =
+  let trace =
+    {|[{"ph":"X","name":"a","ts":0,"dur":10,"sid":1,"parent":1},{"ph":"X","name":"b","ts":0,"dur":10,"sid":1}]|}
+  in
+  (match Result.bind (Obs.Json.parse trace) Obs.Trace_stats.spans_of_json with
+   | Error e -> Alcotest.fail e
+   | Ok spans ->
+     let r = Obs.Trace_stats.analyse spans in
+     Alcotest.(check (list string)) "the self-parented span ends the path"
+       [ "b"; "a" ]
+       (List.map (fun p -> p.Obs.Trace_stats.p_name) r.Obs.Trace_stats.critical_path);
+     Alcotest.(check bool) "the report renders" true
+       (String.length (Obs.Trace_stats.to_markdown r) > 0));
+  let r =
+    Obs.Fleet_stats.analyse
+      [
+        {|{"ev":"dist.lease","worker":"w","ts_s":0,"data":{"worker":"w","lo_chunk":0,"hi_chunk":4611686018427387903}}|};
+        {|{"ev":"dist.chunk_done","worker":"w","ts_s":2,"data":{"worker":"w","chunk":4611686018427387000}}|};
+        {|{"ev":"dist.lease","worker":"v","ts_s":3,"data":{"worker":"v","lo_chunk":5,"hi_chunk":7}}|};
+        {|{"ev":"dist.chunk_done","worker":"w","ts_s":4,"data":{"worker":"w","chunk":6}}|};
+        {|{"ev":"dist.chunk_done","worker":"w","ts_s":5,"data":{"worker":"w","chunk":7}}|};
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "lease latency looks chunks up in the newest grant covering them"
+    [ ("w", 2); ("v", 0) ]
+    (List.map
+       (fun w -> (w.Obs.Fleet_stats.w_name, w.Obs.Fleet_stats.w_lease_count))
+       r.Obs.Fleet_stats.workers);
+  Alcotest.(check bool) "the fleet report renders" true
+    (String.length (Obs.Fleet_stats.to_markdown r) > 0)
+
+let trace_fuzz_props =
+  Fuzz_gen.properties
+    ~records:(fun rs -> "[" ^ String.concat "," rs ^ "]")
+    ~decoder:"Trace_stats report"
+    ~vocab:
+      [ {|"ph":"X"|}; {|"ph":"i"|}; {|"ph":7|}; {|"name":"a"|};
+        {|"name":"s.chunk"|}; {|"name":-1|}; {|"ts":0|}; {|"ts":-1e308|};
+        {|"ts":1e999|}; {|"dur":10|}; {|"dur":-5|}; {|"dur":1e308|};
+        {|"tid":-1|}; {|"tid":4611686018427387903|}; {|"sid":0|};
+        {|"sid":1|}; {|"sid":2|}; {|"sid":-4611686018427387904|};
+        {|"parent":1|}; {|"parent":2|}; {|"parent":"1"|};
+        {|"args":{"chunk":"1","lo":"-4611686018427387904","hi":"4611686018427387903"}|};
+        {|"args":{"lo":"5","hi":"1","round":"0"}|}; {|"args":7|} ]
+    (fun s ->
+      Result.map
+        (fun spans ->
+          let r = Obs.Trace_stats.analyse spans in
+          ignore (Obs.Trace_stats.to_markdown r);
+          ignore (Obs.Json.to_string (Obs.Trace_stats.to_json r)))
+        (Result.bind (Obs.Json.parse s) Obs.Trace_stats.spans_of_json))
+
+let fleet_fuzz_props =
+  Fuzz_gen.properties ~records:(String.concat "\n")
+    ~decoder:"Fleet_stats report"
+    ~vocab:
+      [ {|"ev":"dist.lease"|}; {|"ev":"dist.chunk_done"|};
+        {|"ev":"worker.chunk"|}; {|"ev":"dist.worker_join"|};
+        {|"ev":"dist.worker_lost"|}; {|"ev":"dist.reassign"|};
+        {|"ev":"dist.recovery"|}; {|"ev":"dist.corrupt_frames"|};
+        {|"ev":7|}; {|"worker":"w"|}; {|"worker":"v"|}; {|"worker":7|};
+        {|"ts_s":0|}; {|"ts_s":2|}; {|"ts_s":-1e308|}; {|"ts_s":1e999|};
+        {|"schema":"ppevents/v1"|};
+        {|"data":{"worker":"w","lo_chunk":0,"hi_chunk":4611686018427387903}|};
+        {|"data":{"lo_chunk":-4611686018427387904,"hi_chunk":3}|};
+        {|"data":{"lo_chunk":2,"hi_chunk":1}|};
+        {|"data":{"chunk":1,"dur_s":1e308,"lo":-4611686018427387904,"hi":4611686018427387903}|};
+        {|"data":{"chunk":4611686018427387903,"host":"h","pid":-1}|};
+        {|"data":{"epoch":-4611686018427387904,"n":4611686018427387903}|};
+        {|"data":{"chunks":7}|}; {|"data":[]|} ]
+    (fun s ->
+      let r = Obs.Fleet_stats.analyse (String.split_on_char '\n' s) in
+      ignore (Obs.Fleet_stats.to_markdown r);
+      Ok (Obs.Json.to_string (Obs.Fleet_stats.to_json r)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -1113,7 +1193,10 @@ let () =
             test_trace_report_golden;
           Alcotest.test_case "JSON report schema and self-time closure" `Quick
             test_trace_report_json_schema;
-        ] );
+          Alcotest.test_case "hostile ids and ranges still report" `Quick
+            test_hostile_ids_and_ranges;
+        ]
+        @ trace_fuzz_props @ fleet_fuzz_props );
       ( "events",
         [
           Alcotest.test_case "JSONL format and correlation ids" `Quick

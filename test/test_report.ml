@@ -542,6 +542,77 @@ let test_export_periodic () =
   | Ok _ -> Alcotest.fail "snapshot is not an object"
   | Error e -> Alcotest.failf "snapshot does not parse: %s" e
 
+(* -- histogram shape -------------------------------------------------------- *)
+
+(* every reader indexes counts by bucket, one per bound plus +inf: a
+   histogram of another shape is refused by name where it is decoded,
+   not met as an index error in pptop or ppreport *)
+let wrong_shape_histogram =
+  {|{"type":"histogram","bounds":[1.0],"counts":[0,0,5],"sum":5.0,"count":5}|}
+
+let test_histogram_shape_refused () =
+  let names_h = function
+    | Error e -> String.length e >= 2 && String.sub e 0 2 = "h:"
+    | Ok _ -> false
+  in
+  Alcotest.(check bool) "Metrics.of_json names the metric" true
+    (names_h (Obs.Metrics.of_json ({|{"h":|} ^ wrong_shape_histogram ^ "}")));
+  Alcotest.(check bool) "a ledger line carrying it is refused" true
+    (Result.is_error
+       (Obs.History.parse_run
+          ({|{"schema":"ppbench/v2","sections":[{"id":"E1","wall_s":1,"metrics":{"h":|}
+          ^ wrong_shape_histogram ^ "}}]}")));
+  match
+    Result.bind
+      (Obs.Json.parse
+         ({|{"schema":"ppmetrics/v2","elapsed_s":1.0,"metrics":{"h":|}
+         ^ wrong_shape_histogram ^ {|},"workers":[]}|}))
+      Obs.Export.snapshot_of_json
+  with
+  | Error e ->
+    Alcotest.(check string) "so is a pptop snapshot, by name"
+      {|field "metrics": h: histogram has 3 counts for 1 bounds|} e
+  | Ok _ -> Alcotest.fail "a wrong-shape histogram decoded"
+
+(* The fuzzed readers also render and aggregate what they accept: a
+   value that decodes must be safe for everything downstream. *)
+let render_run r =
+  ignore (Obs.Json.to_string (Obs.History.run_to_json r));
+  List.iter
+    (fun (_, s) -> ignore (Obs.Metrics.to_text s.Obs.History.metrics))
+    r.Obs.History.sections;
+  ignore (Obs.History.median_run [ r; r ])
+
+let render_snapshot (s : Obs.Export.snapshot) =
+  ignore
+    (Obs.Json.to_string
+       (Obs.Export.snapshot_json ?meta:s.meta ~fleet:s.fleet
+          ~elapsed_s:s.elapsed_s s.metrics));
+  ignore (Obs.Export.prometheus_of_snapshot ?meta:s.meta ~fleet:s.fleet s.metrics);
+  ignore (Obs.Metrics.to_text s.metrics)
+
+(* -- the committed ledger ------------------------------------------------- *)
+
+(* load_ledger skips what it cannot decode with only a warning, so a
+   stricter decoder could drop committed runs silently: every line must
+   load and re-encode to the same bytes *)
+let test_committed_ledger_loads () =
+  let dir = "../bench/history" in
+  (match Obs.History.load_ledger dir with
+   | Error e -> Alcotest.fail e
+   | Ok (runs, skipped) ->
+     Alcotest.(check int) "five runs" 5 (List.length runs);
+     Alcotest.(check int) "nothing skipped" 0 skipped);
+  In_channel.with_open_text (Obs.History.ledger_file dir) In_channel.input_lines
+  |> List.iteri (fun i line ->
+         match Obs.History.parse_run line with
+         | Error e -> Alcotest.failf "line %d: %s" (i + 1) e
+         | Ok r ->
+           Alcotest.(check string)
+             (Printf.sprintf "line %d re-encodes byte-identically" (i + 1))
+             line
+             (Obs.Json.to_string (Obs.History.run_to_json r)))
+
 let () =
   Alcotest.run "report"
     [
@@ -551,6 +622,8 @@ let () =
           run_bytes_stable_prop;
           meta_roundtrip_prop;
           Alcotest.test_case "Run_meta.collect" `Quick test_run_meta_collect;
+          Alcotest.test_case "histogram shape refused by name" `Quick
+            test_histogram_shape_refused;
         ]
         @ Fuzz_gen.properties ~record:true ~decoder:"History.parse_run"
             ~vocab:
@@ -562,13 +635,35 @@ let () =
                 {|"sections":[{"id":"E1","wall_s":0,"metrics":{"h":{"type":"histogram","bounds":[-1],"counts":[4611686018427387903],"sum":-1,"count":-1}}}]|};
                 {|"sections":[{"id":-1}]|}; {|"timings":[]|};
                 {|"timings":[{"name":"t","ns_per_run":-1}]|};
-                {|"timings":4611686018427387903|} ]
-            Obs.History.parse_run );
+                {|"timings":4611686018427387903|};
+                {|"sections":[{"id":"E1","wall_s":0,"metrics":{"h":|}
+                ^ wrong_shape_histogram ^ "}}]";
+                {|"sections":[{"id":"E2","wall_s":1e999,"metrics":{"h":{"type":"histogram","bounds":[1e999,-1],"counts":[4611686018427387903,-1,1],"sum":1e999,"count":4611686018427387903},"g":{"type":"gauge","value":-1e999}}}]|} ]
+            (fun s -> Result.map render_run (Obs.History.parse_run s))
+        @ Fuzz_gen.properties ~record:true ~decoder:"Export.snapshot_of_json"
+            ~vocab:
+              [ {|"schema":"ppmetrics/v2"|}; {|"schema":"ppmetrics/v1"|};
+                {|"elapsed_s":-1|}; {|"elapsed_s":"x"|}; {|"meta":-1|};
+                {|"meta":{"git_rev":"r","hostname":"h","ocaml_version":"5","timestamp":"t","jobs":-1}|};
+                {|"metrics":{}|}; {|"metrics":[]|};
+                {|"metrics":{"c":{"type":"counter","value":-1}}|};
+                {|"metrics":{"g":{"type":"gauge","value":1e999}}|};
+                {|"metrics":{"h":|} ^ wrong_shape_histogram ^ "}";
+                {|"metrics":{"h":{"type":"histogram","bounds":[1e999,-1],"counts":[4611686018427387903,-1,1],"sum":-1,"count":-1}}|};
+                {|"workers":[]|}; {|"workers":7|}; {|"workers":[{"worker":"w"}]|};
+                {|"workers":[{"worker":"w","host":"h","pid":-1,"last_seen_s":1e999,"offset_s":-1,"chunks_done":4611686018427387903,"leased":-1,"events":-1,"metrics":{"h":|}
+                ^ wrong_shape_histogram ^ "}}]";
+                {|"workers":[{"worker":"w","host":"h","pid":-1,"last_seen_s":1e999,"offset_s":-1,"chunks_done":4611686018427387903,"leased":-1,"events":-1,"metrics":{"c":{"type":"counter","value":1}}}]|} ]
+            (fun s ->
+              Result.map render_snapshot
+                (Result.bind (Obs.Json.parse s) Obs.Export.snapshot_of_json)) );
       ( "ledger",
         [
           ledger_roundtrip_prop;
           Alcotest.test_case "malformed line is an error" `Quick
             test_ledger_bad_line;
+          Alcotest.test_case "committed bench/history loads whole" `Quick
+            test_committed_ledger_loads;
           Alcotest.test_case "median run" `Quick test_median_run;
           Alcotest.test_case "sparkline" `Quick test_sparkline;
         ] );
