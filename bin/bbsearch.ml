@@ -223,9 +223,9 @@ let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
          ~doc:"Periodically snapshot completed chunks to $(docv) \
                (atomic tmp+rename), and flush a final snapshot on \
-               SIGINT/SIGTERM or crash. In distributed mode this is the \
-               shared ledger: it also records the live lease table and \
-               the coordinator epoch.")
+               SIGINT/SIGTERM or crash. Local and distributed scans keep \
+               the same ledger, so either resumes the other's; in \
+               distributed mode it also records the coordinator epoch.")
 
 let ckpt_chunks_arg =
   Arg.(value & opt int 64 & info [ "checkpoint-every-chunks" ] ~docv:"N"

@@ -625,76 +625,95 @@ let run_chunk ?display plan ci =
 
 let scan_chunk plan ci = partial_to_json (run_chunk plan ci)
 
-(* order-fixed reduce: folding the chunk partials left-to-right is the
+(* The only merge: folding the chunk accumulators left to right is the
    same fold the sequential scan performs over the full code space —
    for any contiguous partition *)
-let merge_partials plan partials ~completed ~interrupted ~task_errors =
-  let acc = fresh_partial () in
-  Array.iter
-    (fun part ->
-      acc.p_scanned <- acc.p_scanned + part.p_scanned;
-      acc.p_threshold <- acc.p_threshold + part.p_threshold;
-      acc.p_reject_all <- acc.p_reject_all + part.p_reject_all;
-      acc.p_aborted <- acc.p_aborted + part.p_aborted;
-      if part.p_best_eta > acc.p_best_eta then begin
-        acc.p_best_eta <- part.p_best_eta;
-        acc.p_best_code <- part.p_best_code
-      end;
-      Hashtbl.iter
-        (fun eta count ->
-          Hashtbl.replace acc.p_hist eta
-            (count + Option.value (Hashtbl.find_opt acc.p_hist eta) ~default:0))
-        part.p_hist)
-    partials;
-  ( acc,
-    {
-      num_protocols = acc.p_scanned;
-      num_threshold = acc.p_threshold;
-      num_reject_all = acc.p_reject_all;
-      num_aborted = acc.p_aborted;
-      best_eta = acc.p_best_eta;
-      best =
-        Option.map
-          (fun (assignment, output_bits) ->
-            decode plan.pl_n ~pair_list:plan.pl_pair_list ~assignment
-              ~output_bits)
-          acc.p_best_code;
-      histogram =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) acc.p_hist []
-        |> List.sort Stdlib.compare;
-      completed_chunks = completed;
-      total_chunks = Array.length plan.pl_bounds;
-      interrupted;
-      task_errors;
-    } )
-
 let result_of_chunks ?(interrupted = false) ?(task_errors = 0) plan chunks =
   if Array.length chunks <> plan_chunks plan then
     invalid_arg
       (Printf.sprintf "Busy_beaver.result_of_chunks: %d chunk slots, plan has %d"
          (Array.length chunks) (plan_chunks plan));
-  let completed = ref 0 in
-  let partials =
-    Array.mapi
-      (fun i state ->
-        match state with
-        | None -> fresh_partial ()
-        | Some j ->
-          (match partial_of_json j with
-           | Ok part ->
-             incr completed;
-             part
-           | Error msg ->
-             invalid_arg
-               (Printf.sprintf "Busy_beaver.result_of_chunks: chunk %d: %s" i
-                  msg)))
-      chunks
+  let acc = fresh_partial () and completed = ref 0 in
+  Array.iteri
+    (fun i state ->
+      match Option.map partial_of_json state with
+      | None -> ()
+      | Some (Error msg) ->
+        invalid_arg
+          (Printf.sprintf "Busy_beaver.result_of_chunks: chunk %d: %s" i msg)
+      | Some (Ok part) ->
+        incr completed;
+        acc.p_scanned <- acc.p_scanned + part.p_scanned;
+        acc.p_threshold <- acc.p_threshold + part.p_threshold;
+        acc.p_reject_all <- acc.p_reject_all + part.p_reject_all;
+        acc.p_aborted <- acc.p_aborted + part.p_aborted;
+        if part.p_best_eta > acc.p_best_eta then begin
+          acc.p_best_eta <- part.p_best_eta;
+          acc.p_best_code <- part.p_best_code
+        end;
+        Hashtbl.iter
+          (fun eta count ->
+            Hashtbl.replace acc.p_hist eta
+              (count + Option.value (Hashtbl.find_opt acc.p_hist eta) ~default:0))
+          part.p_hist)
+    chunks;
+  {
+    num_protocols = acc.p_scanned;
+    num_threshold = acc.p_threshold;
+    num_reject_all = acc.p_reject_all;
+    num_aborted = acc.p_aborted;
+    best_eta = acc.p_best_eta;
+    best =
+      Option.map
+        (fun (assignment, output_bits) ->
+          decode plan.pl_n ~pair_list:plan.pl_pair_list ~assignment ~output_bits)
+        acc.p_best_code;
+    histogram =
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) acc.p_hist []
+      |> List.sort Stdlib.compare;
+    completed_chunks = !completed;
+    total_chunks = plan_chunks plan;
+    interrupted;
+    task_errors;
+  }
+
+(* ------------------------------------------------------------- ledger *)
+
+let with_ledger ?checkpoint ?every_chunks ?every_s ?(resume = false) plan f =
+  let config = plan_config plan and total_chunks = plan_chunks plan in
+  let ledger, resumed =
+    match checkpoint with
+    | None -> (Obs.Checkpoint.create ~config ~total_chunks, false)
+    | Some path ->
+      let ledger, resumed =
+        Obs.Checkpoint.open_or_resume ~path ~resume ~config ~total_chunks
+      in
+      (* a state the final merge would refuse is refused now, before
+         any work is spent on a ledger that could never finish *)
+      (try ignore (result_of_chunks plan ledger.Obs.Checkpoint.state)
+       with Invalid_argument msg ->
+         invalid_arg (Printf.sprintf "checkpoint %s: %s" path msg));
+      (ledger, resumed)
   in
-  snd
-    (merge_partials plan partials ~completed:!completed ~interrupted
-       ~task_errors)
+  let w =
+    Obs.Checkpoint.writer ?every_chunks ?every_s ?path:checkpoint ledger
+  in
+  (* the final snapshot must land even when [f] raises — that is the
+     checkpoint a crash resumes from *)
+  Fun.protect
+    ~finally:(fun () ->
+      try Obs.Checkpoint.flush w
+      with Sys_error msg ->
+        Printf.eprintf "bbsearch: checkpoint write failed: %s\n%!" msg)
+    (fun () -> f ledger w ~resumed)
 
 (* --------------------------------------------------------------- scan *)
+
+(* The accumulator a domain has just finished, handed from the chunk,
+   inside its [bbsearch.chunk] span, to [on_chunk_done], outside it,
+   which records it in the ledger: snapshot writes stay out of chunk
+   durations. *)
+let finished : partial option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample
@@ -705,61 +724,30 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
       ?sample ~n ()
   in
   let total = plan.pl_total in
-  let num_chunks = plan_chunks plan in
-  let partials = Array.init num_chunks (fun _ -> fresh_partial ()) in
-  let config_json = plan_config plan in
-  let cp =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-      let c, _ =
-        Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
-          ~total_chunks:num_chunks
-      in
-      (* restore the completed chunks' accumulators *)
-      for i = 0 to num_chunks - 1 do
-        match Obs.Checkpoint.chunk_state c i with
-        | None -> ()
-        | Some j ->
-          (match partial_of_json j with
-           | Ok part -> partials.(i) <- part
-           | Error msg ->
-             invalid_arg
-               (Printf.sprintf "Busy_beaver.scan: checkpoint %s, chunk %d: %s"
-                  path i msg))
-      done;
-      let writer =
-        Obs.Checkpoint.writer ~every_chunks:checkpoint_every_chunks
-          ~every_s:checkpoint_every_s ~path c
-      in
-      Some (c, writer)
-  in
-  let restored_chunks =
-    match cp with Some (c, _) -> Obs.Checkpoint.num_done c | None -> 0
-  in
-  (* display-only tallies for the progress line; the authoritative
-     counts live in the per-chunk partials *)
+  with_ledger ?checkpoint ~every_chunks:checkpoint_every_chunks
+    ~every_s:checkpoint_every_s ~resume plan
+  @@ fun ledger w ~resumed:_ ->
+  (* display-only tallies for the progress line, from the restored
+     chunks on; the authoritative counts live in the ledger *)
+  let restored = result_of_chunks plan ledger.Obs.Checkpoint.state in
   let display =
     {
       d_total = total;
-      d_scanned = Atomic.make 0;
-      d_threshold = Atomic.make 0;
-      d_best = Atomic.make 0;
+      d_scanned = Atomic.make restored.num_protocols;
+      d_threshold = Atomic.make restored.num_threshold;
+      d_best = Atomic.make restored.best_eta;
       d_progress = Obs.Progress.create "bbsearch";
     }
   in
-  Array.iter
-    (fun part ->
-      ignore (Atomic.fetch_and_add display.d_scanned part.p_scanned);
-      ignore (Atomic.fetch_and_add display.d_threshold part.p_threshold);
-      if part.p_best_eta > Atomic.get display.d_best then
-        Atomic.set display.d_best part.p_best_eta)
-    partials;
   let do_range ~lo ~hi:_ =
-    let ci = chunk_index plan ~lo in
     (* a fresh accumulator per (re)run of the chunk, so a retried chunk
        can never double its counts *)
-    partials.(ci) <- run_chunk ~display plan ci
+    Domain.DLS.set finished (Some (run_chunk ~display plan (chunk_index plan ~lo)))
+  in
+  let on_chunk_done i =
+    let part = Option.get (Domain.DLS.get finished) in
+    Domain.DLS.set finished None;
+    Obs.Checkpoint.note_done w i (partial_to_json part)
   in
   (* cancellation: a delivered SIGINT/SIGTERM (inside the binary's
      graceful region) or the caller's token stops further chunk claims *)
@@ -767,44 +755,20 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     Obs.Shutdown.requested ()
     || (match should_stop with Some f -> f () | None -> false)
   in
-  let skip_chunk =
-    match cp with
-    | None -> None
-    | Some (c, _) -> Some (fun i -> Obs.Checkpoint.is_done c i)
-  in
-  let completed = Atomic.make restored_chunks in
-  let on_chunk_done i =
-    Atomic.incr completed;
-    match cp with
-    | None -> ()
-    | Some (_, w) -> Obs.Checkpoint.note_done w i (partial_to_json partials.(i))
-  in
   let pool_stats =
-    (* the final snapshot must land even when a task failure re-raises
-       out of the pool — that is the checkpoint a crash resumes from *)
-    Fun.protect
-      ~finally:(fun () ->
-        match cp with
-        | None -> ()
-        | Some (_, w) ->
-          (try Obs.Checkpoint.flush w
-           with Sys_error msg ->
-             Printf.eprintf "bbsearch: checkpoint write failed: %s\n%!" msg))
+    Obs.Trace.with_span "bbsearch.scan" ~cat:"bbsearch"
+      ~args:[ ("states", string_of_int n); ("total", string_of_int total) ]
       (fun () ->
-        Obs.Trace.with_span "bbsearch.scan" ~cat:"bbsearch"
-          ~args:[ ("states", string_of_int n); ("total", string_of_int total) ]
-          (fun () ->
-            Pool.run ~jobs ~chunk ~schedule ~name:"bbsearch" ~on_task_error
-              ~should_stop:stop_requested ?skip_chunk ~on_chunk_done
-              ~tasks:total do_range))
+        Pool.run ~jobs ~chunk ~schedule ~name:"bbsearch" ~on_task_error
+          ~should_stop:stop_requested ~skip_chunk:(Obs.Checkpoint.is_done ledger)
+          ~on_chunk_done ~tasks:total do_range)
   in
-  let acc, result =
-    merge_partials plan partials
-      ~completed:(Atomic.get completed)
-      ~interrupted:pool_stats.Pool.cancelled
-      ~task_errors:pool_stats.Pool.task_errors
+  let result =
+    result_of_chunks ~interrupted:pool_stats.Pool.cancelled
+      ~task_errors:pool_stats.Pool.task_errors plan
+      ledger.Obs.Checkpoint.state
   in
   Obs.Progress.finish display.d_progress (fun () ->
       Printf.sprintf "%d protocols scanned, %d threshold, best eta %d"
-        acc.p_scanned acc.p_threshold acc.p_best_eta);
+        result.num_protocols result.num_threshold result.best_eta);
   result

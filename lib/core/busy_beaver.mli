@@ -103,29 +103,29 @@ val scan :
     SIGINT/SIGTERM delivered inside {!Obs.Shutdown.with_graceful} drains
     the scan cleanly ([interrupted] is then set).
 
-    {b Checkpoint/resume.} With [?checkpoint:path] the scan snapshots
-    its completed-chunk bitmap and per-chunk accumulators to [path]
-    (atomic tmp+rename; every [?checkpoint_every_chunks], default 64, or
-    [?checkpoint_every_s], default 30, whichever first, plus a final
-    snapshot on every exit path). With [~resume:true] an existing
-    snapshot is loaded first: completed chunks are skipped and their
-    accumulators restored, and the finished aggregate is byte-identical
-    to an uninterrupted run — chunk content depends only on the code
-    index, and the reduce is in chunk-index order.
-    @raise Obs.Checkpoint.Mismatch when resuming from a snapshot whose
-    configuration fingerprint (n, cutoffs, chunk, sample seed/count, …)
-    does not match — the exception carries a field-level diff of the
-    two configurations.
-    @raise Invalid_argument when the snapshot file is unreadable or
-    malformed. *)
+    {b Checkpoint/resume.} The scan runs on a {!with_ledger} ledger
+    and returns {!result_of_chunks} of it. With [?checkpoint:path] the
+    ledger is snapshotted to [path] (atomic tmp+rename) every
+    [?checkpoint_every_chunks] (default 64) completed chunks or
+    [?checkpoint_every_s] (default 30) seconds, whichever first, and on
+    every exit path. With [~resume:true] an existing snapshot — this
+    scan's or the distributed coordinator's — is loaded first:
+    completed chunks are skipped, and the finished aggregate is
+    byte-identical to an uninterrupted run, since chunk content depends
+    only on the code index and the reduce is in chunk-index order.
+    @raise Obs.Checkpoint.Mismatch when the snapshot's configuration
+    fingerprint (n, cutoffs, chunk, sample seed/count, …) or chunk
+    count differs, with a field-level diff.
+    @raise Invalid_argument as {!with_ledger}. *)
 
 (** {2 Range-addressed scanning}
 
     The distributed scan's entry points: a {!plan} pins the entire scan
     configuration (code space, cutoffs, pruning, sampling, chunk
     partition), {!scan_chunk} runs one chunk of it to a serialised
-    accumulator, and {!result_of_chunks} merges per-chunk accumulators
-    — local or received over the wire — in index order. Two processes
+    accumulator, {!result_of_chunks} merges per-chunk accumulators
+    — local or received over the wire — in index order, and
+    {!with_ledger} is the ledger both scans keep them in. Two processes
     holding equal plans compute byte-identical accumulators for equal
     chunk indices, so a coordinator can hand chunk ranges to worker
     processes (fork or TCP), collect the JSON states, and reproduce the
@@ -180,10 +180,38 @@ val result_of_chunks :
   Obs.Json.t option array ->
   scan_result
 (** Merge one accumulator slot per chunk ([None] = chunk not run) in
-    index order. With every slot filled by {!scan_chunk} output, the
-    result equals the [scan ~jobs:1] result byte for byte.
+    index order — the only merge: both {!scan} and the distributed
+    coordinator call it on their ledger's [state]. With every slot
+    filled by {!scan_chunk} output, the result equals the
+    [scan ~jobs:1] result byte for byte; [completed_chunks] counts the
+    filled slots.
     @raise Invalid_argument on a malformed accumulator or a slot-count
     mismatch. *)
+
+val with_ledger :
+  ?checkpoint:string ->
+  ?every_chunks:int ->
+  ?every_s:float ->
+  ?resume:bool ->
+  plan ->
+  (Obs.Checkpoint.t -> Obs.Checkpoint.writer -> resumed:bool -> 'a) ->
+  'a
+(** [with_ledger plan f] runs [f] on the ledger of [plan]: the one
+    open and flush path of {!scan} and the distributed coordinator. The
+    ledger is the [checkpoint] file's — resumed, with [resumed] set,
+    when [~resume:true] (default false) and the file exists — or a
+    fresh one; without a file it lives in memory and its writer
+    ([every_chunks], [every_s] as in {!Obs.Checkpoint.writer}) writes
+    nothing. A resumed ledger holding a chunk state {!result_of_chunks}
+    would refuse is refused before [f] runs and before the file is
+    touched. [f] records each finished chunk with
+    {!Obs.Checkpoint.note_done}; the final snapshot lands on every exit
+    path, a failed write reported on stderr ("checkpoint write
+    failed").
+    @raise Obs.Checkpoint.Mismatch when another configuration or
+    partition wrote the file.
+    @raise Invalid_argument when the file is unreadable or malformed,
+    naming the path (and the chunk, for a bad state). *)
 
 val num_deterministic_protocols : int -> int
 (** [P^P · 2^n] (may overflow for [n >= 5]; the busy beaver of

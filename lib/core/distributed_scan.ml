@@ -23,46 +23,31 @@ type outcome = {
 
 let m_restarts = Obs.Metrics.counter "coordinator.restarts"
 
-(* Open or resume the ledger as Busy_beaver.scan does
-   (Obs.Checkpoint.open_or_resume), plus the v2 adoption step: bump the
-   epoch and persist it *before* any grant goes out, so grants of a
-   previous (crashed) coordinator can never be mistaken for this run's.
-   Every recovery step leaves an events/metrics trail:
-   [coordinator.restarts] counts prior lives (epoch - 1 on adoption)
-   and a [dist.recovery] record says what was rehydrated. *)
-let open_ledger ~path ~resume ~config_json ~num_chunks =
-  let c, resumed =
-    Obs.Checkpoint.open_or_resume ~path ~resume ~config:config_json
-      ~total_chunks:num_chunks
-  in
-  let epoch = Obs.Checkpoint.bump_epoch c in
-  (* leases stamped by previous lives are dead letters in the new
-     epoch — their holders (if still alive) carry stale grant stamps
-     the coordinator will drop anyway. Clear them so the ledger's lease
-     table only ever describes the current epoch. *)
-  let stale_leases = ref 0 in
-  for i = 0 to num_chunks - 1 do
-    match Obs.Checkpoint.lease c i with
-    | Some { Obs.Checkpoint.lease_epoch; _ } when lease_epoch < epoch ->
-      incr stale_leases;
-      Obs.Checkpoint.clear_lease c i
-    | _ -> ()
-  done;
-  Obs.Checkpoint.save ~path c;
-  if resumed then begin
-    Obs.Metrics.add m_restarts (epoch - 1);
-    if Obs.Events.enabled () then
-      Obs.Events.emit "dist.recovery"
-        ~data:
-          [
-            ("path", Obs.Json.String path);
-            ("epoch", Obs.Json.Int epoch);
-            ("done_chunks", Obs.Json.Int (Obs.Checkpoint.num_done c));
-            ("total_chunks", Obs.Json.Int num_chunks);
-            ("stale_leases_cleared", Obs.Json.Int !stale_leases);
-          ]
-  end;
-  c
+(* The coordinator's step on top of the shared ledger: bump the epoch
+   and persist it *before* any grant goes out, so grants of a previous
+   (crashed) coordinator can never be mistaken for this run's. A
+   resumed ledger leaves an events/metrics trail: [coordinator.restarts]
+   counts prior lives (epoch - 1 on adoption) and a [dist.recovery]
+   record says what the ledger held. *)
+let adopt ?checkpoint ledger ~resumed =
+  let epoch = Obs.Checkpoint.bump_epoch ledger in
+  (match checkpoint with
+   | None -> ()
+   | Some path ->
+     Obs.Checkpoint.save ~path ledger;
+     if resumed then begin
+       Obs.Metrics.add m_restarts (epoch - 1);
+       if Obs.Events.enabled () then
+         Obs.Events.emit "dist.recovery"
+           ~data:
+             [
+               ("path", Obs.Json.String path);
+               ("epoch", Obs.Json.Int epoch);
+               ("done_chunks", Obs.Json.Int (Obs.Checkpoint.num_done ledger));
+               ("total_chunks", Obs.Json.Int ledger.Obs.Checkpoint.total_chunks);
+             ]
+     end);
+  epoch
 
 (* Chaos stream numbering keeps both endpoints of every connection on
    independent Splitmix64 substreams of the same seed: the coordinator
@@ -102,18 +87,23 @@ let child_main ~idx ~chaos_kill ~chaos_net ~heartbeat_timeout ~fd =
   let welcome_timeout =
     Float.min 5.0 (Float.max 0.25 (heartbeat_timeout /. 2.0))
   in
+  let fail e =
+    (* stderr only: the child shares the parent's stdout buffers, and
+       [_exit] below is what keeps those from double-flushing *)
+    output_string stderr (Printf.sprintf "bbsearch worker %s: %s\n" name e);
+    flush stderr;
+    Unix._exit 1
+  in
+  (* nothing may escape: the child was forked inside the parent's
+     [with_ledger], whose final snapshot is the parent's to write *)
   match
     Dist.Worker.run ~heartbeat_every ~welcome_timeout
       ?chaos:(child_chaos ~chaos_net ~idx) ~on_chunk_done ~name ~fd
       ~runner:worker_runner ()
   with
   | Ok () -> Unix._exit 0
-  | Error e ->
-    (* stderr only: the child shares the parent's stdout buffers, and
-       [_exit] below is what keeps those from double-flushing *)
-    output_string stderr (Printf.sprintf "bbsearch worker %s: %s\n" name e);
-    flush stderr;
-    Unix._exit 1
+  | Error e -> fail e
+  | exception e -> fail (Printexc.to_string e)
 
 let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
     ?(max_batch = 16) ?checkpoint ?(checkpoint_every_chunks = 64)
@@ -125,27 +115,10 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
   ignore_sigpipe ();
   let num_chunks = Busy_beaver.plan_chunks plan in
   let config_json = Busy_beaver.plan_config plan in
-  let cp =
-    match checkpoint with
-    | None -> None
-    | Some path ->
-      let c = open_ledger ~path ~resume ~config_json ~num_chunks in
-      let writer =
-        Obs.Checkpoint.writer ~every_chunks:checkpoint_every_chunks
-          ~every_s:checkpoint_every_s ~path c
-      in
-      Some (c, writer)
-  in
-  let epoch = match cp with Some (c, _) -> Obs.Checkpoint.epoch c | None -> 1 in
-  (* per-chunk accumulator slots — the authoritative state; the
-     checkpoint mirrors it to disk *)
-  let slots = Array.make num_chunks None in
-  (match cp with
-  | Some (c, _) ->
-    for i = 0 to num_chunks - 1 do
-      slots.(i) <- Obs.Checkpoint.chunk_state c i
-    done
-  | None -> ());
+  Busy_beaver.with_ledger ?checkpoint ~every_chunks:checkpoint_every_chunks
+    ~every_s:checkpoint_every_s ~resume plan
+  @@ fun ledger w ~resumed ->
+  let epoch = adopt ?checkpoint ledger ~resumed in
   (* socketpairs before any fork, so each child can close every end it
      does not own *)
   let pairs =
@@ -188,25 +161,6 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
           pid)
       pairs
   in
-  let on_result ~chunk state =
-    slots.(chunk) <- Some state;
-    match cp with
-    | None -> ()
-    | Some (_, w) -> Obs.Checkpoint.note_done w chunk state
-  in
-  let on_grant ~worker ~lo ~hi =
-    match cp with
-    | None -> ()
-    | Some (c, _) ->
-      for i = lo to hi - 1 do
-        Obs.Checkpoint.set_lease c i ~holder:worker
-      done
-  in
-  let on_reclaim ~worker:_ ~chunks =
-    match cp with
-    | None -> ()
-    | Some (c, _) -> List.iter (fun i -> Obs.Checkpoint.clear_lease c i) chunks
-  in
   let stop_requested () =
     Obs.Shutdown.requested ()
     || (match should_stop with Some f -> f () | None -> false)
@@ -215,18 +169,12 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
     Fun.protect
       ~finally:(fun () ->
         (* reap every forked child — the chaos-killed one included —
-           and land the final snapshot *)
+           before the ledger's final snapshot *)
         Array.iter
           (fun pid ->
             try ignore (Unix.waitpid [] pid)
             with Unix.Unix_error _ -> ())
-          pids;
-        match cp with
-        | None -> ()
-        | Some (_, w) ->
-          (try Obs.Checkpoint.flush w
-           with Sys_error msg ->
-             Printf.eprintf "bbsearch: checkpoint write failed: %s\n%!" msg))
+          pids)
       (fun () ->
         Obs.Export.set_identity [ ("role", "coordinator") ];
         Obs.Trace.with_span "bbsearch.coordinate" ~cat:"dist"
@@ -239,16 +187,18 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
             Dist.Coordinator.run ?accept:serve
               ~fds:(Array.to_list (Array.map fst pairs))
               ~heartbeat_timeout ~max_batch ?chaos:chaos_net
-              ~should_stop:stop_requested
-              ~on_grant ~on_reclaim ?telemetry ~config:config_json
+              ~should_stop:stop_requested ?telemetry ~config:config_json
               ~config_hash:(Obs.Checkpoint.hash_config config_json)
               ~epoch ~total_chunks:num_chunks
-              ~completed:(fun i -> slots.(i) <> None)
-              ~on_result ()))
+              ~completed:(Obs.Checkpoint.is_done ledger)
+              ~on_result:(fun ~chunk state ->
+                Obs.Checkpoint.note_done w chunk state)
+              ()))
   in
   let result =
     Busy_beaver.result_of_chunks
-      ~interrupted:stats.Dist.Coordinator.interrupted plan slots
+      ~interrupted:stats.Dist.Coordinator.interrupted plan
+      ledger.Obs.Checkpoint.state
   in
   { result; stats }
 

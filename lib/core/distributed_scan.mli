@@ -6,11 +6,13 @@
 
     The fault story is the whole point: a worker that dies (crash,
     SIGKILL, unplugged machine) merely returns its leased chunks to the
-    pool; the survivors re-run them. The shared {!Obs.Checkpoint}
-    ledger (v2) persists completed chunks {e and} the live lease table,
-    so a killed {e coordinator} resumes too — it bumps the ledger's
-    epoch on adoption, which makes any result from a previous life's
-    grant recognisably stale.
+    pool; the survivors re-run them. The coordinator keeps every
+    accepted accumulator in the {!Obs.Checkpoint} ledger it shares with
+    {!Busy_beaver.scan} ({!Busy_beaver.with_ledger}), so a killed
+    {e coordinator} resumes too — it bumps the ledger's epoch on
+    adoption, which makes any result from a previous life's grant
+    recognisably stale. Leases are not persisted: the next life grants
+    every chunk the ledger does not record as done.
 
     Determinism: chunk content depends only on (plan, chunk index) —
     never on which process ran it or when — and the final reduce is
@@ -47,12 +49,15 @@ val coordinate :
     worker. Workers derive their plan from the coordinator's
     {!Busy_beaver.plan_config} bytes, never from their own flags.
 
-    [checkpoint]/[resume] work as in {!Busy_beaver.scan} — same file,
-    same fingerprint, same {!Obs.Checkpoint.Mismatch} on a flag change
-    — plus the v2 extras: the epoch is bumped (and persisted) when the
-    ledger is adopted, and every snapshot carries the live lease
-    table. [should_stop] (polled alongside {!Obs.Shutdown.requested})
-    drains the scan early with [result.interrupted] set.
+    [checkpoint]/[resume] work as in {!Busy_beaver.scan} — the same
+    ledger, opened, checked and flushed by the same
+    {!Busy_beaver.with_ledger}, so each scan resumes the other's
+    file, and the same {!Obs.Checkpoint.Mismatch} on a flag change —
+    plus the coordinator's own step: the epoch is bumped and persisted
+    when the ledger is adopted, before the first grant. Without
+    [checkpoint] the ledger lives in memory. [should_stop] (polled
+    alongside {!Obs.Shutdown.requested}) drains the scan early with
+    [result.interrupted] set.
 
     OCaml 5 restriction: [Unix.fork] is forbidden in a process that
     has ever spawned a domain, so with [workers > 0] this must be
@@ -71,10 +76,11 @@ val coordinate :
     (CRC skip, progress-expiry, re-grant, duplicate drop) and the
     merged result stays byte-identical.
 
-    Resuming a ledger emits a [dist.recovery] event (epoch, done
-    chunks, stale leases cleared) and adds the prior life count to the
-    [coordinator.restarts] metric; leases stamped by earlier epochs
-    are cleared on adoption.
+    Resuming a ledger emits a [dist.recovery] event (path, epoch, done
+    and total chunks) and adds the prior life count to the
+    [coordinator.restarts] metric. A resumed ledger whose chunk states
+    do not decode is refused before any worker is forked or the file
+    is touched.
 
     [telemetry] is passed through to {!Dist.Coordinator.run}: workers
     stream metric deltas and event batches up, the coordinator merges

@@ -36,10 +36,8 @@ let now_s () =
   Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
 let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
-    ?chaos ?(should_stop = fun () -> false)
-    ?(on_grant = fun ~worker:_ ~lo:_ ~hi:_ -> ())
-    ?(on_reclaim = fun ~worker:_ ~chunks:_ -> ()) ?telemetry ~config
-    ~config_hash ~epoch ~total_chunks ~completed ~on_result () =
+    ?chaos ?(should_stop = fun () -> false) ?telemetry ~config ~config_hash
+    ~epoch ~total_chunks ~completed ~on_result () =
   let telemetry =
     match telemetry with
     | Some b -> b
@@ -89,7 +87,6 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
         send_safe c (Wire.Grant { lo_chunk; hi_chunk; epoch });
         Telemetry.add_leased reg ~worker:name ~n:(hi_chunk - lo_chunk)
           ~now:(now_s ());
-        on_grant ~worker:name ~lo:lo_chunk ~hi:hi_chunk;
         emit "lease"
           [
             ("worker", Obs.Json.String name);
@@ -99,9 +96,9 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
           ]
   in
   (* re-send Grant frames for every lease [name] already holds, one per
-     contiguous run — the rejoin/re-Hello reconciliation: the ledger
-     says the work is theirs, the worker just never saw (or lost) the
-     order. Cached chunks on the worker side come back as instant
+     contiguous run — the rejoin/re-Hello reconciliation: the lease
+     table says the work is theirs, the worker just never saw (or lost)
+     the order. Cached chunks on the worker side come back as instant
      resends. *)
   let regrant_held c name =
     let rec runs = function
@@ -162,7 +159,6 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
         if reclaimed <> [] then begin
           reassigned := !reassigned + List.length reclaimed;
           Obs.Metrics.add m_reassigned (List.length reclaimed);
-          on_reclaim ~worker:name ~chunks:reclaimed;
           emit "reassign"
             [
               ("worker", Obs.Json.String name);
@@ -198,7 +194,7 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
         | Some prev when prev = worker ->
             (* a Hello retry on the live connection: our Welcome (or
                their view of it) was lost — answer again and re-send
-               any standing grants; nothing about the ledger changed *)
+               any standing grants; no lease changed hands *)
             Lease.register lease ~worker ~now:(now_s ());
             welcome ();
             regrant_held c worker;
@@ -359,7 +355,6 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
               Telemetry.clear_leased reg ~worker;
               reassigned := !reassigned + List.length reclaimed;
               Obs.Metrics.add m_reassigned (List.length reclaimed);
-              on_reclaim ~worker ~chunks:reclaimed;
               emit ~severity:Obs.Events.Warn "lease_expired"
                 [
                   ("worker", Obs.Json.String worker);

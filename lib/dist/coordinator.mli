@@ -19,7 +19,7 @@
     duplicate, never a double count.
 
     Rejoins: a Hello bearing an already-registered name on a {e new}
-    connection supersedes the old socket without touching the ledger —
+    connection supersedes the old socket without touching its leases —
     same identity, the standing leases are re-sent as Grant frames
     (the worker's cache answers instantly for chunks it already
     computed). A Hello {e retry} on the same connection (the worker
@@ -28,10 +28,12 @@
     connection into the stats and [dist.corrupt_frames].
 
     Every accepted result is handed to [on_result] in arrival order —
-    the caller stores it in its per-chunk slot (and typically notes it
-    in a {!Obs.Checkpoint.writer}); the index-ordered merge at the end
-    is the caller's job, which is what makes the distributed aggregate
-    byte-identical to a single-process run.
+    the caller records it in its {!Obs.Checkpoint} ledger; the
+    index-ordered merge of that ledger at the end is the caller's job,
+    which is what makes the distributed aggregate byte-identical to a
+    single-process run. Who holds which chunk lives only in this loop's
+    {!Lease} table (and, advisory, in {!Telemetry}'s per-worker leased
+    count); the ledger records only which chunks are done.
 
     Emits [dist.*] events ({!Obs.Events}) — [worker_join], [lease],
     [chunk_done], [worker_lost], [worker_rejoin], [lease_expired],
@@ -66,8 +68,6 @@ val run :
   ?max_batch:int ->
   ?chaos:Chaos.spec ->
   ?should_stop:(unit -> bool) ->
-  ?on_grant:(worker:string -> lo:int -> hi:int -> unit) ->
-  ?on_reclaim:(worker:string -> chunks:int list -> unit) ->
   ?telemetry:bool ->
   config:Obs.Json.t ->
   config_hash:string ->
@@ -77,14 +77,14 @@ val run :
   on_result:(chunk:int -> Obs.Json.t -> unit) ->
   unit ->
   stats
-(** Run the ledger to completion. [fds] are already-connected worker
+(** Run the scan to completion. [fds] are already-connected worker
     sockets (the fork topology); [accept] is a listening socket whose
     connections are welcomed as they arrive (the TCP topology) — at
     least one source must eventually produce a worker or the loop
     waits forever. [config]/[config_hash] are what joining workers
     receive in their {!Wire.Welcome}; [epoch] stamps every grant, and
     results carrying any other epoch are dropped as stale.
-    [completed] seeds the ledger from a resumed checkpoint. Before its
+    [completed] seeds the lease table from a resumed ledger. Before its
     final {!Wire.Shutdown} the loop waits (at most one
     [heartbeat_timeout], and not after [should_stop] returns [true])
     until every [fds] worker has sent its {!Wire.Hello} or closed its
@@ -109,11 +109,6 @@ val run :
     the exporter's last write — and a post-run [pptop] — still shows
     who did what. After Shutdown the loop lingers briefly
     (≤0.5s) to drain workers' final telemetry flushes.
-
-    [on_grant]/[on_reclaim] mirror every lease movement — this is how
-    the caller keeps the {!Obs.Checkpoint} lease table in step with
-    the live ledger, so snapshots show who held what at a crash.
-    ([mark_done] releases a completed chunk's lease on its own.)
 
     Returns when every chunk is done (or on early stop); all worker
     fds are closed on exit, [accept] is left open (the caller owns

@@ -1,12 +1,9 @@
-type lease = { holder : string; lease_epoch : int }
-
 type t = {
   config_hash : string;
   config : Json.t;
   total_chunks : int;
   state : Json.t option array;
   mutable epoch : int;
-  leases : lease option array;
 }
 
 let schema = "ppcheckpoint/v2"
@@ -20,7 +17,6 @@ let create ~config ~total_chunks =
     total_chunks;
     state = Array.make total_chunks None;
     epoch = 0;
-    leases = Array.make total_chunks None;
   }
 
 let check_index who t i =
@@ -29,8 +25,7 @@ let check_index who t i =
 
 let mark_done t i state =
   check_index "mark_done" t i;
-  t.state.(i) <- Some state;
-  t.leases.(i) <- None
+  t.state.(i) <- Some state
 
 let is_done t i =
   check_index "is_done" t i;
@@ -43,34 +38,11 @@ let chunk_state t i =
 let num_done t =
   Array.fold_left (fun n s -> if s = None then n else n + 1) 0 t.state
 
-(* ---------------------------------------------------------------- leases *)
-
 let epoch t = t.epoch
 
 let bump_epoch t =
   t.epoch <- t.epoch + 1;
   t.epoch
-
-let set_lease t i ~holder =
-  check_index "set_lease" t i;
-  t.leases.(i) <- Some { holder; lease_epoch = t.epoch }
-
-let clear_lease t i =
-  check_index "clear_lease" t i;
-  t.leases.(i) <- None
-
-let lease t i =
-  check_index "lease" t i;
-  t.leases.(i)
-
-let leased_to t ~holder =
-  let acc = ref [] in
-  for i = t.total_chunks - 1 downto 0 do
-    match t.leases.(i) with
-    | Some l when l.holder = holder -> acc := i :: !acc
-    | _ -> ()
-  done;
-  !acc
 
 (* ------------------------------------------------------- config mismatch *)
 
@@ -149,20 +121,6 @@ let to_json t =
                Json.Obj [ ("index", Json.Int i); ("state", state) ])
              s)
   in
-  let leases =
-    Array.to_list t.leases
-    |> List.mapi (fun i l -> (i, l))
-    |> List.filter_map (fun (i, l) ->
-           Option.map
-             (fun { holder; lease_epoch } ->
-               Json.Obj
-                 [
-                   ("chunk", Json.Int i);
-                   ("holder", Json.String holder);
-                   ("epoch", Json.Int lease_epoch);
-                 ])
-             l)
-  in
   Json.Obj
     [
       ("schema", Json.String schema);
@@ -171,55 +129,46 @@ let to_json t =
       ("total_chunks", Json.Int t.total_chunks);
       ("epoch", Json.Int t.epoch);
       ("chunks", Json.List chunks);
-      ("leases", Json.List leases);
     ]
 
-let of_json j =
-  let module D = Json.Decode in
+module D = Json.Decode
+
+let in_range what ~hi i =
+  if i >= 0 && i <= hi then Ok i
+  else Error (Printf.sprintf "%s %d out of range" what i)
+
+(* What a ledger says about the scan that wrote it, read before anything
+   is sized by [total_chunks]: that count comes from outside bytes *)
+let header j =
   let ( let* ) = Result.bind in
-  let in_range what ~hi i =
-    if i >= 0 && i <= hi then Ok i
-    else Error (Printf.sprintf "%s %d out of range" what i)
-  in
   let* () = D.schema schema j in
   let* config_hash = D.field "config_hash" D.string j in
   let* config = D.field "config" Result.ok j in
-  (* the count sizes the arrays below: it comes from outside bytes *)
   let* total_chunks =
     Result.bind (D.field "total_chunks" D.int j)
       (in_range "total_chunks" ~hi:Sys.max_array_length)
   in
-  let entry what index value e =
-    let* i =
-      Result.bind (D.field index D.int e) (in_range what ~hi:(total_chunks - 1))
-    in
-    Result.map (fun v -> (i, v)) (value e)
-  in
+  Ok (config_hash, config, total_chunks)
+
+let of_json j =
+  let ( let* ) = Result.bind in
+  let* config_hash, config, total_chunks = header j in
   let* chunks =
     D.field "chunks"
-      (D.list (entry "chunk index" "index" (D.field "state" Result.ok)))
+      (D.list (fun e ->
+           let* i =
+             Result.bind (D.field "index" D.int e)
+               (in_range "chunk index" ~hi:(total_chunks - 1))
+           in
+           Result.map (fun v -> (i, v)) (D.field "state" Result.ok e)))
       j
   in
   let* epoch =
     Result.bind (D.field "epoch" D.int j) (in_range "epoch" ~hi:max_int)
   in
-  let* leases =
-    D.field "leases"
-      (D.list
-         (entry "lease chunk" "chunk" (fun l ->
-              let* holder = D.field "holder" D.string l in
-              let* lease_epoch = D.field "epoch" D.int l in
-              Ok { holder; lease_epoch })))
-      j
-  in
-  let fill entries =
-    let a = Array.make total_chunks None in
-    List.iter (fun (i, v) -> a.(i) <- Some v) entries;
-    a
-  in
-  Ok
-    { config_hash; config; total_chunks; state = fill chunks; epoch;
-      leases = fill leases }
+  let state = Array.make total_chunks None in
+  List.iter (fun (i, v) -> state.(i) <- Some v) chunks;
+  Ok { config_hash; config; total_chunks; state; epoch }
 
 (* ----------------------------------------------------------------- file *)
 
@@ -233,27 +182,42 @@ let save ~path t =
       Out_channel.output_char oc '\n');
   Sys.rename tmp path
 
-let load path =
+let parse_file path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | contents -> Result.bind (Json.parse contents) of_json
+  | contents -> Json.parse contents
+
+let load path = Result.bind (parse_file path) of_json
 
 let open_or_resume ~path ~resume ~config ~total_chunks =
   if resume && Sys.file_exists path then begin
-    match load path with
-    | Error msg ->
+    let refuse msg =
       invalid_arg
         (Printf.sprintf "Checkpoint.open_or_resume: cannot resume from %s: %s"
            path msg)
-    | Ok c ->
-      if c.config_hash <> hash_config config || c.total_chunks <> total_chunks
-      then
-        (* a typed error with a field-level diff: the user learns which
-           flag changed, not just that two hashes differ *)
-        raise
-          (Mismatch
-             { path; diff = config_diff ~expected:config ~found:c.config });
-      (c, true)
+    in
+    let j = match parse_file path with Ok j -> j | Error msg -> refuse msg in
+    (match header j with
+     | Error msg -> refuse msg
+     | Ok (hash, found, count) ->
+       if hash <> hash_config config || count <> total_chunks then
+         (* a typed error with a field-level diff: the user learns which
+            flag changed, not just that two hashes differ; the chunk
+            count is diffed as one more field *)
+         let with_count n = function
+           | Json.Obj fields ->
+             Json.Obj (fields @ [ ("total_chunks", Json.Int n) ])
+           | config -> config
+         in
+         raise
+           (Mismatch
+              {
+                path;
+                diff =
+                  config_diff ~expected:(with_count total_chunks config)
+                    ~found:(with_count count found);
+              }));
+    match of_json j with Ok c -> (c, true) | Error msg -> refuse msg
   end
   else (create ~config ~total_chunks, false)
 
@@ -261,7 +225,7 @@ let open_or_resume ~path ~resume ~config ~total_chunks =
 
 type writer = {
   t : t;
-  path : string;
+  path : string option;
   every_chunks : int;
   every_s : float;
   lock : Mutex.t;
@@ -269,7 +233,7 @@ type writer = {
   mutable last_write_ns : int64;
 }
 
-let writer ?(every_chunks = 64) ?(every_s = 30.0) ~path t =
+let writer ?(every_chunks = 64) ?(every_s = 30.0) ?path t =
   {
     t;
     path;
@@ -284,12 +248,14 @@ let locked w f =
   Mutex.lock w.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) f
 
-let snapshot_event w =
+(* under the lock *)
+let snapshot w path =
+  save ~path w.t;
   if Events.enabled () then
     Events.emit "checkpoint.snapshot"
       ~data:
         [
-          ("path", Json.String w.path);
+          ("path", Json.String path);
           ("done", Json.Int (num_done w.t));
           ("total", Json.Int w.t.total_chunks);
         ]
@@ -297,25 +263,27 @@ let snapshot_event w =
 let note_done w i state =
   locked w (fun () ->
       mark_done w.t i state;
-      w.pending <- w.pending + 1;
-      let now = Clock.now_ns () in
-      if
-        w.pending >= w.every_chunks
-        || Clock.ns_to_s (Int64.sub now w.last_write_ns) >= w.every_s
-      then begin
-        (* a full disk must not kill the scan; the data survives in the
-           accumulators and the next flush can still succeed *)
-        (try
-           save ~path:w.path w.t;
-           snapshot_event w
-         with Sys_error _ -> ());
-        w.pending <- 0;
-        w.last_write_ns <- now
-      end)
+      match w.path with
+      | None -> ()
+      | Some path ->
+        w.pending <- w.pending + 1;
+        let now = Clock.now_ns () in
+        if
+          w.pending >= w.every_chunks
+          || Clock.ns_to_s (Int64.sub now w.last_write_ns) >= w.every_s
+        then begin
+          (* a full disk must not kill the scan; the data survives in
+             the ledger and the next snapshot can still succeed *)
+          (try snapshot w path with Sys_error _ -> ());
+          w.pending <- 0;
+          w.last_write_ns <- now
+        end)
 
 let flush w =
-  locked w (fun () ->
-      save ~path:w.path w.t;
-      snapshot_event w;
-      w.pending <- 0;
-      w.last_write_ns <- Clock.now_ns ())
+  match w.path with
+  | None -> ()
+  | Some path ->
+    locked w (fun () ->
+        snapshot w path;
+        w.pending <- 0;
+        w.last_write_ns <- Clock.now_ns ())

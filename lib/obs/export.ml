@@ -8,27 +8,16 @@ let sanitize name =
       | _ -> '_')
     name
 
-let escape_label v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
-(* HELP text escaping per the exposition format: backslash and newline
-   only (quotes are not special outside label values) *)
-let escape_help v =
+(* exposition-format escaping: backslash and newline everywhere, double
+   quotes only in label values (HELP text leaves them alone) *)
+let escape ?(quote = false) v =
   let buf = Buffer.create (String.length v) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
+      | '"' when quote -> Buffer.add_string buf "\\\""
       | c -> Buffer.add_char buf c)
     v;
   Buffer.contents buf
@@ -66,105 +55,97 @@ let labels kvs =
     "{"
     ^ String.concat ","
         (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (escape_label v))
+           (fun (k, v) ->
+             Printf.sprintf "%s=\"%s\"" (sanitize k) (escape ~quote:true v))
            kvs)
     ^ "}"
 
+let type_name = function
+  | Metrics.Counter _ -> "counter"
+  | Metrics.Gauge _ -> "gauge"
+  | Metrics.Histogram _ -> "histogram"
+
 let prometheus_of_snapshot ?meta ?(identity = []) ?(fleet = []) s =
   let buf = Buffer.create 1024 in
-  let help pname orig =
-    Printf.bprintf buf "# HELP %s Registry metric %s.\n" pname
-      (escape_help orig)
+  let family name typ help_text =
+    Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name
+      (escape help_text) name typ
   in
-  let identity_suffix =
-    String.concat ""
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf ",%s=\"%s\"" (sanitize k) (escape_label v))
-         identity)
+  (* the samples of one metric, under the labels [kvs] *)
+  let samples pname kvs = function
+    | Metrics.Counter n -> Printf.bprintf buf "%s%s %d\n" pname (labels kvs) n
+    | Metrics.Gauge f -> Printf.bprintf buf "%s%s %.17g\n" pname (labels kvs) f
+    | Metrics.Histogram { bounds; counts; sum; count } ->
+      let cum = ref 0 in
+      Array.iteri
+        (fun i c ->
+          cum := !cum + c;
+          let le =
+            if i < Array.length bounds then Printf.sprintf "%.17g" bounds.(i)
+            else "+Inf"
+          in
+          Printf.bprintf buf "%s_bucket%s %d\n" pname
+            (labels (kvs @ [ ("le", le) ]))
+            !cum)
+        counts;
+      Printf.bprintf buf "%s_sum%s %.17g\n" pname (labels kvs) sum;
+      Printf.bprintf buf "%s_count%s %d\n" pname (labels kvs) count
   in
-  (match (meta, identity) with
-   | None, [] -> ()
-   | Some m, _ ->
-     Printf.bprintf buf
-       "# HELP pp_build_info Build and run provenance (value is always 1).\n";
-     Printf.bprintf buf "# TYPE pp_build_info gauge\n";
-     Printf.bprintf buf
-       "pp_build_info{git_rev=\"%s\",hostname=\"%s\",ocaml_version=\"%s\",jobs=\"%d\"%s} 1\n"
-       (escape_label m.Run_meta.git_rev)
-       (escape_label m.Run_meta.hostname)
-       (escape_label m.Run_meta.ocaml_version)
-       m.Run_meta.jobs identity_suffix
-   | None, _ :: _ ->
-     (* no collected meta (a bare worker, a test): the identity labels
-        still deserve a provenance series *)
-     Printf.bprintf buf
-       "# HELP pp_build_info Build and run provenance (value is always 1).\n";
-     Printf.bprintf buf "# TYPE pp_build_info gauge\n";
-     Printf.bprintf buf "pp_build_info{%s} 1\n"
-       (String.concat ","
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "%s=\"%s\"" (sanitize k) (escape_label v))
-             identity)));
+  (* a bare worker or a test has no collected meta: the identity labels
+     still deserve a provenance series *)
+  let build =
+    (match meta with
+     | None -> []
+     | Some m ->
+       [
+         ("git_rev", m.Run_meta.git_rev);
+         ("hostname", m.Run_meta.hostname);
+         ("ocaml_version", m.Run_meta.ocaml_version);
+         ("jobs", string_of_int m.Run_meta.jobs);
+       ])
+    @ identity
+  in
+  if build <> [] then begin
+    family "pp_build_info" "gauge"
+      "Build and run provenance (value is always 1).";
+    Printf.bprintf buf "pp_build_info%s 1\n" (labels build)
+  end;
   List.iter
     (fun (name, v) ->
       let pname = "pp_" ^ sanitize name in
-      match v with
-      | Metrics.Counter n ->
-        help pname name;
-        Printf.bprintf buf "# TYPE %s counter\n%s %d\n" pname pname n
-      | Metrics.Gauge f ->
-        help pname name;
-        Printf.bprintf buf "# TYPE %s gauge\n%s %.17g\n" pname pname f
-      | Metrics.Histogram { bounds; counts; sum; count } ->
-        help pname name;
-        Printf.bprintf buf "# TYPE %s histogram\n" pname;
-        let cum = ref 0 in
-        Array.iteri
-          (fun i c ->
-            cum := !cum + c;
-            let le =
-              if i < Array.length bounds then Printf.sprintf "%.17g" bounds.(i)
-              else "+Inf"
-            in
-            Printf.bprintf buf "%s_bucket{le=\"%s\"} %d\n" pname le !cum)
-          counts;
-        Printf.bprintf buf "%s_sum %.17g\n" pname sum;
-        Printf.bprintf buf "%s_count %d\n" pname count)
+      family pname (type_name v) ("Registry metric " ^ name ^ ".");
+      samples pname [] v)
     s;
   (* fleet: one labelled series per worker inside each family, HELP and
      TYPE once per family as the exposition format requires *)
   if fleet <> [] then begin
     let wl w = [ ("worker", w.fw_worker); ("host", w.fw_host) ] in
-    Printf.bprintf buf
-      "# HELP pp_fleet_worker_info Distributed-scan worker identity (value is always 1).\n\
-       # TYPE pp_fleet_worker_info gauge\n";
+    family "pp_fleet_worker_info" "gauge"
+      "Distributed-scan worker identity (value is always 1).";
     List.iter
       (fun w ->
         Printf.bprintf buf "pp_fleet_worker_info%s 1\n"
           (labels (wl w @ [ ("pid", string_of_int w.fw_pid) ])))
       fleet;
-    let family name typ help_text value =
-      Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name
-        (escape_help help_text) name typ;
+    let per_worker name typ help_text value =
+      family name typ help_text;
       List.iter
         (fun w -> Printf.bprintf buf "%s%s %s\n" name (labels (wl w)) (value w))
         fleet
     in
-    family "pp_fleet_last_seen_seconds" "gauge"
+    per_worker "pp_fleet_last_seen_seconds" "gauge"
       "Seconds since the coordinator last heard from this worker."
       (fun w -> Printf.sprintf "%.17g" w.fw_last_seen_s);
-    family "pp_fleet_clock_offset_seconds" "gauge"
+    per_worker "pp_fleet_clock_offset_seconds" "gauge"
       "Estimated worker-to-coordinator monotonic clock offset."
       (fun w -> Printf.sprintf "%.17g" w.fw_offset_s);
-    family "pp_fleet_chunks_done" "counter"
+    per_worker "pp_fleet_chunks_done" "counter"
       "Fresh chunk results recorded from this worker."
       (fun w -> string_of_int w.fw_chunks_done);
-    family "pp_fleet_leased" "gauge"
+    per_worker "pp_fleet_leased" "gauge"
       "Chunks currently leased to this worker."
       (fun w -> string_of_int w.fw_leased);
-    family "pp_fleet_events_forwarded" "counter"
+    per_worker "pp_fleet_events_forwarded" "counter"
       "Event-log lines forwarded by this worker."
       (fun w -> string_of_int w.fw_events);
     (* every metric the workers reported, one family per name with a
@@ -185,39 +166,9 @@ let prometheus_of_snapshot ?meta ?(identity = []) ?(fleet = []) s =
         match rows with
         | [] -> ()
         | (_, v0) :: _ ->
-          let typ =
-            match v0 with
-            | Metrics.Counter _ -> "counter"
-            | Metrics.Gauge _ -> "gauge"
-            | Metrics.Histogram _ -> "histogram"
-          in
-          Printf.bprintf buf
-            "# HELP %s Worker-reported registry metric %s.\n# TYPE %s %s\n"
-            pname (escape_help name) pname typ;
-          List.iter
-            (fun (w, v) ->
-              match v with
-              | Metrics.Counter n ->
-                Printf.bprintf buf "%s%s %d\n" pname (labels (wl w)) n
-              | Metrics.Gauge f ->
-                Printf.bprintf buf "%s%s %.17g\n" pname (labels (wl w)) f
-              | Metrics.Histogram { bounds; counts; sum; count } ->
-                let cum = ref 0 in
-                Array.iteri
-                  (fun i c ->
-                    cum := !cum + c;
-                    let le =
-                      if i < Array.length bounds then
-                        Printf.sprintf "%.17g" bounds.(i)
-                      else "+Inf"
-                    in
-                    Printf.bprintf buf "%s_bucket%s %d\n" pname
-                      (labels (wl w @ [ ("le", le) ]))
-                      !cum)
-                  counts;
-                Printf.bprintf buf "%s_sum%s %.17g\n" pname (labels (wl w)) sum;
-                Printf.bprintf buf "%s_count%s %d\n" pname (labels (wl w)) count)
-            rows)
+          family pname (type_name v0)
+            ("Worker-reported registry metric " ^ name ^ ".");
+          List.iter (fun (w, v) -> samples pname (wl w) v) rows)
       names
   end;
   Buffer.contents buf

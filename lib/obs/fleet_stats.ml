@@ -197,13 +197,9 @@ let ingest_record a j =
       let epoch = field_or "epoch" int ~default:1 data in
       a.restarts <- a.restarts + Stdlib.max 0 (epoch - 1);
       chron a ~ts ~ev:"recover"
-        (Printf.sprintf
-           "ledger adopted at epoch %d: %d/%d chunks done, %d stale leases \
-            cleared"
-           epoch
+        (Printf.sprintf "ledger adopted at epoch %d: %d/%d chunks done" epoch
            (field_or "done_chunks" int ~default:0 data)
-           (field_or "total_chunks" int ~default:0 data)
-           (field_or "stale_leases_cleared" int ~default:0 data))
+           (field_or "total_chunks" int ~default:0 data))
   | "worker.chunk" -> (
       match (worker, field "chunk" int data) with
       | Some w, Ok chunk ->

@@ -593,6 +593,39 @@ let checkpoint_fuzz_props =
         {|"leases":[{"chunk":4611686018427387903}]|} ]
     (of_parsed Obs.Checkpoint.of_json)
 
+(* Resuming reads a whole file of outside bytes. The vocabulary carries
+   the run's own configuration and hash, so token sequences get past the
+   header into the chunk states, and a count far beyond what can be
+   allocated. *)
+let resume_fuzz_props =
+  let config = Obs.Json.Obj [ ("n", Obs.Json.Int (-1)) ] in
+  Fuzz_gen.properties ~record:true
+    ~decoder:"Checkpoint.open_or_resume, bar Mismatch and Invalid_argument,"
+    ~vocab:
+      [ {|"schema":"ppcheckpoint/v2"|}; {|"schema":"ppcheckpoint/v1"|};
+        Printf.sprintf {|"config_hash":"%s"|} (Obs.Checkpoint.hash_config config);
+        {|"config_hash":"h"|}; {|"config":{"n":-1}|}; {|"config":{"n":2}|};
+        {|"total_chunks":2|}; {|"total_chunks":1125899906842624|};
+        {|"total_chunks":4611686018427387903|}; {|"total_chunks":-1|};
+        {|"epoch":0|}; {|"epoch":-1|}; {|"chunks":[]|};
+        {|"chunks":[{"index":1,"state":{}}]|};
+        {|"chunks":[{"index":2,"state":null}]|};
+        {|"leases":[{"chunk":1,"holder":"w","epoch":0}]|} ]
+    (fun bytes ->
+      let path = Filename.temp_file "fuzzledger" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes);
+          match
+            Obs.Checkpoint.open_or_resume ~path ~resume:true ~config
+              ~total_chunks:2
+          with
+          | c, _ -> Ok c
+          | exception Obs.Checkpoint.Mismatch _ -> Error "mismatch"
+          | exception Invalid_argument e -> Error e))
+
 (* n stays at 1 or 2 so that a configuration which does decode is a
    cheap plan *)
 let plan_fuzz_props =
@@ -730,8 +763,8 @@ let test_checkpoint_v1_refused () =
         Alcotest.(check bool) "open_or_resume names the schema" true
           (contains e "ppcheckpoint/v1")
       | _ -> Alcotest.fail "open_or_resume resumed a v1 checkpoint");
-  (* the same content as v2 round-trips with its epoch and leases, and
-     each of the two is required *)
+  (* the same content as v2 round-trips with its epoch, which is
+     required *)
   let c =
     Obs.Checkpoint.create
       ~config:(Obs.Json.Obj [ ("n", Obs.Json.Int 2) ])
@@ -739,27 +772,35 @@ let test_checkpoint_v1_refused () =
   in
   Obs.Checkpoint.mark_done c 2 (Obs.Json.Obj [ ("scanned", Obs.Json.Int 7) ]);
   ignore (Obs.Checkpoint.bump_epoch c);
-  Obs.Checkpoint.set_lease c 3 ~holder:"w1";
   (match Obs.Checkpoint.of_json (Obs.Checkpoint.to_json c) with
    | Error e -> Alcotest.fail e
    | Ok c' ->
      Alcotest.(check int) "epoch round-trips" 1 (Obs.Checkpoint.epoch c');
-     Alcotest.(check int) "completed chunks survive" 1 (Obs.Checkpoint.num_done c');
-     Alcotest.(check bool) "lease round-trips" true
-       (Obs.Checkpoint.lease c' 3
-        = Some { Obs.Checkpoint.holder = "w1"; lease_epoch = 1 });
-     Alcotest.(check (list int)) "leased_to agrees" [ 3 ]
-       (Obs.Checkpoint.leased_to c' ~holder:"w1"));
+     Alcotest.(check int) "completed chunks survive" 1 (Obs.Checkpoint.num_done c'));
   match Obs.Checkpoint.to_json c with
   | Obs.Json.Obj fields ->
-    List.iter
-      (fun k ->
-        let without = Obs.Json.Obj (List.remove_assoc k fields) in
-        match Obs.Checkpoint.of_json without with
-        | Error e ->
-          Alcotest.(check bool) ("the error names " ^ k) true (contains e k)
-        | Ok _ -> Alcotest.failf "a checkpoint without %S loaded" k)
-      [ "epoch"; "leases" ]
+    (match Obs.Checkpoint.of_json (Obs.Json.Obj (List.remove_assoc "epoch" fields)) with
+     | Error e ->
+       Alcotest.(check bool) "the error names epoch" true (contains e "epoch")
+     | Ok _ -> Alcotest.fail "a checkpoint without \"epoch\" loaded");
+    (* older builds also wrote a lease table: such a ledger still loads,
+       the table skipped *)
+    let leases =
+      Obs.Json.List
+        [
+          Obs.Json.Obj
+            [
+              ("chunk", Obs.Json.Int 3);
+              ("holder", Obs.Json.String "w1");
+              ("epoch", Obs.Json.Int 1);
+            ];
+        ]
+    in
+    (match Obs.Checkpoint.of_json (Obs.Json.Obj (fields @ [ ("leases", leases) ])) with
+     | Error e -> Alcotest.fail e
+     | Ok c' ->
+       Alcotest.(check int) "a ledger with leases keeps its chunks" 1
+         (Obs.Checkpoint.num_done c'))
   | _ -> Alcotest.fail "checkpoint did not encode as an object"
 
 (* counts read from outside bytes size allocations: out of range they
@@ -781,6 +822,58 @@ let test_outside_counts_are_errors () =
    | Error e ->
      Alcotest.(check bool) "names total_chunks" true (contains e "total_chunks")
    | Ok _ -> Alcotest.fail "a max_int chunk count loaded");
+  (* a count within the array limit is still far too large to allocate:
+     resuming compares it with the run's before anything is sized by it,
+     and a count-only difference is named as such *)
+  let plan = Busy_beaver.plan ~n:1 () in
+  let config = Busy_beaver.plan_config plan in
+  List.iter
+    (fun total ->
+      let path = Filename.temp_file "countledger" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc
+                (Obs.Json.to_string
+                   (Obs.Json.Obj
+                      [
+                        ("schema", Obs.Json.String Obs.Checkpoint.schema);
+                        ( "config_hash",
+                          Obs.Json.String (Obs.Checkpoint.hash_config config) );
+                        ("config", config);
+                        ("total_chunks", Obs.Json.Int total);
+                        ("epoch", Obs.Json.Int 0);
+                        ("chunks", Obs.Json.List []);
+                      ])));
+          List.iter
+            (fun (who, resume_from) ->
+              match resume_from () with
+              | () -> Alcotest.failf "%s resumed %d chunks of 1" who total
+              | exception Obs.Checkpoint.Mismatch { path; diff } ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s, %d chunks: the diff names total_chunks"
+                     who total)
+                  [ "total_chunks" ]
+                  (List.map (fun d -> d.Obs.Checkpoint.field) diff);
+                let msg = Obs.Checkpoint.mismatch_message ~path diff in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s, %d chunks: both counts shown" who total)
+                  true
+                  (contains msg "run has 1"
+                  && contains msg ("snapshot has " ^ string_of_int total)))
+            [
+              ( "open_or_resume",
+                fun () ->
+                  ignore
+                    (Obs.Checkpoint.open_or_resume ~path ~resume:true ~config
+                       ~total_chunks:(Busy_beaver.plan_chunks plan)) );
+              ( "Busy_beaver.scan",
+                fun () ->
+                  ignore (Busy_beaver.scan ~n:1 ~checkpoint:path ~resume:true ())
+              );
+            ]))
+    [ 1 lsl 50; 5 ];
   let config ?(chunk = 8) (count, total) =
     match Busy_beaver.plan_config (Busy_beaver.plan ~chunk ~n:1 ()) with
     | Obs.Json.Obj fields ->
@@ -1137,6 +1230,83 @@ let test_fork_checkpoint_epochs () =
       | Ok c ->
         Alcotest.(check int) "second adoption bumped the epoch" 2
           (Obs.Checkpoint.epoch c))
+
+(* A chunk state no merge could read is refused when the ledger is
+   opened — by the local scan and the coordinator alike, before any
+   worker is forked and without touching the file — not after a whole
+   scan. *)
+let test_malformed_state_refused_on_open () =
+  with_temp_checkpoint (fun path ->
+      let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
+      let c =
+        Obs.Checkpoint.create ~config:(Busy_beaver.plan_config plan)
+          ~total_chunks:(Busy_beaver.plan_chunks plan)
+      in
+      Obs.Checkpoint.mark_done c 0 (Busy_beaver.scan_chunk plan 0);
+      Obs.Checkpoint.mark_done c 1
+        (Obs.Json.Obj [ ("scanned", Obs.Json.String "x") ]);
+      Obs.Checkpoint.save ~path c;
+      let bytes () = In_channel.with_open_bin path In_channel.input_all in
+      let before = bytes () in
+      List.iter
+        (fun (who, resume_from) ->
+          (match resume_from () with
+           | () -> Alcotest.failf "%s resumed a malformed chunk state" who
+           | exception Invalid_argument e ->
+             Alcotest.(check bool) (who ^ ": the error names the chunk") true
+               (contains e "chunk 1" && contains e path));
+          Alcotest.(check bool) (who ^ ": the ledger is untouched") true
+            (bytes () = before))
+        [
+          ( "Distributed_scan.coordinate",
+            fun () ->
+              ignore
+                (Distributed_scan.coordinate ~workers:1 ~checkpoint:path
+                   ~resume:true ~plan ()) );
+          ( "Busy_beaver.scan",
+            fun () ->
+              ignore
+                (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 ~checkpoint:path
+                   ~resume:true ()) );
+        ])
+
+(* Local and distributed scans keep the same ledger: a scan stopped
+   under one finishes under the other, to the uninterrupted result. *)
+let test_cross_resume () =
+  let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
+  let scan ~should_stop ~resume path =
+    Busy_beaver.scan ~jobs:1 ~chunk:4 ~max_input:8 ~n:2 ~checkpoint:path
+      ~checkpoint_every_chunks:1 ~should_stop ~resume ()
+  in
+  let coordinate ~should_stop ~resume path =
+    (Distributed_scan.coordinate ~workers:1 ~checkpoint:path
+       ~checkpoint_every_chunks:1 ~should_stop ~resume ~plan ())
+      .Distributed_scan.result
+  in
+  let reference = Busy_beaver.scan ~chunk:4 ~max_input:8 ~n:2 () in
+  (* stop once the ledger on disk holds a few chunks *)
+  let stop_at path () =
+    match Obs.Checkpoint.load path with
+    | Ok c -> Obs.Checkpoint.num_done c >= 3
+    | Error _ -> false
+  in
+  List.iter
+    (fun (case, first, second) ->
+      with_temp_checkpoint (fun path ->
+          let stopped = first ~should_stop:(stop_at path) ~resume:false path in
+          Alcotest.(check bool) (case ^ ": the first run stopped early") true
+            (stopped.Busy_beaver.interrupted
+            && stopped.Busy_beaver.completed_chunks
+               < stopped.Busy_beaver.total_chunks);
+          let resumed = second ~should_stop:(fun () -> false) ~resume:true path in
+          Alcotest.(check bool) (case ^ ": resumed result identical") true
+            (result_eq resumed reference);
+          Alcotest.(check int) (case ^ ": every chunk completed")
+            resumed.Busy_beaver.total_chunks resumed.Busy_beaver.completed_chunks))
+    [
+      ("local, then workers", scan, coordinate);
+      ("workers, then local", coordinate, scan);
+    ]
 
 let test_fork_telemetry () =
   let events_path = Filename.temp_file "distscan" ".events.jsonl" in
@@ -1520,7 +1690,7 @@ let () =
           Alcotest.test_case "outside counts are errors, not crashes" `Quick
             test_outside_counts_are_errors;
         ]
-        @ checkpoint_fuzz_props @ plan_fuzz_props );
+        @ checkpoint_fuzz_props @ resume_fuzz_props @ plan_fuzz_props );
       ("recovery", [ kill_recovery_prop ]);
       ( "processes",
         [
@@ -1530,6 +1700,10 @@ let () =
             test_fork_chaos_kill;
           Alcotest.test_case "checkpoint epochs across adoptions" `Quick
             test_fork_checkpoint_epochs;
+          Alcotest.test_case "malformed chunk state refused on open" `Quick
+            test_malformed_state_refused_on_open;
+          Alcotest.test_case "local and distributed scans resume each other" `Quick
+            test_cross_resume;
           Alcotest.test_case "fleet telemetry over fork workers" `Quick
             test_fork_telemetry;
           Alcotest.test_case "cached chunk states resend, not redo" `Quick
