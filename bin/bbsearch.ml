@@ -58,9 +58,9 @@ let run_worker (host, port) chaos_kill chaos_net heartbeat_timeout =
     Printf.eprintf "bbsearch: worker: %s\n" e;
     1
 
-let run n max_input sample seed jobs chunk schedule eta_budget
-    checkpoint ckpt_chunks ckpt_secs resume on_error print_best workers serve
-    connect chaos_kill chaos_worker chaos_net heartbeat_timeout () =
+let run n max_input sample seed jobs chunk eta_budget checkpoint ckpt_chunks
+    ckpt_secs resume on_error print_best workers serve connect chaos_kill
+    chaos_worker chaos_net heartbeat_timeout () =
   match connect with
   | Some hp -> run_worker hp chaos_kill chaos_net heartbeat_timeout
   | None ->
@@ -75,12 +75,9 @@ let run n max_input sample seed jobs chunk schedule eta_budget
     try
       Obs.Shutdown.with_graceful (fun () ->
           if distributed then begin
-            (* under `Guided the partition is shaped by the worker
-               count; single-process --jobs plays no other role here *)
-            let pjobs = if workers > 0 then workers else jobs in
             let plan =
-              Busy_beaver.plan ?sample ~jobs:pjobs ~chunk ~schedule
-                ?eta_budget_s:eta_budget ~max_input ~n ()
+              Busy_beaver.plan ?sample ~chunk ?eta_budget_s:eta_budget
+                ~max_input ~n ()
             in
             let serve_fd =
               Option.map (fun port -> Distributed_scan.listen ~port ()) serve
@@ -117,10 +114,10 @@ let run n max_input sample seed jobs chunk schedule eta_budget
             o.Distributed_scan.result
           end
           else
-            Busy_beaver.scan ?sample ~jobs ~chunk ~schedule
-              ?eta_budget_s:eta_budget ?checkpoint
-              ~checkpoint_every_chunks:ckpt_chunks ~checkpoint_every_s:ckpt_secs
-              ~resume ~on_task_error:on_error ~max_input ~n ())
+            Busy_beaver.scan ?sample ~jobs ~chunk ?eta_budget_s:eta_budget
+              ?checkpoint ~checkpoint_every_chunks:ckpt_chunks
+              ~checkpoint_every_s:ckpt_secs ~resume ~on_task_error:on_error
+              ~max_input ~n ())
     with
     | Obs.Checkpoint.Mismatch { path; diff } ->
       (* which flag changed, not just that two hashes differ *)
@@ -183,31 +180,14 @@ let jobs_arg =
                wall-clock varies.")
 
 let chunk_arg =
-  Arg.(value & opt int 1024 & info [ "chunk" ]
-         ~doc:"Codes per scheduling chunk. Any value yields the same \
-               result; smaller chunks balance better, larger ones have \
-               less overhead.")
-
-let schedule_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "fixed" -> Ok `Fixed
-    | "guided" -> Ok `Guided
-    | _ -> Error (`Msg "expected fixed or guided")
-  in
-  let print fmt (s : Pool.schedule) =
-    Format.pp_print_string fmt
-      (match s with `Fixed -> "fixed" | `Guided -> "guided")
-  in
-  Arg.conv (parse, print)
-
-let schedule_arg =
-  Arg.(value & opt schedule_conv `Fixed & info [ "schedule" ] ~docv:"KIND"
-         ~doc:"Chunk size schedule: $(b,fixed) (every chunk --chunk codes, \
-               the default) or $(b,guided) (sizes descend from --chunk to \
-               1, cutting the straggler tail; the chunk partition — and so \
-               the checkpoint fingerprint — then depends on the worker \
-               count). Aggregates are byte-identical either way.")
+  Arg.(value & opt int 1024 & info [ "chunk" ] ~docv:"N"
+         ~doc:"Codes per scheduling chunk: chunk $(i,i) holds codes \
+               $(i,i)·$(docv) up to (but excluding) ($(i,i)+1)·$(docv). \
+               Any value yields the same result; smaller chunks balance \
+               better, larger ones have less overhead. The partition \
+               depends on this value alone, so a $(b,--checkpoint) \
+               ledger resumes at the same $(b,--chunk) under any \
+               $(b,--jobs) or $(b,--workers).")
 
 let eta_budget_arg =
   Arg.(value & opt (some float) None & info [ "eta-budget" ] ~docv:"S"
@@ -349,10 +329,9 @@ let cmd =
   Cmd.v (Cmd.info "bbsearch" ~doc:"Busy-beaver search over small protocols")
     Term.(
       const run $ n_arg $ max_input_arg $ sample_arg $ seed_arg $ jobs_arg
-      $ chunk_arg $ schedule_arg $ eta_budget_arg
-      $ checkpoint_arg $ ckpt_chunks_arg $ ckpt_secs_arg $ resume_arg
-      $ on_error_arg $ best_arg $ workers_arg $ serve_arg $ connect_arg
-      $ chaos_kill_arg $ chaos_worker_arg $ chaos_net_arg
-      $ heartbeat_timeout_arg $ Obs_cli.term)
+      $ chunk_arg $ eta_budget_arg $ checkpoint_arg $ ckpt_chunks_arg
+      $ ckpt_secs_arg $ resume_arg $ on_error_arg $ best_arg $ workers_arg
+      $ serve_arg $ connect_arg $ chaos_kill_arg $ chaos_worker_arg
+      $ chaos_net_arg $ heartbeat_timeout_arg $ Obs_cli.term)
 
 let () = exit (Cmd.eval' cmd)

@@ -346,8 +346,6 @@ type plan = {
   pl_eta_budget_s : float option;
   pl_prune : bool;
   pl_chunk : int;
-  pl_schedule : Pool.schedule;
-  pl_jobs : int;
   pl_sample : (int * int) option;
   pl_codes : (int * int) array option;
   pl_sym : Symmetry.t option;
@@ -355,8 +353,8 @@ type plan = {
   pl_bounds : (int * int) array;
 }
 
-let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
-    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
+let plan ?jobs:_ ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
+    ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
   check_n "plan" n;
   let pair_list = pairs n in
   let num_outputs = 1 lsl n in
@@ -376,13 +374,11 @@ let plan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     pl_eta_budget_s = eta_budget_s;
     pl_prune = prune;
     pl_chunk = chunk;
-    pl_schedule = schedule;
-    pl_jobs = Stdlib.max 1 jobs;
     pl_sample = sample;
     pl_codes = codes;
     pl_sym = (if prune then Some (Symmetry.make n) else None);
     pl_total = total;
-    pl_bounds = Pool.boundaries schedule ~tasks:total ~jobs ~chunk;
+    pl_bounds = Pool.boundaries ~tasks:total ~chunk;
   }
 
 let plan_chunks plan = Array.length plan.pl_bounds
@@ -395,56 +391,33 @@ let plan_chunk_range plan ci =
          (Array.length plan.pl_bounds));
   plan.pl_bounds.(ci)
 
-let chunk_index plan ~lo =
-  match plan.pl_schedule with
-  | `Fixed -> lo / plan.pl_chunk
-  | `Guided ->
-    (* boundaries are sorted by [lo]; binary-search the slot *)
-    let bounds = plan.pl_bounds in
-    let rec go a b =
-      if a > b then
-        invalid_arg (Printf.sprintf "Busy_beaver.chunk_index: lo %d" lo)
-      else
-        let m = (a + b) / 2 in
-        let mlo, mhi = bounds.(m) in
-        if lo < mlo then go a (m - 1)
-        else if lo >= mhi then go (m + 1) b
-        else m
-    in
-    go 0 (Array.length bounds - 1)
-
 (* Everything that shapes the chunk partition or the per-chunk content
    goes into the checkpoint fingerprint: a snapshot only resumes a
    scan that would recompute the exact same chunks, and a worker only
    serves a coordinator whose plan equals its own. The sample
    (count, seed) covers the RNG scheme — sampled code [i] depends on
-   nothing else. The guided schedule's partition depends on jobs, so
-   those two fields join the fingerprint only in that mode. A snapshot
-   whose configuration has any other field set, or a field this one
-   lacks, never resumes: the hashes differ, and the mismatch names the
+   nothing else, and the partition on [chunk] alone. A snapshot whose
+   configuration has any other field set, or a field this one lacks,
+   never resumes: the hashes differ, and the mismatch names the
    fields. *)
 let plan_config plan =
   let open Obs.Json in
   Obj
-    ([
-       ("workload", String "bbsearch");
-       ("n", Int plan.pl_n);
-       ("max_input", Int plan.pl_max_input);
-       ("max_configs", Int plan.pl_max_configs);
-       ( "eta_budget_s",
-         match plan.pl_eta_budget_s with None -> Null | Some s -> Float s );
-       ("prune", Bool plan.pl_prune);
-       ("chunk", Int plan.pl_chunk);
-       ( "sample",
-         match plan.pl_sample with
-         | None -> Null
-         | Some (count, seed) -> List [ Int count; Int seed ] );
-       ("total", Int plan.pl_total);
-     ]
-     @
-     match plan.pl_schedule with
-     | `Fixed -> []
-     | `Guided -> [ ("schedule", String "guided"); ("jobs", Int plan.pl_jobs) ])
+    [
+      ("workload", String "bbsearch");
+      ("n", Int plan.pl_n);
+      ("max_input", Int plan.pl_max_input);
+      ("max_configs", Int plan.pl_max_configs);
+      ( "eta_budget_s",
+        match plan.pl_eta_budget_s with None -> Null | Some s -> Float s );
+      ("prune", Bool plan.pl_prune);
+      ("chunk", Int plan.pl_chunk);
+      ( "sample",
+        match plan.pl_sample with
+        | None -> Null
+        | Some (count, seed) -> List [ Int count; Int seed ] );
+      ("total", Int plan.pl_total);
+    ]
 
 let plan_of_config j =
   let open Obs.Json.Decode in
@@ -463,14 +436,6 @@ let plan_of_config j =
        let* prune = field "prune" bool j in
        let* chunk = field "chunk" int j in
        let* sample = field_opt "sample" (pair int int) j in
-       let* schedule = field_opt "schedule" string j in
-       let* schedule, jobs =
-         match schedule with
-         | None -> Ok (`Fixed, 1)
-         | Some "guided" ->
-           Result.map (fun jobs -> (`Guided, jobs)) (field "jobs" int j)
-         | Some s -> Error (Printf.sprintf "unknown schedule %S" s)
-       in
        let* total = field "total" int j in
        (* the total is checked before [plan] allocates anything sized by
           it: a sample count comes from outside bytes *)
@@ -484,8 +449,8 @@ let plan_of_config j =
            (Printf.sprintf "total %d does not match the space (%d)" total space)
        else
          match
-           plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs
-             ?eta_budget_s ?sample ~n ()
+           plan ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample
+             ~n ()
          with
          | p -> Ok p
          | exception Invalid_argument e -> Error e)
@@ -715,13 +680,12 @@ let with_ledger ?checkpoint ?every_chunks ?every_s ?(resume = false) plan f =
    durations. *)
 let finished : partial option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
-    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample
-    ?checkpoint ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
+let scan ?(jobs = 1) ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
+    ?(max_configs = 60_000) ?eta_budget_s ?sample ?checkpoint
+    ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
     ?(resume = false) ?should_stop ?(on_task_error = `Fail) ~n () =
   let plan =
-    plan ~jobs ~chunk ~schedule ~prune ~max_input ~max_configs ?eta_budget_s
-      ?sample ~n ()
+    plan ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample ~n ()
   in
   let total = plan.pl_total in
   with_ledger ?checkpoint ~every_chunks:checkpoint_every_chunks
@@ -742,7 +706,7 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
   let do_range ~lo ~hi:_ =
     (* a fresh accumulator per (re)run of the chunk, so a retried chunk
        can never double its counts *)
-    Domain.DLS.set finished (Some (run_chunk ~display plan (chunk_index plan ~lo)))
+    Domain.DLS.set finished (Some (run_chunk ~display plan (lo / plan.pl_chunk)))
   in
   let on_chunk_done i =
     let part = Option.get (Domain.DLS.get finished) in
@@ -759,7 +723,7 @@ let scan ?(jobs = 1) ?(chunk = 1024) ?(schedule = `Fixed) ?(prune = true)
     Obs.Trace.with_span "bbsearch.scan" ~cat:"bbsearch"
       ~args:[ ("states", string_of_int n); ("total", string_of_int total) ]
       (fun () ->
-        Pool.run ~jobs ~chunk ~schedule ~name:"bbsearch" ~on_task_error
+        Pool.run ~jobs ~chunk:plan.pl_chunk ~name:"bbsearch" ~on_task_error
           ~should_stop:stop_requested ~skip_chunk:(Obs.Checkpoint.is_done ledger)
           ~on_chunk_done ~tasks:total do_range)
   in

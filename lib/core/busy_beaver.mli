@@ -54,7 +54,6 @@ type scan_result = {
 val scan :
   ?jobs:int ->
   ?chunk:int ->
-  ?schedule:Pool.schedule ->
   ?prune:bool ->
   ?max_input:int ->
   ?max_configs:int ->
@@ -77,13 +76,11 @@ val scan :
     [jobs]/[chunk].
 
     [?jobs] (default 1) domains share the scan; [?chunk] (default 1024)
-    is the dynamic-scheduling granule. Any setting of either produces
-    byte-identical aggregates. [?schedule] (default [`Fixed]) selects
-    the {!Pool.schedule}: under [`Guided] chunk sizes descend from
-    [chunk] to 1 (cutting the straggler tail on wide chunks) — the
-    aggregate is still byte-identical, but the chunk partition (and so
-    the checkpoint fingerprint) then depends on [jobs].
-    [?prune] (default true) enables symmetry
+    is the dynamic-scheduling granule: chunk [i] holds codes
+    [\[i * chunk, min total ((i + 1) * chunk))]. Any setting of either
+    produces byte-identical aggregates, and the chunk partition (so
+    the checkpoint fingerprint) depends on [chunk] alone, so a ledger
+    resumes at any [jobs]. [?prune] (default true) enables symmetry
     pruning: with it, [num_protocols] still counts the {e full} space
     (orbit-weighted), and [best] may be any member of the best orbit.
     The verifier explores packed configuration graphs whenever
@@ -137,7 +134,6 @@ type plan
 val plan :
   ?jobs:int ->
   ?chunk:int ->
-  ?schedule:Pool.schedule ->
   ?prune:bool ->
   ?max_input:int ->
   ?max_configs:int ->
@@ -146,8 +142,8 @@ val plan :
   n:int ->
   unit ->
   plan
-(** Same defaults as {!scan}. [jobs] shapes the partition only under
-    [`Guided]. *)
+(** Same defaults as {!scan}. [jobs] has no effect on the plan: the
+    partition is a function of the code space and [chunk] alone. *)
 
 val plan_config : plan -> Obs.Json.t
 (** The canonical configuration object — what {!scan} fingerprints into

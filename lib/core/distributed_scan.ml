@@ -25,16 +25,20 @@ let m_restarts = Obs.Metrics.counter "coordinator.restarts"
 
 (* The coordinator's step on top of the shared ledger: bump the epoch
    and persist it *before* any grant goes out, so grants of a previous
-   (crashed) coordinator can never be mistaken for this run's. A
-   resumed ledger leaves an events/metrics trail: [coordinator.restarts]
-   counts prior lives (epoch - 1 on adoption) and a [dist.recovery]
-   record says what the ledger held. *)
+   (crashed) coordinator can never be mistaken for this run's. A failed
+   write is swallowed like any snapshot's, and [with_ledger]'s final
+   flush reports it: a later life that cannot tell this life's grants
+   from its own still merges the same bytes, since chunk content
+   depends only on (plan, index). A resumed ledger leaves an
+   events/metrics trail: [coordinator.restarts] counts prior lives
+   (epoch - 1 on adoption) and a [dist.recovery] record says what the
+   ledger held. *)
 let adopt ?checkpoint ledger ~resumed =
   let epoch = Obs.Checkpoint.bump_epoch ledger in
   (match checkpoint with
    | None -> ()
    | Some path ->
-     Obs.Checkpoint.save ~path ledger;
+     (try Obs.Checkpoint.save ~path ledger with Sys_error _ -> ());
      if resumed then begin
        Obs.Metrics.add m_restarts (epoch - 1);
        if Obs.Events.enabled () then
@@ -105,10 +109,9 @@ let child_main ~idx ~chaos_kill ~chaos_net ~heartbeat_timeout ~fd =
   | Error e -> fail e
   | exception e -> fail (Printexc.to_string e)
 
-let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
-    ?(max_batch = 16) ?checkpoint ?(checkpoint_every_chunks = 64)
-    ?(checkpoint_every_s = 30.0) ?(resume = false) ?should_stop ?chaos_kill
-    ?chaos_net ?telemetry ~plan () =
+let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0) ?checkpoint
+    ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
+    ?(resume = false) ?should_stop ?chaos_kill ?chaos_net ?telemetry ~plan () =
   if workers < 0 then invalid_arg "Distributed_scan.coordinate: workers >= 0";
   if workers = 0 && serve = None then
     invalid_arg "Distributed_scan.coordinate: no worker source (workers=0, no serve)";
@@ -186,7 +189,7 @@ let coordinate ?(workers = 0) ?serve ?(heartbeat_timeout = 10.0)
           (fun () ->
             Dist.Coordinator.run ?accept:serve
               ~fds:(Array.to_list (Array.map fst pairs))
-              ~heartbeat_timeout ~max_batch ?chaos:chaos_net
+              ~heartbeat_timeout ?chaos:chaos_net
               ~should_stop:stop_requested ?telemetry ~config:config_json
               ~config_hash:(Obs.Checkpoint.hash_config config_json)
               ~epoch ~total_chunks:num_chunks
@@ -222,8 +225,8 @@ let listen ?(host = "127.0.0.1") ~port () =
   Unix.listen fd 16;
   fd
 
-let connect_worker ?name ?heartbeat_every ?chaos_kill ?chaos_net
-    ?(reconnect = true) ?max_attempts ?backoff_base ~host ~port () =
+let connect_worker ?name ?heartbeat_every ?chaos_kill ?chaos_net ?max_attempts
+    ?backoff_base ~host ~port () =
   ignore_sigpipe ();
   let name =
     match name with
@@ -248,29 +251,14 @@ let connect_worker ?name ?heartbeat_every ?chaos_kill ?chaos_net
            (Unix.error_message e))
     | () -> Ok fd
   in
-  if reconnect then
-    (* the session layer owns the fds; the chunk cache rides across
-       sessions so a Result lost to a dying connection is resent, not
-       recomputed, once the redial's rejoin handshake lands *)
-    Dist.Worker.run_reconnect ?heartbeat_every ?max_attempts ?backoff_base
-      ~jitter_seed:(Hashtbl.hash (host, port))
-      ?chaos_for:
-        (match chaos_net with
-         | None -> None
-         | Some spec ->
-           Some (fun session -> Some (Dist.Chaos.create spec ~conn:(20_000 + session))))
-      ~on_chunk_done ~name ~connect ~runner:worker_runner ()
-  else
-    match connect () with
-    | Error e -> Error e
-    | Ok fd ->
-      let chaos =
-        match chaos_net with
-        | None -> None
-        | Some spec -> Some (Dist.Chaos.create spec ~conn:20_000)
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Dist.Worker.run ?heartbeat_every ?chaos ~on_chunk_done ~name ~fd
-            ~runner:worker_runner ())
+  (* the session layer owns the fds; the chunk cache rides across
+     sessions so a Result lost to a dying connection is resent, not
+     recomputed, once the redial's rejoin handshake lands *)
+  Dist.Worker.run_reconnect ?heartbeat_every ?max_attempts ?backoff_base
+    ~jitter_seed:(Hashtbl.hash (host, port))
+    ?chaos_for:
+      (Option.map
+         (fun spec session ->
+           Some (Dist.Chaos.create spec ~conn:(20_000 + session)))
+         chaos_net)
+    ~on_chunk_done ~name ~connect ~runner:worker_runner ()

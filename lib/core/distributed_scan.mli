@@ -28,7 +28,6 @@ val coordinate :
   ?workers:int ->
   ?serve:Unix.file_descr ->
   ?heartbeat_timeout:float ->
-  ?max_batch:int ->
   ?checkpoint:string ->
   ?checkpoint_every_chunks:int ->
   ?checkpoint_every_s:float ->
@@ -102,7 +101,6 @@ val connect_worker :
   ?heartbeat_every:float ->
   ?chaos_kill:int ->
   ?chaos_net:Dist.Chaos.spec ->
-  ?reconnect:bool ->
   ?max_attempts:int ->
   ?backoff_base:float ->
   host:string ->
@@ -115,12 +113,12 @@ val connect_worker :
     [k] chunks (tests); [chaos_net] mangles this side's outbound
     frames deterministically ({!Dist.Chaos}).
 
-    [reconnect] (default true) redials through
-    {!Dist.Worker.run_reconnect} when the connection drops — or was
-    never up — with exponential backoff and deterministic jitter, up
-    to [max_attempts] (default 6) consecutive failures, keeping the
-    same worker identity and its computed-chunk cache across sessions:
-    a coordinator restart ([--serve --resume]) sees the worker rejoin
-    mid-scan and any completed-but-unacked chunk is resent, not
-    redone. Returns [Error _] when the coordinator stays gone or
-    rejects — the exit diagnostic, not an exception. *)
+    It redials through {!Dist.Worker.run_reconnect} when the
+    connection drops — or was never up — with exponential backoff and
+    deterministic jitter, up to [max_attempts] (default 6) consecutive
+    failures, keeping the same worker identity and its computed-chunk
+    cache across sessions: a coordinator restart ([--serve --resume])
+    sees the worker rejoin mid-scan and any completed-but-unacked
+    chunk is resent, not redone. Returns [Error _] when the
+    coordinator stays gone, or at once when the worker refuses its
+    Welcome — the exit diagnostic, not an exception. *)

@@ -9,7 +9,7 @@ type stats = {
   corrupt_frames : int;
   events_forwarded : int;
   interrupted : bool;
-  fleet : Telemetry.summary list;
+  fleet : Obs.Export.fleet_worker list;
 }
 
 type conn = {
@@ -35,9 +35,9 @@ let now_s () =
      wall-clock (NTP) step can never mass-expire healthy leases *)
   Obs.Clock.ns_to_s (Obs.Clock.now_ns ())
 
-let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
-    ?chaos ?(should_stop = fun () -> false) ?telemetry ~config ~config_hash
-    ~epoch ~total_chunks ~completed ~on_result () =
+let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?chaos
+    ?(should_stop = fun () -> false) ?telemetry ~config ~config_hash ~epoch
+    ~total_chunks ~completed ~on_result () =
   let telemetry =
     match telemetry with
     | Some b -> b
@@ -46,7 +46,7 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
            will look at the fleet view *)
         Obs.Metrics.enabled () || Obs.Events.enabled () || Obs.Export.active ()
   in
-  let lease = Lease.create ~max_batch ~total:total_chunks ~completed () in
+  let lease = Lease.create ~total:total_chunks ~completed () in
   let reg = Telemetry.create () in
   let next_conn = ref 0 in
   let mk_conn fd =
@@ -312,15 +312,16 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
   let finished () = Lease.is_complete lease in
   if telemetry then
     Obs.Export.set_fleet (Some (fun () -> Telemetry.fleet reg ~now:(now_s ())));
+  let fleet = ref [] in
   Fun.protect
     ~finally:(fun () ->
-      (* freeze the final fleet view rather than dropping it: the
-         exporter's last write happens after this returns, and a
-         post-run [pptop] should still show who did what *)
-      if telemetry then begin
-        let final = Telemetry.fleet reg ~now:(now_s ()) in
-        Obs.Export.set_fleet (Some (fun () -> final))
-      end)
+      (* freeze the final fleet view rather than dropping it: it is the
+         stats' view, the exporter's last write happens after this
+         returns, and a post-run [pptop] should still show who did
+         what *)
+      let final = Telemetry.fleet reg ~now:(now_s ()) in
+      fleet := final;
+      if telemetry then Obs.Export.set_fleet (Some (fun () -> final)))
     (fun () ->
       while (not (finished ())) && not !interrupted do
         if should_stop () then interrupted := true
@@ -437,21 +438,21 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?(max_batch = 16)
           end
         in
         final_drain ()
-      end;
-      List.iter
-        (fun c -> try Unix.close (Wire.reader_fd c.rd) with Unix.Unix_error _ -> ())
-        !conns;
-      Obs.Metrics.set g_workers 0.0;
-      {
-        chunks_done = !chunks_done;
-        duplicates = !duplicates;
-        stale_dropped = !stale_dropped;
-        reassigned = !reassigned;
-        workers_seen = !workers_seen;
-        workers_lost = !workers_lost;
-        rejoins = !rejoins;
-        corrupt_frames = !corrupt_frames;
-        events_forwarded = !events_forwarded;
-        interrupted = !interrupted;
-        fleet = Telemetry.summaries reg;
-      })
+      end);
+  List.iter
+    (fun c -> try Unix.close (Wire.reader_fd c.rd) with Unix.Unix_error _ -> ())
+    !conns;
+  Obs.Metrics.set g_workers 0.0;
+  {
+    chunks_done = !chunks_done;
+    duplicates = !duplicates;
+    stale_dropped = !stale_dropped;
+    reassigned = !reassigned;
+    workers_seen = !workers_seen;
+    workers_lost = !workers_lost;
+    rejoins = !rejoins;
+    corrupt_frames = !corrupt_frames;
+    events_forwarded = !events_forwarded;
+    interrupted = !interrupted;
+    fleet = !fleet;
+  }

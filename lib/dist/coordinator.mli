@@ -58,14 +58,15 @@ type stats = {
   corrupt_frames : int;  (** v3 frames skipped for length/CRC failure *)
   events_forwarded : int;  (** worker event lines ingested (racy) *)
   interrupted : bool;  (** [should_stop] fired before completion *)
-  fleet : Telemetry.summary list;  (** per-worker totals, join order *)
+  fleet : Obs.Export.fleet_worker list;
+      (** the final {!Telemetry.fleet} view: per-worker rows, join
+          order *)
 }
 
 val run :
   ?accept:Unix.file_descr ->
   ?fds:Unix.file_descr list ->
   ?heartbeat_timeout:float ->
-  ?max_batch:int ->
   ?chaos:Chaos.spec ->
   ?should_stop:(unit -> bool) ->
   ?telemetry:bool ->
@@ -91,10 +92,10 @@ val run :
     socket, so every forked child of a completed scan counts in
     [workers_seen], however fast the others finished.
     [heartbeat_timeout] (default 10s) bounds how long an unproductive
-    worker can sit on a lease; [max_batch] (default 16) caps grant
-    sizes (see {!Lease}). [chaos] arms deterministic fault injection
-    on this side's outbound frames, one {!Chaos} stream per accepted
-    connection in accept order. [should_stop] (polled every loop tick,
+    worker can sit on a lease; grants are sized by {!Lease}'s default
+    policy. [chaos] arms deterministic fault injection on this side's
+    outbound frames, one {!Chaos} stream per accepted connection in
+    accept order. [should_stop] (polled every loop tick,
     with {!Obs.Shutdown.requested} checked alongside by the caller if
     desired) drains the loop early: workers get a {!Wire.Shutdown} and
     [interrupted] is set.

@@ -8,10 +8,11 @@
 
     Grant policy: the lowest-index run of contiguous todo chunks, with
     a {e descending} batch size [max 1 (min max_batch
-    (ceil (todo / (2 * workers))))] — the same guided-self-scheduling
-    shape as {!Pool.boundaries}, applied at the lease level: early
-    grants are big (few round-trips), final grants are single chunks
-    (a straggler holds back one chunk, not a batch).
+    (ceil (todo / (2 * workers))))] — guided self-scheduling, which
+    lives here and nowhere else: the chunks themselves are the plan's
+    fixed partition, and only the batches that lease them shrink.
+    Early grants are big (few round-trips), final grants are single
+    chunks (a straggler holds back one chunk, not a batch).
 
     Two timestamps per worker, deliberately distinct. [last_beat] is
     {e liveness} — refreshed by any message, consulted via {!beat_age}

@@ -23,16 +23,6 @@ type worker = {
 
 type t = { lock : Mutex.t; mutable rows : worker list (* reverse join order *) }
 
-type summary = {
-  s_worker : string;
-  s_host : string;
-  s_pid : int;
-  s_chunks_done : int;
-  s_events : int;
-  s_offset_s : float;
-  s_metrics : Obs.Metrics.snapshot;
-}
-
 let create () = { lock = Mutex.create (); rows = [] }
 
 let with_lock t f =
@@ -181,20 +171,5 @@ let fleet t ~now =
             fw_leased = w.w_leased;
             fw_events = w.w_events;
             fw_metrics = w.w_metrics;
-          })
-        t.rows)
-
-let summaries t =
-  with_lock t (fun () ->
-      List.rev_map
-        (fun w ->
-          {
-            s_worker = w.w_name;
-            s_host = w.w_host;
-            s_pid = w.w_pid;
-            s_chunks_done = w.w_chunks_done;
-            s_events = w.w_events;
-            s_offset_s = (if w.w_has_offset then w.w_offset_s else 0.0);
-            s_metrics = w.w_metrics;
           })
         t.rows)

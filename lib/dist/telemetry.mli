@@ -11,17 +11,6 @@
 
 type t
 
-type summary = {
-  s_worker : string;
-  s_host : string;
-  s_pid : int;
-  s_chunks_done : int;
-  s_events : int;  (** forwarded event lines ingested *)
-  s_offset_s : float;  (** clock-offset estimate; 0 when never sampled *)
-  s_metrics : Obs.Metrics.snapshot;  (** accumulated heartbeat deltas *)
-}
-(** One worker's totals, as surfaced in {!Coordinator.stats}. *)
-
 val create : unit -> t
 
 val join :
@@ -86,8 +75,6 @@ val align_events :
     ready for {!Obs.Events.inject} into the merged log. *)
 
 val fleet : t -> now:float -> Obs.Export.fleet_worker list
-(** The rows for {!Obs.Export.set_fleet}, join order, with
-    [fw_last_seen_s] rendered as staleness ([now - last message]). *)
-
-val summaries : t -> summary list
-(** Join-order totals for {!Coordinator.stats}. *)
+(** The rows for {!Obs.Export.set_fleet} and {!Coordinator.stats}, join
+    order, with [fw_last_seen_s] rendered as staleness
+    ([now - last message]). *)

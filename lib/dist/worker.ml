@@ -21,28 +21,23 @@ type tele = {
    in-flight lease reconciliation of the rejoin handshake. The cache
    survives reconnects (run_reconnect threads one through every
    session) because the unacked work predates the disconnect. *)
-type cache = {
-  states : (int, Obs.Json.t) Hashtbl.t;
-  fifo : int Queue.t;
-  cap : int;
-}
+type cache = { states : (int, Obs.Json.t) Hashtbl.t; fifo : int Queue.t }
 
-let cache_create ?(cap = 128) () =
-  { states = Hashtbl.create 32; fifo = Queue.create (); cap }
+let cache_create () = { states = Hashtbl.create 32; fifo = Queue.create () }
 
 let cache_add c chunk state =
   if not (Hashtbl.mem c.states chunk) then begin
     Hashtbl.replace c.states chunk state;
     Queue.add chunk c.fifo;
-    if Queue.length c.fifo > c.cap then
+    if Queue.length c.fifo > 128 then
       Hashtbl.remove c.states (Queue.pop c.fifo)
   end
 
 let m_resends = Obs.Metrics.counter "dist.cache_resends"
 
-let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
-    ?chaos ?cache:(store = cache_create ()) ?(on_welcome = fun ~config_hash:_ -> ())
-    ?(on_chunk_done = fun _ -> ()) ?(events_batch = 64) ~name ~fd ~runner () =
+let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?chaos
+    ?cache:(store = cache_create ()) ?(on_welcome = fun ~config_hash:_ -> Ok ())
+    ?(on_chunk_done = fun _ -> ()) ~name ~fd ~runner () =
   let rd = Wire.reader fd in
   let last_sent = ref (now_s ()) in
   let send msg =
@@ -71,7 +66,7 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
   let beat ?(force = false) () =
     let overdue = now_s () -. !last_sent >= heartbeat_every in
     let batch_full =
-      match !tele with Some t -> Queue.length t.pending >= events_batch | None -> false
+      match !tele with Some t -> Queue.length t.pending >= 64 | None -> false
     in
     if force || overdue || batch_full then begin
       flush_events ();
@@ -127,18 +122,23 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
   in
   try
     send (hello ());
-    match await_welcome hello_retries with
+    match await_welcome 3 with
     | Error e -> Error e
     | Ok (config, config_hash, telemetry, total_chunks) -> (
-        on_welcome ~config_hash;
-        if telemetry then start_telemetry ();
-        match runner config with
-        | Error e -> Error (Printf.sprintf "rejected coordinator config: %s" e)
-        | Ok cr when cr.chunks <> total_chunks ->
-            Error
-              (Printf.sprintf "Welcome announces %d chunks, its config plans %d"
-                 total_chunks cr.chunks)
+        let accepted =
+          match runner config with
+          | Error e -> Error e
+          | Ok cr when cr.chunks <> total_chunks ->
+              Error
+                (Printf.sprintf
+                   "Welcome announces %d chunks, its config plans %d"
+                   total_chunks cr.chunks)
+          | Ok cr -> Result.map (fun () -> cr) (on_welcome ~config_hash)
+        in
+        match accepted with
+        | Error e -> Error ("rejected coordinator config: " ^ e)
         | Ok cr ->
+            if telemetry then start_telemetry ();
             let rec loop () =
               (* waking every half-beat keeps heartbeats flowing while
                  idle: a worker whose Grant frame was dropped would
@@ -225,30 +225,34 @@ let run ?(heartbeat_every = 2.0) ?(welcome_timeout = 5.0) ?(hello_retries = 3)
 
 let m_reconnects = Obs.Metrics.counter "dist.reconnects"
 
-let run_reconnect ?heartbeat_every ?welcome_timeout ?hello_retries
-    ?(max_attempts = 6) ?(backoff_base = 0.4) ?(backoff_cap = 5.0)
-    ?(jitter_seed = 0) ?chaos_for ?on_chunk_done ?events_batch ~name ~connect
-    ~runner () =
+let run_reconnect ?heartbeat_every ?(max_attempts = 6) ?(backoff_base = 0.4)
+    ?(jitter_seed = 0) ?chaos_for ?on_chunk_done ~name ~connect ~runner () =
   let store = cache_create () in
   let rng = Splitmix64.create (jitter_seed lxor Hashtbl.hash name) in
   let first_hash = ref None in
-  let hash_conflict = ref None in
-  let welcomed = ref false in
+  (* what this session's Welcome came to: a refused one ends the loop,
+     since a redial meets the same Welcome; an accepted one proves the
+     coordinator alive *)
+  let welcome = ref `None in
+  let runner config =
+    welcome := `Refused (* until [on_welcome] accepts it *);
+    runner config
+  in
   let on_welcome ~config_hash =
-    welcomed := true;
     match !first_hash with
-    | None -> first_hash := Some config_hash
-    | Some h when h = config_hash -> ()
-    | Some h ->
+    | Some h when h <> config_hash ->
         (* a different scan took over the endpoint: resending cached
-           states would poison it — refuse to proceed *)
-        hash_conflict :=
-          Some
-            (Printf.sprintf "config hash changed across reconnect (%s -> %s)" h
-               config_hash)
+           states would poison it *)
+        Error
+          (Printf.sprintf "config hash changed across reconnect (%s -> %s)" h
+             config_hash)
+    | _ ->
+        first_hash := Some config_hash;
+        welcome := `Accepted;
+        Ok ()
   in
   let rec attempt session failures =
-    welcomed := false;
+    welcome := `None;
     let outcome =
       match connect () with
       | Error e -> Error e
@@ -258,18 +262,17 @@ let run_reconnect ?heartbeat_every ?welcome_timeout ?hello_retries
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
-              run ?heartbeat_every ?welcome_timeout ?hello_retries ?chaos
-                ~cache:store ~on_welcome ?on_chunk_done ?events_batch ~name ~fd
-                ~runner ())
+              run ?heartbeat_every ?chaos ~cache:store ~on_welcome
+                ?on_chunk_done ~name ~fd ~runner ())
     in
-    match (outcome, !hash_conflict) with
-    | _, Some e -> Error e
-    | Ok (), None -> Ok ()
-    | Error e, None ->
-        (* a session that got as far as Welcome proves the coordinator
+    match (outcome, !welcome) with
+    | Ok (), _ -> Ok ()
+    | Error e, `Refused -> Error e
+    | Error e, ((`None | `Accepted) as w) ->
+        (* a session whose Welcome was accepted proves the coordinator
            was alive: its loss resets the failure streak, so only
            *consecutive* dead ends count against max_attempts *)
-        let failures = if !welcomed then 1 else failures + 1 in
+        let failures = if w = `Accepted then 1 else failures + 1 in
         if failures > max_attempts then
           Error (Printf.sprintf "%s (after %d reconnect attempts)" e max_attempts)
         else begin
@@ -283,7 +286,7 @@ let run_reconnect ?heartbeat_every ?welcome_timeout ?hello_retries
                   ("error", Obs.Json.String e);
                 ];
           let backoff =
-            Float.min backoff_cap
+            Float.min 5.0
               (backoff_base *. (2.0 ** float_of_int (failures - 1)))
           in
           (* deterministic jitter in [0.75, 1.25): de-synchronises a

@@ -43,22 +43,19 @@ type chunk_runner = {
 }
 
 type cache
-(** Completed chunk states awaiting (possible) re-grant, bounded FIFO.
-    Resends are counted in [dist.cache_resends]. *)
+(** Completed chunk states awaiting (possible) re-grant, bounded FIFO:
+    the 128 most recent are kept, the oldest evicted first. Resends are
+    counted in [dist.cache_resends]. *)
 
-val cache_create : ?cap:int -> unit -> cache
-(** [cap] (default 128) bounds retained states; the oldest entry is
-    evicted first. *)
+val cache_create : unit -> cache
 
 val run :
   ?heartbeat_every:float ->
   ?welcome_timeout:float ->
-  ?hello_retries:int ->
   ?chaos:Chaos.t ->
   ?cache:cache ->
-  ?on_welcome:(config_hash:string -> unit) ->
+  ?on_welcome:(config_hash:string -> (unit, string) result) ->
   ?on_chunk_done:(int -> unit) ->
-  ?events_batch:int ->
   name:string ->
   fd:Unix.file_descr ->
   runner:(Obs.Json.t -> (chunk_runner, string) result) ->
@@ -66,10 +63,15 @@ val run :
   (unit, string) result
 (** [run ~name ~fd ~runner ()] speaks the {!Wire} protocol on [fd]
     until the coordinator's {!Wire.Shutdown} ([Ok ()]) or a protocol
-    failure ([Error _]: EOF before shutdown, a bad message, or the
-    [runner] factory rejecting the coordinator's config).
+    failure ([Error _]: EOF before shutdown, a bad message, or a
+    refused Welcome).
 
-    [runner config] is called once, on the Welcome; the returned
+    [runner config] is called once, on the Welcome. The Welcome is
+    refused, before any Grant is served, when [runner] rejects its
+    config, when its chunk count differs from the returned [chunks],
+    or when [on_welcome] (default: accept) returns [Error] for its
+    config hash; the error then reads
+    ["rejected coordinator config: <reason>"]. The returned
     {!chunk_runner}'s [scan] is called once per granted chunk, in
     grant order — except chunks still in [cache], whose stored state
     is resent as-is. A {!Wire.Heartbeat} is sent whenever
@@ -77,26 +79,20 @@ val run :
     between chunks {e and} while idle (the receive loop wakes every
     half-interval); with telemetry on, each beat first flushes pending
     event lines and carries the metric delta since the previous beat.
-    [events_batch] (default 64) forces an early flush when that many
-    lines are pending. If no Welcome arrives within [welcome_timeout]
-    (default 5s) the Hello is re-sent, up to [hello_retries] (default
-    3) times. [chaos] mangles this side's outbound frames
-    ({!Wire.send}); [on_welcome] reports each accepted Welcome's
-    config hash; [on_chunk_done] fires after each chunk's Result is on
-    the wire — the chaos-kill test hook ([Unix.kill] yourself there to
-    simulate a crash at an exact chunk count). *)
+    64 pending lines force an early flush. If no Welcome arrives
+    within [welcome_timeout] (default 5s) the Hello is re-sent, up to
+    3 times. [chaos] mangles this side's outbound frames
+    ({!Wire.send}); [on_chunk_done] fires after each chunk's Result is
+    on the wire — the chaos-kill test hook ([Unix.kill] yourself there
+    to simulate a crash at an exact chunk count). *)
 
 val run_reconnect :
   ?heartbeat_every:float ->
-  ?welcome_timeout:float ->
-  ?hello_retries:int ->
   ?max_attempts:int ->
   ?backoff_base:float ->
-  ?backoff_cap:float ->
   ?jitter_seed:int ->
   ?chaos_for:(int -> Chaos.t option) ->
   ?on_chunk_done:(int -> unit) ->
-  ?events_batch:int ->
   name:string ->
   connect:(unit -> (Unix.file_descr, string) result) ->
   runner:(Obs.Json.t -> (chunk_runner, string) result) ->
@@ -112,14 +108,17 @@ val run_reconnect :
     results always carry their {e Grant's} epoch, so work from before
     a coordinator restart is recognisably stale.
 
-    A failed session sleeps [min backoff_cap (backoff_base * 2^(k-1))]
-    seconds (defaults 0.4s doubling to 5s) scaled by a deterministic
+    A failed session sleeps [min 5 (backoff_base * 2^(k-1))] seconds
+    ([backoff_base] defaults to 0.4s) scaled by a deterministic
     jitter in [0.75, 1.25) drawn from a Splitmix64 stream seeded by
     [jitter_seed] and the worker name, then redials. [k] counts
-    {e consecutive} failures — a session that reached its Welcome
+    {e consecutive} failures — a session whose Welcome was accepted
     proves the coordinator was alive and resets the streak — and
     [max_attempts] (default 6) of them end the loop with the last
-    error. A config-hash change across sessions is fatal (the cache
-    would poison a different scan). [chaos_for session] supplies each
-    session's outbound fault stream. Reconnects are counted in
+    error. A refused Welcome ends the loop at once with the refusal,
+    without a redial, which would only meet the same Welcome: a
+    config {!run} refuses, and a config hash that changed across
+    sessions (the cache would poison a different scan), refused before
+    any Grant is served. [chaos_for session] supplies each session's
+    outbound fault stream. Reconnects are counted in
     [dist.reconnects] and logged as [dist.reconnect] events. *)

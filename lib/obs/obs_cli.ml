@@ -41,14 +41,17 @@ let events_arg =
 let profile_arg =
   Arg.(value & opt (some string) None
        & info [ "profile" ] ~docv:"FILE"
-           ~doc:"Sample every domain's span stack from a background domain \
-                 and write folded stacks (flamegraph.pl / speedscope format) \
-                 to $(docv) on exit.")
+           ~doc:"Sample every domain's span stack from a background thread \
+                 (not a domain) and write folded stacks (flamegraph.pl / \
+                 speedscope format) to $(docv) on exit.")
 
 let profile_interval_arg =
   Arg.(value & opt float 0.001
        & info [ "profile-interval" ] ~docv:"SECONDS"
-           ~doc:"Sampling interval for --profile. Default 1ms.")
+           ~doc:"Sampling interval for --profile. Default 1ms. It holds \
+                 while the main thread waits on worker domains or \
+                 sockets; while the main thread itself computes, the \
+                 sampler shares its core and ticks at about 20 Hz.")
 
 let progress_arg =
   Arg.(value & flag

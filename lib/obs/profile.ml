@@ -8,7 +8,7 @@ type state = {
 let current : state option ref = ref None
 let active () = !current <> None
 
-(* Written only by the sampler domain while it runs, read after the
+(* Written only by the sampler thread while it runs, read after the
    join — but exposed live (via the atomic counter) so tests can wait
    for samples to land without sleeping a fixed amount. *)
 let samples_taken = Atomic.make 0

@@ -49,7 +49,7 @@ let next_sid = Atomic.make 1
 (* Each domain owns one stack cell, written only by that domain (a
    single [Atomic.set] per span entry/exit) and read by anyone through
    the registry — that cross-domain read path is what lets the profiler
-   domain sample every stack without stopping the world. The DLS key
+   thread sample every stack without stopping the world. The DLS key
    caches a domain's own cell so the registry mutex is taken once per
    domain lifetime, not once per span. *)
 let stacks_lock = Mutex.create ()

@@ -18,7 +18,7 @@
     critical path — without guessing nesting from timestamps. The
     per-domain span stacks behind those ids are shared infrastructure:
     {!Events} reads {!current_span_id} for correlation ids and
-    {!Profile} reads {!sample_stacks} from its sampler domain. *)
+    {!Profile} reads {!sample_stacks} from its sampler thread. *)
 
 type event = {
   name : string;

@@ -119,8 +119,9 @@ let section_of_name name =
   | _ -> name
 
 (* pool chunk spans record their task range as args lo/hi, hi
-   inclusive — the task count normalises chunk durations when the
-   schedule makes chunk sizes uneven (guided self-scheduling) *)
+   inclusive — the task count normalises chunk durations when chunk
+   sizes differ (a range's short last chunk, a round smaller than its
+   chunk) *)
 let span_tasks sp =
   match (List.assoc_opt "lo" sp.args, List.assoc_opt "hi" sp.args) with
   | Some lo, Some hi ->
@@ -315,8 +316,8 @@ let analyse ?(source = "") ?(timeline_buckets = 48)
         in
         (* size-normalised view: with every member carrying a task
            range, per-task times separate "this chunk was bigger"
-           (schedule imbalance, what the guided schedule removes) from
-           "this chunk was slow" (a genuine straggler) *)
+           (uneven chunk sizes) from "this chunk was slow" (a genuine
+           straggler) *)
         let tasked = List.filter_map (fun sp -> Option.map (fun t -> (sp, t)) (span_tasks sp)) members in
         let sized = List.length tasked = List.length members && members <> [] in
         let size_spread, task_median, task_mx =
@@ -455,10 +456,10 @@ let to_markdown r =
       r.chunk_groups;
     if List.exists (fun g -> g.g_size_spread > 1.0) r.chunk_groups then
       Printf.bprintf buf
-        "\nChunk sizes vary (descending-size schedule): the µs/task columns \
-         normalise the spread — a section whose raw max/med is high but \
-         whose per-task times are flat is schedule imbalance (what a guided \
-         schedule trims), not slow work.\n"
+        "\nChunk sizes vary (a short last chunk, small rounds): the µs/task \
+         columns normalise the spread — a section whose raw max/med is high \
+         but whose per-task times are flat has uneven chunks, not slow \
+         work.\n"
   end;
   Buffer.contents buf
 

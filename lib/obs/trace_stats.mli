@@ -56,16 +56,16 @@ type chunk_group = {
       (** every member span carries a task range ([lo]/[hi] args), so
           the per-task columns below are meaningful *)
   g_size_spread : float;
-      (** largest member task count over smallest — 1.0 under a fixed
-          chunk schedule, > 1 under guided self-scheduling *)
+      (** largest member task count over smallest — 1.0 when every
+          chunk is full, > 1 with a short last chunk or a round smaller
+          than its chunk *)
   g_task_median_s : float;  (** median of duration / task count *)
   g_task_max_s : float;
   g_task_straggler : bool;
       (** straggler {e after} normalising by chunk size: per-task max
           exceeds [straggler_factor] x per-task median. A section
-          straggling raw but not per-task is schedule imbalance (big
-          chunks), which a descending-size schedule trims; straggling
-          per-task is genuinely slow work *)
+          straggling raw but not per-task has uneven chunk sizes;
+          straggling per-task is genuinely slow work *)
 }
 
 type report = {

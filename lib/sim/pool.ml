@@ -1,47 +1,19 @@
 type error_policy = [ `Fail | `Skip | `Retry of int ]
-type schedule = [ `Fixed | `Guided ]
 
-(* The chunk partition is precomputed, a pure function of
-   (schedule, tasks, jobs, chunk) — never of timing — so the set of
-   (chunk index, lo, hi) triples a run emits (lease/done events,
-   accumulator slots) is deterministic, and contiguous index-ordered
-   reduction over the slots equals the sequential left-to-right fold
-   whatever the chunk sizes are.
-
-   [`Fixed]: every chunk has [chunk] indices (the classic partition —
-   independent of [jobs], so aggregates AND event sets are
-   jobs-invariant). [`Guided]: guided self-scheduling — sizes start at
-   [chunk] and decay as [remaining / (2*jobs)] down to 1, so the last
-   chunks are tiny and a straggler near the end idles the other workers
-   for at most one small chunk, not a full-sized one. Guided boundaries
-   depend on [jobs]; aggregates stay jobs-invariant (ordered contiguous
-   reduce), but chunk indices/sizes — and thus event sets and
-   checkpoint slots — are only invariant per (tasks, jobs, chunk). *)
-let boundaries sched ~tasks ~jobs ~chunk =
-  let jobs = Stdlib.max 1 (Stdlib.min jobs (Stdlib.max 1 tasks)) in
+(* The chunk partition is precomputed, a pure function of (tasks,
+   chunk) — never of timing or of [jobs] — so the set of (chunk index,
+   lo, hi) triples a run emits (lease/done events, accumulator slots) is
+   deterministic and jobs-invariant, and index-ordered reduction over
+   the slots equals the sequential left-to-right fold. Chunk [ci] holds
+   indices [ci * chunk, min tasks ((ci + 1) * chunk)). *)
+let boundaries ~tasks ~chunk =
   let chunk = Stdlib.max 1 chunk in
-  match sched with
-  | `Fixed ->
-    (* ceiling division that cannot overflow on a chunk near max_int *)
-    Array.init
-      ((tasks / chunk) + if tasks mod chunk > 0 then 1 else 0)
-      (fun ci ->
-        let lo = ci * chunk in
-        (lo, Stdlib.min tasks (lo + chunk)))
-  | `Guided ->
-    let rec go lo acc =
-      if lo >= tasks then List.rev acc
-      else begin
-        let remaining = tasks - lo in
-        let size =
-          Stdlib.max 1
-            (Stdlib.min chunk ((remaining + (2 * jobs) - 1) / (2 * jobs)))
-        in
-        let hi = Stdlib.min tasks (lo + size) in
-        go hi ((lo, hi) :: acc)
-      end
-    in
-    Array.of_list (go 0 [])
+  (* ceiling division that cannot overflow on a chunk near max_int *)
+  Array.init
+    ((tasks / chunk) + if tasks mod chunk > 0 then 1 else 0)
+    (fun ci ->
+      let lo = ci * chunk in
+      (lo, Stdlib.min tasks (lo + chunk)))
 
 type failure = {
   chunk_index : int;
@@ -82,11 +54,11 @@ let publish name s =
     Obs.Metrics.set (Obs.Metrics.gauge (name ^ ".utilization")) (utilization s)
 
 (* Chunk lifecycle records for the structured event log. The set of
-   lease/complete/error events depends only on the fixed chunk
-   partition (and the caller's deterministic [f]), so canonicalised
-   event streams are jobs-invariant; only interleaving and timestamps
-   move. [round] is [run_rounds]' round label ([None] under [run]).
-   Guarded so an un-instrumented run pays one load per chunk. *)
+   lease/complete/error events depends only on the chunk partition (and
+   the caller's deterministic [f]), so canonicalised event streams are
+   jobs-invariant; only interleaving and timestamps move. [round] is
+   [run_rounds]' round label ([None] under [run]). Guarded so an
+   un-instrumented run pays one load per chunk. *)
 let round_field = function
   | Some r -> [ ("round", Obs.Json.Int r) ]
   | None -> []
@@ -328,11 +300,11 @@ let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
   | Some fail -> Printexc.raise_with_backtrace fail.error fail.backtrace
   | None -> stats
 
-let run ?(jobs = 1) ?(chunk = 1) ?(schedule = `Fixed) ?(name = "pool")
-    ?(on_task_error = `Fail) ?should_stop ?skip_chunk ?on_chunk_done ~tasks f =
+let run ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ?(on_task_error = `Fail)
+    ?should_stop ?skip_chunk ?on_chunk_done ~tasks f =
   if tasks < 0 then invalid_arg "Pool.run: tasks >= 0 required";
   let jobs = Stdlib.max 1 (Stdlib.min jobs tasks) in
-  let round = ref (Some (None, boundaries schedule ~tasks ~jobs ~chunk)) in
+  let round = ref (Some (None, boundaries ~tasks ~chunk)) in
   let next () =
     let r = !round in
     round := None;
@@ -349,6 +321,6 @@ let run_rounds ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ~next f =
     | Some tasks ->
       if tasks < 0 then invalid_arg "Pool.run_rounds: tasks >= 0 required";
       incr label;
-      Some (Some !label, boundaries `Fixed ~tasks ~jobs:1 ~chunk)
+      Some (Some !label, boundaries ~tasks ~chunk)
   in
   fan_out ~jobs:(Stdlib.max 1 jobs) ~name ~policy:`Fail ~next f

@@ -30,25 +30,12 @@ type error_policy =
   | `Retry of int  (** re-run the chunk up to [n] more times, then skip *)
   ]
 
-type schedule =
-  [ `Fixed  (** every chunk has [chunk] indices (jobs-invariant) *)
-  | `Guided
-    (** guided self-scheduling: chunk sizes descend from [chunk] as
-        [remaining / (2*jobs)] down to 1, cutting the straggler tail —
-        the last chunks are tiny, so a slow final chunk idles the other
-        workers briefly instead of for a full-sized chunk *)
-  ]
-
-val boundaries :
-  schedule -> tasks:int -> jobs:int -> chunk:int -> (int * int) array
-(** The precomputed chunk partition [run] uses: slot [ci] covers task
-    indices [\[lo, hi)]. A pure function of its arguments (with [jobs]
-    and [chunk] clamped exactly as [run] clamps them) — callers that
-    allocate one accumulator slot per chunk size their arrays with
-    this. Under [`Fixed] the partition is independent of [jobs]; under
-    [`Guided] it depends on [jobs], but index-ordered reduction over
-    any contiguous partition reproduces the sequential fold, so
-    {e aggregates} stay jobs-invariant either way. *)
+val boundaries : tasks:int -> chunk:int -> (int * int) array
+(** The chunk partition [run] and [run_rounds] use: slot [ci] covers
+    task indices [\[ci * chunk, min tasks ((ci + 1) * chunk))], with
+    [chunk] clamped to at least 1 as [run] clamps it. [jobs] never
+    shapes it, so callers that allocate one accumulator slot per chunk
+    size their arrays with this. *)
 
 type failure = {
   chunk_index : int;
@@ -73,7 +60,6 @@ type stats = {
 val run :
   ?jobs:int ->
   ?chunk:int ->
-  ?schedule:schedule ->
   ?name:string ->
   ?on_task_error:error_policy ->
   ?should_stop:(unit -> bool) ->
@@ -84,10 +70,10 @@ val run :
   stats
 (** [run ~jobs ~chunk ~name ~tasks f] is one round of the engine: it
     calls [f ~lo ~hi] once for every chunk [\[lo, hi)] of the task
-    range — the partition given by {!boundaries} for [schedule]
-    (default [`Fixed]) — across a pool of [jobs] domains (worker 0 is
-    the calling domain; defaults: [jobs = 1], [chunk = 1]). Its events
-    and spans carry no round label.
+    range — the partition given by {!boundaries} — across a pool of
+    [jobs] domains (worker 0 is the calling domain; defaults:
+    [jobs = 1], [chunk = 1]). Its events and spans carry no round
+    label.
     [f] must confine its writes to state owned by the claimed range.
 
     [on_task_error] (default [`Fail]) resolves chunks whose [f] raises:
@@ -103,8 +89,8 @@ val run :
     token for signal-driven shutdown: once it returns true no further
     chunks are claimed, in-flight chunks drain, and {!stats.cancelled}
     is set. [skip_chunk] (resume support) suppresses chunks — by chunk
-    index, i.e. the slot position in {!boundaries} ([lo / chunk] under
-    [`Fixed]) — that a checkpoint already recorded;
+    index, i.e. the slot position in {!boundaries} ([lo / chunk]) —
+    that a checkpoint already recorded;
     skipped chunks are neither run nor counted. [on_chunk_done] fires
     in the worker after each successfully completed chunk (its writes
     to the chunk's slot are visible) — checkpoint writers hook here.
@@ -134,13 +120,13 @@ val run_rounds :
     The driver alone calls [next ()] before each round: it reduces the
     previous round's per-task slots (in index order — this is where
     determinism lives) and stages the next round, returning
-    [Some tasks] to fan out [f ~lo ~hi] over the [`Fixed] partition of
-    [0 .. tasks-1] into chunks of [chunk], or [None] to finish. Rounds
-    are labelled 0, 1, 2, … in the order [next] returns them, at every
-    [jobs]; the label is the ["round"] field of the [pool.lease] and
-    [pool.chunk_done] events and the ["round"] arg of the
-    ["<name>.chunk"] spans. A [Some 0] round takes a label and runs no
-    chunk. As with {!run}, slot-per-task accumulation plus
+    [Some tasks] to fan out [f ~lo ~hi] over the {!boundaries}
+    partition of [0 .. tasks-1] into chunks of [chunk], or [None] to
+    finish. Rounds are labelled 0, 1, 2, … in the order [next] returns
+    them, at every [jobs]; the label is the ["round"] field of the
+    [pool.lease] and [pool.chunk_done] events and the ["round"] arg of
+    the ["<name>.chunk"] spans. A [Some 0] round takes a label and runs
+    no chunk. As with {!run}, slot-per-task accumulation plus
     index-ordered reduction in [next] yields results byte-identical for
     every [jobs] value.
 

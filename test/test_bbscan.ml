@@ -169,45 +169,25 @@ let test_jobs_invariance_sampled () =
         true (result_eq reference r))
     [ (2, 64); (4, 17) ]
 
-(* guided self-scheduling repartitions the chunks (sizes descend from
-   [chunk] to 1) but the index-ordered reduce makes the aggregate
-   jobs- and schedule-invariant all the same *)
-let test_guided_schedule_invariance () =
-  let reference = Busy_beaver.scan ~n:2 ~max_input:10 ~jobs:1 () in
-  List.iter
-    (fun (jobs, chunk) ->
-      let r =
-        Busy_beaver.scan ~n:2 ~max_input:10 ~jobs ~chunk ~schedule:`Guided ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "guided jobs=%d chunk=%d identical" jobs chunk)
-        true (result_eq reference r))
-    [ (1, 1024); (2, 16); (4, 7); (3, 64) ]
-
-(* the guided partition is a pure function of (tasks, jobs, chunk):
-   descending sizes, clamped to [1, chunk], covering the range exactly *)
-let guided_boundaries_prop =
-  prop "guided boundaries partition the range with descending sizes"
-    ~count:200
-    QCheck.(triple (int_range 0 5000) (int_range 1 16) (int_range 1 512))
-    (fun (tasks, jobs, chunk) ->
-      let bounds = Pool.boundaries `Guided ~tasks ~jobs ~chunk in
-      let contiguous =
+(* the one partition is a pure function of (tasks, chunk): contiguous
+   slots covering the range exactly, slot [ci] starting at [ci * chunk]
+   and holding at most [chunk] indices *)
+let boundaries_prop =
+  prop "boundaries cut the range into chunk-aligned slots" ~count:200
+    QCheck.(pair (int_range 0 5000) (int_range 1 512))
+    (fun (tasks, chunk) ->
+      let bounds = Pool.boundaries ~tasks ~chunk in
+      let ok, covered =
         Array.to_list bounds
+        |> List.mapi (fun ci b -> (ci, b))
         |> List.fold_left
-             (fun (ok, expect) (lo, hi) ->
-               (ok && lo = expect && hi > lo && hi - lo <= chunk, hi))
+             (fun (ok, expect) (ci, (lo, hi)) ->
+               ( ok && lo = expect && lo = ci * chunk && hi > lo
+                 && hi - lo <= chunk,
+                 hi ))
              (true, 0)
       in
-      fst contiguous
-      && snd contiguous = tasks
-      && (* sizes never increase *)
-      (let sizes = Array.map (fun (lo, hi) -> hi - lo) bounds in
-       let ok = ref true in
-       for i = 0 to Array.length sizes - 2 do
-         if sizes.(i) < sizes.(i + 1) then ok := false
-       done;
-       !ok))
+      ok && covered = tasks)
 
 (* the sampled stream is per-index, so it is also jobs-independent when
    pruning rewrites each draw to its canonical representative *)
@@ -544,8 +524,6 @@ let test_split_assignments () =
             true (s > s_ref))
         [
           ("chunk 3", fun () -> Busy_beaver.scan ~n:2 ~chunk:3 ());
-          ( "guided jobs 2 chunk 3",
-            fun () -> Busy_beaver.scan ~n:2 ~chunk:3 ~jobs:2 ~schedule:`Guided () );
         ])
 
 (* A zero wall budget aborts every assignment's first exploration, so
@@ -630,9 +608,7 @@ let () =
           Alcotest.test_case "sampled scan" `Quick test_jobs_invariance_sampled;
           Alcotest.test_case "sampled scan, no pruning" `Quick
             test_jobs_invariance_sampled_unpruned;
-          Alcotest.test_case "guided schedule" `Quick
-            test_guided_schedule_invariance;
-          guided_boundaries_prop;
+          boundaries_prop;
         ] );
       ( "pool",
         [

@@ -567,9 +567,9 @@ let message_vocab =
 let wire_fuzz_props =
   Fuzz_gen.properties ~decoder:"Wire reader" ~vocab:frame_vocab
     read_through_socket
-  (* a frame the CRC vouches for may only fail as a Protocol_error *)
-  @ Fuzz_gen.properties ~record:true
-      ~decoder:"Wire reader on CRC-valid frames, bar Protocol_error,"
+  (* a frame the CRC vouches for may only fail as a Protocol_error; the
+     label stays short so that the runner's cut keeps each name's mode *)
+  @ Fuzz_gen.properties ~record:true ~decoder:"Wire payload reader"
       ~vocab:message_vocab
       (fun payload ->
         match read_through_socket (v3_frame payload) with
@@ -596,11 +596,11 @@ let checkpoint_fuzz_props =
 (* Resuming reads a whole file of outside bytes. The vocabulary carries
    the run's own configuration and hash, so token sequences get past the
    header into the chunk states, and a count far beyond what can be
-   allocated. *)
+   allocated. [Checkpoint.open_or_resume] may refuse them with [Mismatch]
+   or [Invalid_argument], and raise nothing else. *)
 let resume_fuzz_props =
   let config = Obs.Json.Obj [ ("n", Obs.Json.Int (-1)) ] in
-  Fuzz_gen.properties ~record:true
-    ~decoder:"Checkpoint.open_or_resume, bar Mismatch and Invalid_argument,"
+  Fuzz_gen.properties ~record:true ~decoder:"open_or_resume"
     ~vocab:
       [ {|"schema":"ppcheckpoint/v2"|}; {|"schema":"ppcheckpoint/v1"|};
         Printf.sprintf {|"config_hash":"%s"|} (Obs.Checkpoint.hash_config config);
@@ -1196,6 +1196,21 @@ let test_fork_chaos_kill () =
   Alcotest.(check int) "the killed worker was noticed" 1
     o.Distributed_scan.stats.Dist.Coordinator.workers_lost
 
+(* every snapshot write fails, the adoption's included; the scan still
+   completes, as the local driver's does *)
+let test_fork_unwritable_checkpoint () =
+  let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
+  let reference = Distributed_scan.coordinate ~workers:1 ~plan () in
+  let o =
+    Distributed_scan.coordinate ~workers:1
+      ~checkpoint:"/nonexistent-dir/scan.ckpt" ~plan ()
+  in
+  let r = o.Distributed_scan.result in
+  Alcotest.(check bool) "result identical to the unchecked run" true
+    (result_eq r reference.Distributed_scan.result);
+  Alcotest.(check int) "every chunk completed" r.Busy_beaver.total_chunks
+    r.Busy_beaver.completed_chunks
+
 let with_temp_checkpoint f =
   let path = Filename.temp_file "distscan" ".ckpt" in
   Fun.protect
@@ -1329,7 +1344,7 @@ let test_fork_telemetry () =
       Alcotest.(check int) "fleet chunk counts sum to the total"
         o.Distributed_scan.stats.Dist.Coordinator.chunks_done
         (List.fold_left
-           (fun acc s -> acc + s.Dist.Telemetry.s_chunks_done)
+           (fun acc w -> acc + w.Obs.Export.fw_chunks_done)
            0 fleet);
       (* the merged log: coordinator's own dist.* records plus the
          workers' forwarded worker.chunk records, worker-tagged *)
@@ -1440,6 +1455,20 @@ let test_worker_cache_resends () =
 
 (* -- Worker: a Welcome or Grant outside the derived plan is refused ---------- *)
 
+let plan_runner config =
+  Result.map
+    (fun plan ->
+      {
+        Dist.Worker.scan = Busy_beaver.scan_chunk plan;
+        chunks = Busy_beaver.plan_chunks plan;
+        range = None;
+      })
+    (Busy_beaver.plan_of_config config)
+
+let welcome ?(hash = "h") config total_chunks =
+  Dist.Wire.Welcome
+    { config; config_hash = hash; epoch = 1; total_chunks; telemetry = false }
+
 (* A scripted coordinator in a child process answers the worker's Hello
    with [msgs], then waits for it to hang up; the worker runs the real
    plan_of_config runner and must return [Error], never raise. *)
@@ -1457,20 +1486,10 @@ let run_against_script msgs =
     Unix._exit 0
   | pid ->
     Unix.close coord_fd;
-    let runner config =
-      Result.map
-        (fun plan ->
-          {
-            Dist.Worker.scan = Busy_beaver.scan_chunk plan;
-            chunks = Busy_beaver.plan_chunks plan;
-            range = None;
-          })
-        (Busy_beaver.plan_of_config config)
-    in
     let res =
       match
         Dist.Worker.run ~heartbeat_every:0.2 ~name:"rangetest" ~fd:worker_fd
-          ~runner ()
+          ~runner:plan_runner ()
       with
       | r -> r
       | exception e -> Alcotest.failf "worker raised %s" (Printexc.to_string e)
@@ -1483,16 +1502,7 @@ let test_worker_refuses_outside_plan () =
   let plan = Busy_beaver.plan ~n:2 () in
   Alcotest.(check int) "the n = 2 plan has one chunk" 1
     (Busy_beaver.plan_chunks plan);
-  let welcome total_chunks =
-    Dist.Wire.Welcome
-      {
-        config = Busy_beaver.plan_config plan;
-        config_hash = "h";
-        epoch = 1;
-        total_chunks;
-        telemetry = false;
-      }
-  in
+  let welcome = welcome (Busy_beaver.plan_config plan) in
   (match
      run_against_script
        [ welcome 1; Dist.Wire.Grant { lo_chunk = 1; hi_chunk = 2; epoch = 1 } ]
@@ -1506,6 +1516,96 @@ let test_worker_refuses_outside_plan () =
     Alcotest.(check bool) ("the error names the count: " ^ e) true
       (contains e "7 chunks")
   | Ok () -> Alcotest.fail "a Welcome with the wrong chunk count was served"
+
+(* -- Worker: a refused Welcome ends the redial loop ----------------------- *)
+
+(* [run_reconnect] whose [connect] hands out, per session, one end of a
+   socketpair whose other end already holds that session's messages; past
+   the scripted sessions it fails, which bounds a worker that keeps
+   redialling. Returns the outcome, the connect calls and each session's
+   peer end (the caller reads what the worker wrote, then closes). *)
+let reconnect_through sessions =
+  let calls = ref 0 and peers = ref [] in
+  let connect () =
+    incr calls;
+    match List.nth_opt sessions (!calls - 1) with
+    | None -> Error "no coordinator"
+    | Some msgs ->
+      let coord_fd, worker_fd =
+        Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0
+      in
+      List.iter (Dist.Wire.send coord_fd) msgs;
+      peers := coord_fd :: !peers;
+      Ok worker_fd
+  in
+  let res =
+    Dist.Worker.run_reconnect ~heartbeat_every:0.2 ~backoff_base:0.001
+      ~name:"redialer" ~connect ~runner:plan_runner ()
+  in
+  (res, !calls, List.rev !peers)
+
+let test_refused_welcome_is_final () =
+  let plan = Busy_beaver.plan ~n:2 () in
+  List.iter
+    (fun (label, w, reason) ->
+      let res, calls, peers = reconnect_through [ [ w ]; [ w ] ] in
+      List.iter Unix.close peers;
+      match res with
+      | Error e ->
+        Alcotest.(check int) (label ^ ": one connect") 1 calls;
+        Alcotest.(check bool) (label ^ ": the error names the refusal: " ^ e)
+          true
+          (contains e "rejected coordinator config" && contains e reason)
+      | Ok () -> Alcotest.failf "%s: the refused Welcome was served" label)
+    [
+      ( "undecodable config",
+        welcome
+          (Obs.Json.Obj [ ("workload", Obs.Json.String "not-a-census") ])
+          1,
+        "not a bbsearch configuration" );
+      ( "wrong chunk count",
+        welcome (Busy_beaver.plan_config plan) 7,
+        "7 chunks" );
+    ]
+
+(* Session 1 computes chunk 0 of one scan and fails on a worker-bound
+   Hello; session 2's Welcome is another scan with as many chunks. The
+   cached state of the first must never reach the second: the worker
+   refuses the Welcome before reading its Grant. *)
+let test_hash_change_refused_before_serving () =
+  let scan_of plan =
+    let config = Busy_beaver.plan_config plan in
+    welcome ~hash:(Obs.Checkpoint.hash_config config) config 1
+  in
+  let grant = Dist.Wire.Grant { lo_chunk = 0; hi_chunk = 1; epoch = 1 } in
+  let res, calls, peers =
+    reconnect_through
+      [
+        [ scan_of (Busy_beaver.plan ~n:2 ()); grant;
+          Dist.Wire.Hello { worker = "w"; pid = 1; host = "h"; sent_s = 0.0 } ];
+        [ scan_of (Busy_beaver.plan ~max_input:10 ~n:2 ()); grant;
+          Dist.Wire.Shutdown ];
+      ]
+  in
+  (* the Results the worker wrote to one session's peer *)
+  let results fd =
+    let rd = Dist.Wire.reader fd in
+    let rec count n =
+      match Dist.Wire.recv rd with
+      | Some (Dist.Wire.Result _) -> count (n + 1)
+      | Some _ -> count n
+      | None -> n
+    in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> count 0)
+  in
+  Alcotest.(check (list int)) "chunk 0 served to the first scan only" [ 1; 0 ]
+    (List.map results peers);
+  Alcotest.(check int) "no redial after the refusal" 2 calls;
+  match res with
+  | Error e ->
+    Alcotest.(check bool) ("the error names the hash change: " ^ e) true
+      (contains e "config hash changed")
+  | Ok () -> Alcotest.fail "the second scan was served"
 
 (* -- The tentpole invariant end to end: randomized chaos x kill points -------- *)
 
@@ -1564,7 +1664,7 @@ let test_coordinator_restart_recovery () =
         | 0 ->
           let r =
             Distributed_scan.connect_worker ~name:"phoenix"
-              ~heartbeat_every:0.25 ~reconnect:true ~max_attempts:8
+              ~heartbeat_every:0.25 ~max_attempts:8
               ~backoff_base:0.1 ~host:"127.0.0.1" ~port ()
           in
           Unix._exit (match r with Ok () -> 0 | Error _ -> 1)
@@ -1700,6 +1800,8 @@ let () =
             test_fork_chaos_kill;
           Alcotest.test_case "checkpoint epochs across adoptions" `Quick
             test_fork_checkpoint_epochs;
+          Alcotest.test_case "unwritable checkpoint, scan completes" `Quick
+            test_fork_unwritable_checkpoint;
           Alcotest.test_case "malformed chunk state refused on open" `Quick
             test_malformed_state_refused_on_open;
           Alcotest.test_case "local and distributed scans resume each other" `Quick
@@ -1710,6 +1812,10 @@ let () =
             test_worker_cache_resends;
           Alcotest.test_case "Welcome or Grant outside the plan refused" `Quick
             test_worker_refuses_outside_plan;
+          Alcotest.test_case "a refused Welcome is not redialled" `Quick
+            test_refused_welcome_is_final;
+          Alcotest.test_case "config hash change refused before serving" `Quick
+            test_hash_change_refused_before_serving;
         ] );
       ( "chaos-e2e",
         [
