@@ -748,22 +748,23 @@ let e14 () =
 
 let e15 () =
   section "E15" "Section 4.1's f(n): min input reaching All_1, maximised over protocols";
-  let print n r =
+  let print n =
+    let r = Busy_beaver.scan ~analysis:All_1 ~n () in
     row
       "n=%d: %d protocols, f(%d) = %d (apparent, cutoff 12); %d never reach All_1\n"
-      n r.Section_4_1.num_protocols n r.Section_4_1.max_f
-      r.Section_4_1.num_unreachable;
-    if r.Section_4_1.num_aborted > 0 then
+      n r.Busy_beaver.num_protocols n r.Busy_beaver.best_eta
+      r.Busy_beaver.num_reject_all;
+    if r.Busy_beaver.num_aborted > 0 then
       row "   unknown (exploration over budget): %d protocols\n"
-        r.Section_4_1.num_aborted;
+        r.Busy_beaver.num_aborted;
     List.iter
       (fun (i, c) -> row "   min accepting input %-3d %d protocols\n" i c)
-      r.Section_4_1.histogram
+      r.Busy_beaver.histogram
   in
-  print 1 (Section_4_1.scan ~n:1 ());
-  print 2 (Section_4_1.scan ~n:2 ());
+  print 1;
+  print 2;
   row "n=3: exhaustive...\n%!";
-  print 3 (Section_4_1.scan ~n:3 ());
+  print 3;
   row "(leaderless f stays tiny — consistent with f(n) ∈ 2^O(n) [10]; the\n\
        non-elementary growth the paper cites needs leaders, out of enumeration reach)\n"
 

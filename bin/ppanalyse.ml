@@ -5,18 +5,8 @@
      ppanalyse --protocol flock-succinct-2
      ppanalyse --file my.pp --max-input 14 *)
 
-let load ~name ~file =
-  match (name, file) with
-  | Some n, None ->
-    (match Catalog.build n with
-     | Some e -> Ok (e.Catalog.build ())
-     | None ->
-       Error (Printf.sprintf "unknown protocol %S (expected: %s)" n Catalog.names_help))
-  | None, Some f -> Protocol_syntax.parse_file f
-  | _ -> Error "exactly one of --protocol and --file is required"
-
 let run name file max_input jobs () =
-  match load ~name ~file with
+  match Catalog.load ~name ~file with
   | Error e ->
     prerr_endline e;
     1

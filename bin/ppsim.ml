@@ -8,16 +8,6 @@
    value (trial i always runs on the i-th split of the seed); only the
    wall-clock line on stderr varies. *)
 
-let load ~name ~file =
-  match (name, file) with
-  | Some n, None ->
-    (match Catalog.build n with
-     | Some e -> Ok (e.Catalog.build ())
-     | None ->
-       Error (Printf.sprintf "unknown protocol %S (expected: %s)" n Catalog.names_help))
-  | None, Some f -> Protocol_syntax.parse_file f
-  | _ -> Error "exactly one of --protocol and --file is required"
-
 let parse_input p s =
   let parts = String.split_on_char ',' s in
   match List.map int_of_string_opt parts with
@@ -37,7 +27,7 @@ let parse_backend name max_steps quiet rate =
   | s -> Error (Printf.sprintf "unknown backend %S (expected: uniform, gillespie)" s)
 
 let run name file input trials jobs backend_name seed max_steps quiet rate verbose () =
-  match load ~name ~file with
+  match Catalog.load ~name ~file with
   | Error e ->
     prerr_endline e;
     1

@@ -4,16 +4,6 @@
      ppverify --protocol flock-succinct-3 --max-input 20
      ppverify --file my.pp --input 7 *)
 
-let load ~name ~file =
-  match (name, file) with
-  | Some n, None ->
-    (match Catalog.build n with
-     | Some e -> Ok (e.Catalog.build ())
-     | None ->
-       Error (Printf.sprintf "unknown protocol %S (expected: %s)" n Catalog.names_help))
-  | None, Some f -> Protocol_syntax.parse_file f
-  | _ -> Error "exactly one of --protocol and --file is required"
-
 let print_witness p v =
   let src = Population.initial_config p v in
   match
@@ -32,7 +22,7 @@ let run name file input max_input max_configs wall_budget witness jobs stable ()
   let deadline =
     Option.map (Obs.Budget.deadline_in ~source:"ppverify") wall_budget
   in
-  match load ~name ~file with
+  match Catalog.load ~name ~file with
   | Error e ->
     prerr_endline e;
     1

@@ -115,3 +115,13 @@ let build name =
 let names_help =
   "flock-naive-K | flock-succinct-K | threshold-unary-N | threshold-binary-N \
    | majority | mod-M-R | leader-counter-K"
+
+let load ~name ~file =
+  match (name, file) with
+  | Some n, None ->
+    (match build n with
+     | Some e -> Ok (e.build ())
+     | None ->
+       Error (Printf.sprintf "unknown protocol %S (expected: %s)" n names_help))
+  | None, Some f -> Protocol_syntax.parse_file f
+  | _ -> Error "exactly one of --protocol and --file is required"

@@ -19,3 +19,10 @@ val build : string -> entry option
 
 val names_help : string
 (** One-line description of the accepted name syntax. *)
+
+val load :
+  name:string option -> file:string option -> (Population.t, string) result
+(** The protocol a tool's [--protocol NAME] or [--file PATH] names:
+    the catalog entry's construction, or the parsed [.pp] file. [Error]
+    names an unknown catalog name (listing {!names_help}), carries the
+    parser's error, or asks for exactly one of the two. *)

@@ -12,6 +12,8 @@ type scan_result = {
   task_errors : int;
 }
 
+type analysis = Threshold | All_1
+
 let pairs n =
   List.concat_map
     (fun i -> List.map (fun j -> (i, j)) (List.init (n - i) (fun k -> i + k)))
@@ -331,13 +333,15 @@ let partial_of_json j =
 (* ------------------------------------------------------------- plans *)
 
 (* A plan pins everything that shapes the chunk partition or the
-   per-chunk content of a scan — the code space, cutoffs, symmetry
-   pruning, sampling scheme, and the precomputed chunk boundaries. Any
-   two agents (domains of one process, or worker processes on other
-   machines) holding equal plans compute byte-identical chunk
-   accumulators for equal chunk indices; that is the whole determinism
-   story of the distributed scan. *)
+   per-chunk content of a scan — the analysis, the code space, cutoffs,
+   symmetry pruning, sampling scheme and chunk size; the chunk ranges
+   are computed from the last two, never stored. Any two agents
+   (domains of one process, or worker processes on other machines)
+   holding equal plans compute byte-identical chunk accumulators for
+   equal chunk indices; that is the whole determinism story of the
+   distributed scan. *)
 type plan = {
+  pl_analysis : analysis;
   pl_n : int;
   pl_pair_list : (int * int) array;
   pl_num_outputs : int;
@@ -350,11 +354,10 @@ type plan = {
   pl_codes : (int * int) array option;
   pl_sym : Symmetry.t option;
   pl_total : int;
-  pl_bounds : (int * int) array;
 }
 
-let plan ?jobs:_ ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
-    ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
+let plan ?(analysis = Threshold) ?jobs:_ ?(chunk = 1024) ?(prune = true)
+    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
   check_n "plan" n;
   let pair_list = pairs n in
   let num_outputs = 1 lsl n in
@@ -366,6 +369,7 @@ let plan ?jobs:_ ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
   in
   let chunk = Stdlib.max 1 chunk in
   {
+    pl_analysis = analysis;
     pl_n = n;
     pl_pair_list = pair_list;
     pl_num_outputs = num_outputs;
@@ -378,18 +382,17 @@ let plan ?jobs:_ ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
     pl_codes = codes;
     pl_sym = (if prune then Some (Symmetry.make n) else None);
     pl_total = total;
-    pl_bounds = Pool.boundaries ~tasks:total ~chunk;
   }
 
-let plan_chunks plan = Array.length plan.pl_bounds
-let plan_total plan = plan.pl_total
+let plan_chunks plan = Pool.num_chunks ~tasks:plan.pl_total ~chunk:plan.pl_chunk
 
 let plan_chunk_range plan ci =
-  if ci < 0 || ci >= Array.length plan.pl_bounds then
+  if ci < 0 || ci >= plan_chunks plan then
     invalid_arg
       (Printf.sprintf "Busy_beaver.plan_chunk_range: chunk %d of %d" ci
-         (Array.length plan.pl_bounds));
-  plan.pl_bounds.(ci)
+         (plan_chunks plan));
+  let lo = ci * plan.pl_chunk in
+  (lo, lo + Stdlib.min plan.pl_chunk (plan.pl_total - lo))
 
 (* Everything that shapes the chunk partition or the per-chunk content
    goes into the checkpoint fingerprint: a snapshot only resumes a
@@ -399,11 +402,12 @@ let plan_chunk_range plan ci =
    nothing else, and the partition on [chunk] alone. A snapshot whose
    configuration has any other field set, or a field this one lacks,
    never resumes: the hashes differ, and the mismatch names the
-   fields. *)
+   fields. Only a non-census analysis adds a member, so census ledgers
+   of earlier builds resume and no ledger resumes another analysis. *)
 let plan_config plan =
   let open Obs.Json in
   Obj
-    [
+    ([
       ("workload", String "bbsearch");
       ("n", Int plan.pl_n);
       ("max_input", Int plan.pl_max_input);
@@ -418,6 +422,10 @@ let plan_config plan =
         | Some (count, seed) -> List [ Int count; Int seed ] );
       ("total", Int plan.pl_total);
     ]
+    @
+    match plan.pl_analysis with
+    | Threshold -> []
+    | All_1 -> [ ("analysis", String "all_1") ])
 
 let plan_of_config j =
   let open Obs.Json.Decode in
@@ -426,6 +434,13 @@ let plan_of_config j =
        match field "workload" string j with
        | Ok "bbsearch" -> Ok ()
        | _ -> Error "not a bbsearch configuration"
+     in
+     let* analysis = field_opt "analysis" string j in
+     let* analysis =
+       match analysis with
+       | None -> Ok Threshold
+       | Some "all_1" -> Ok All_1
+       | Some a -> Error (Printf.sprintf "unknown analysis %S" a)
      in
      let* n = field "n" int j in
      if n < 1 || n > 4 then Error "1 <= n <= 4"
@@ -449,8 +464,8 @@ let plan_of_config j =
            (Printf.sprintf "total %d does not match the space (%d)" total space)
        else
          match
-           plan ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample
-             ~n ()
+           plan ~analysis ~chunk ~prune ~max_input ~max_configs ?eta_budget_s
+             ?sample ~n ()
          with
          | p -> Ok p
          | exception Invalid_argument e -> Error e)
@@ -471,9 +486,6 @@ type display = {
 (* An exploration a code needs was aborted: its verdict is unknown. *)
 exception Unknown
 
-(* One canonical code's verdict, read from its assignment's summaries:
-   the same threshold sweep as [Eta_search.find], over verdicts under
-   this code's output map. *)
 let examine plan sums part display ~weight ~assignment ~output_bits =
   part.p_scanned <- part.p_scanned + weight;
   if Obs.Metrics.enabled () then Obs.Metrics.add m_scanned weight;
@@ -486,19 +498,18 @@ let examine plan sums part display ~weight ~assignment ~output_bits =
            (Atomic.get d.d_scanned) d.d_total
            (Atomic.get d.d_threshold)
            (Atomic.get d.d_best)));
-  (* all-reject output maps short-circuit *)
+  (* all-reject output maps short-circuit: no output-1 state, so no
+     threshold and no All_1 *)
   if output_bits = 0 then part.p_reject_all <- part.p_reject_all + weight
   else begin
-    let bump_hist eta =
+    let count eta =
       part.p_threshold <- part.p_threshold + weight;
       if Obs.Metrics.enabled () then Obs.Metrics.add m_threshold weight;
       (match display with
        | None -> ()
        | Some d -> ignore (Atomic.fetch_and_add d.d_threshold weight));
       Hashtbl.replace part.p_hist eta
-        (weight + Option.value (Hashtbl.find_opt part.p_hist eta) ~default:0)
-    in
-    let record_best eta =
+        (weight + Option.value (Hashtbl.find_opt part.p_hist eta) ~default:0);
       if eta > part.p_best_eta then begin
         part.p_best_eta <- eta;
         part.p_best_code <- Some (assignment, output_bits);
@@ -519,22 +530,35 @@ let examine plan sums part display ~weight ~assignment ~output_bits =
             ]
       end
     in
-    let verdict i =
+    let summary i =
       match Summaries.get sums ~assignment i with
-      | Some s ->
-        Fair_semantics.verdict_of_unions ~output:output_bits
-          s.Fair_semantics.bottoms
+      | Some s -> s
       | None -> raise Unknown
     in
-    match Eta_search.sweep (Summaries.inputs sums) verdict with
-    | Eta_search.Eta eta ->
-      bump_hist eta;
-      record_best eta
+    let inputs = Summaries.inputs sums in
+    (* the analysis is only this reading of the summaries: the threshold
+       sweep of [Eta_search.find] over verdicts under this code's output
+       map, or Section 4.1's least input from which All_1 is reachable,
+       reported as [Eta i] (no such input: [Always_rejects]) *)
+    let read () =
+      match plan.pl_analysis with
+      | Threshold ->
+        Eta_search.sweep inputs (fun i ->
+            Fair_semantics.verdict_of_unions ~output:output_bits
+              (summary i).Fair_semantics.bottoms)
+      | All_1 ->
+        List.find_opt
+          (fun i -> Section_4_1.reaches_all_1 ~output:output_bits (summary i))
+          inputs
+        |> Option.fold ~none:Eta_search.Always_rejects ~some:(fun i ->
+               Eta_search.Eta i)
+    in
+    match read () with
+    | Eta_search.Eta eta -> count eta
     | Eta_search.Always_accepts ->
       (* computes x >= i for every valid i up to the smallest input:
          record as threshold 2 (all populations have >= 2 agents) *)
-      bump_hist 2;
-      record_best 2
+      count 2
     | Eta_search.Always_rejects -> part.p_reject_all <- part.p_reject_all + weight
     | Eta_search.Not_threshold _ -> ()
     | exception Unknown ->
@@ -680,12 +704,13 @@ let with_ledger ?checkpoint ?every_chunks ?every_s ?(resume = false) plan f =
    durations. *)
 let finished : partial option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let scan ?(jobs = 1) ?(chunk = 1024) ?(prune = true) ?(max_input = 12)
-    ?(max_configs = 60_000) ?eta_budget_s ?sample ?checkpoint
-    ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
+let scan ?analysis ?(jobs = 1) ?(chunk = 1024) ?(prune = true)
+    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample
+    ?checkpoint ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
     ?(resume = false) ?should_stop ?(on_task_error = `Fail) ~n () =
   let plan =
-    plan ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample ~n ()
+    plan ?analysis ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample
+      ~n ()
   in
   let total = plan.pl_total in
   with_ledger ?checkpoint ~every_chunks:checkpoint_every_chunks

@@ -8,7 +8,10 @@
     verdicts form a threshold pattern [0*1*]. Thresholds beyond the
     cutoff cannot be certified (Section 4.1 explains why this is
     fundamentally hard — it is VAS-reachability territory), so results
-    are reported as {e apparent} busy-beaver values.
+    are reported as {e apparent} busy-beaver values. The same driver
+    measures Section 4.1's "deceptively similar" [f(n)] over the same
+    code space: an {!analysis} selects how a code's summaries are read,
+    and nothing else.
 
     The scan is a sharded pipeline: the code space is cut into
     fixed-size chunks, chunks are claimed dynamically by a domain pool
@@ -32,17 +35,32 @@
     [threshold_protocols], [pruned_symmetry], [config_budget_aborts],
     [eta_search.inputs_checked]) do not. *)
 
+(** What {!scan} measures of a code: [Threshold] (the census), its
+    threshold [η] up to the cutoff; [All_1] (Section 4.1's [f]), its
+    least input [i] with [IC(i) →* All_1]
+    ({!Section_4_1.reaches_all_1}). Only this reading of the summaries
+    differs; both values survive a relabelling that fixes the input
+    state, so pruning, the pool, the ledger and the merge are shared. *)
+type analysis = Threshold | All_1
+
 type scan_result = {
   num_protocols : int;       (** protocols enumerated (or sampled) *)
-  num_threshold : int;       (** with a certified threshold pattern up to the cutoff *)
-  num_reject_all : int;      (** reject every checked input (threshold may exceed cutoff) *)
+  num_threshold : int;
+      (** with a certified threshold pattern up to the cutoff; [All_1]:
+          reaching All_1 from an input up to the cutoff *)
+  num_reject_all : int;
+      (** reject every checked input (threshold may exceed cutoff);
+          [All_1]: reach All_1 from none of them *)
   num_aborted : int;
       (** verdict unknown: an exploration these protocols needed hit
           the node budget ({!Configgraph.Too_many_configs}) or its
-          assignment's [eta_budget_s] wall budget *)
-  best_eta : int;            (** largest threshold seen *)
+          assignment's [eta_budget_s] wall budget ([All_1]: before
+          an input reached All_1) *)
+  best_eta : int;            (** largest threshold seen; [All_1]: [f(n)] *)
   best : Population.t option;
-  histogram : (int * int) list;  (** threshold value -> number of protocols *)
+  histogram : (int * int) list;
+      (** threshold value -> number of protocols; [All_1]: least input
+          reaching All_1 -> number of protocols *)
   completed_chunks : int;    (** chunks finished, restored ones included *)
   total_chunks : int;
   interrupted : bool;
@@ -52,6 +70,7 @@ type scan_result = {
 }
 
 val scan :
+  ?analysis:analysis ->
   ?jobs:int ->
   ?chunk:int ->
   ?prune:bool ->
@@ -73,7 +92,7 @@ val scan :
     [~sample:(count, seed)] a uniform random sample is scanned instead —
     required in practice for [n >= 4]; sampled codes are drawn with a
     per-index split of the seed, so sample [i] is the same regardless of
-    [jobs]/[chunk].
+    [jobs]/[chunk]. [?analysis] defaults to [Threshold].
 
     [?jobs] (default 1) domains share the scan; [?chunk] (default 1024)
     is the dynamic-scheduling granule: chunk [i] holds codes
@@ -132,6 +151,7 @@ val scan :
 type plan
 
 val plan :
+  ?analysis:analysis ->
   ?jobs:int ->
   ?chunk:int ->
   ?prune:bool ->
@@ -143,11 +163,13 @@ val plan :
   unit ->
   plan
 (** Same defaults as {!scan}. [jobs] has no effect on the plan: the
-    partition is a function of the code space and [chunk] alone. *)
+    partition is a function of the code space and [chunk] alone, and
+    is computed, never stored. *)
 
 val plan_config : plan -> Obs.Json.t
 (** The canonical configuration object — what {!scan} fingerprints into
-    checkpoints and what a coordinator sends to joining workers. *)
+    checkpoints and what a coordinator sends to joining workers. Only
+    an [All_1] plan has an ["analysis"] member (["all_1"]). *)
 
 val plan_of_config : Obs.Json.t -> (plan, string) result
 (** Rebuild a plan from {!plan_config} output: a worker process derives
@@ -156,9 +178,6 @@ val plan_of_config : Obs.Json.t -> (plan, string) result
 
 val plan_chunks : plan -> int
 (** Number of chunks in the partition. *)
-
-val plan_total : plan -> int
-(** Number of codes scanned (the task count). *)
 
 val plan_chunk_range : plan -> int -> int * int
 (** [plan_chunk_range p ci] is the code-index range [\[lo, hi)] of
@@ -237,9 +256,9 @@ val sample_codes : n:int -> count:int -> seed:int -> (int * int) array
     [Fair_semantics.verdict_of_unions ~output:o] of [a]'s summary for
     [i]. A cache holds one assignment at a time and fills its inputs
     lazily, in the order they are asked for, so an input no code needs
-    is never explored. {!scan} keeps one cache per chunk and
-    {!Section_4_1.scan} one for the whole space. Each summary counts
-    into [bbsearch.summaries] inside a [bbsearch.summarise] span. *)
+    is never explored. {!scan} keeps one cache per chunk, under either
+    {!analysis}. Each summary counts into [bbsearch.summaries] inside a
+    [bbsearch.summarise] span. *)
 module Summaries : sig
   type t
 

@@ -296,16 +296,18 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?chaos
   let serve_readable readable cs =
     List.iter
       (fun c ->
-        if List.memq (Wire.reader_fd c.rd) readable then
-          match Wire.drain c.rd with
-          | exception Wire.Protocol_error e ->
-              note_corrupt c;
-              drop_conn c ("protocol error: " ^ e)
-          | msgs, eof ->
-              note_corrupt c;
-              (try List.iter (handle_msg c) msgs
-               with Wire.Protocol_error e -> drop_conn c ("protocol error: " ^ e));
-              if eof && List.memq c !conns then drop_conn c "eof")
+        if List.memq (Wire.reader_fd c.rd) readable then begin
+          (* the frames before a broken one are dispatched first *)
+          let msgs, status = Wire.drain c.rd in
+          note_corrupt c;
+          (try List.iter (handle_msg c) msgs
+           with Wire.Protocol_error e -> drop_conn c ("protocol error: " ^ e));
+          if List.memq c !conns then
+            match status with
+            | `Open -> ()
+            | `Eof -> drop_conn c "eof"
+            | `Broken e -> drop_conn c ("protocol error: " ^ e)
+        end)
       cs
   in
   let tick_timeout = Stdlib.min 1.0 (heartbeat_timeout /. 2.0) in
@@ -417,21 +419,20 @@ let run ?accept ?(fds = []) ?(heartbeat_timeout = 10.0) ?chaos
             if readable <> [] then begin
               List.iter
                 (fun c ->
-                  if List.memq (Wire.reader_fd c.rd) readable then
-                    match Wire.drain c.rd with
-                    | exception Wire.Protocol_error _ -> drop_conn ~lost:false c "eof"
-                    | msgs, eof ->
-                        note_corrupt c;
-                        (try
-                           List.iter
-                             (fun m ->
-                               match m with
-                               | Wire.Heartbeat _ | Wire.Events _ -> handle_msg c m
-                               | _ -> ())
-                             msgs
-                         with Wire.Protocol_error _ -> ());
-                        if eof && List.memq c !conns then
-                          drop_conn ~lost:false c "eof")
+                  if List.memq (Wire.reader_fd c.rd) readable then begin
+                    let msgs, status = Wire.drain c.rd in
+                    note_corrupt c;
+                    (try
+                       List.iter
+                         (fun m ->
+                           match m with
+                           | Wire.Heartbeat _ | Wire.Events _ -> handle_msg c m
+                           | _ -> ())
+                         msgs
+                     with Wire.Protocol_error _ -> ());
+                    if status <> `Open && List.memq c !conns then
+                      drop_conn ~lost:false c "eof"
+                  end)
                 !conns;
               final_drain ()
             end

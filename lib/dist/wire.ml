@@ -168,6 +168,7 @@ type reader = {
   buf : Buffer.t;  (** bytes received but not yet cut into lines *)
   scratch : Bytes.t;
   mutable pending : msg list;  (** parsed but not yet handed out *)
+  mutable broken : string option;  (** a bad frame's error, behind [pending] *)
   mutable corrupt : int;  (** lines skipped for failing the frame checks *)
 }
 
@@ -177,6 +178,7 @@ let reader fd =
     buf = Buffer.create 4096;
     scratch = Bytes.create 65536;
     pending = [];
+    broken = None;
     corrupt = 0;
   }
 
@@ -226,26 +228,34 @@ let classify r line =
           raise (Protocol_error (Printf.sprintf "bad message: %s in %s" e payload)))
 
 (* Move every complete line of [r.buf] onto [r.pending], keeping the
-   trailing partial line (if any) buffered. *)
+   trailing partial line (if any) buffered. A CRC-valid frame that does
+   not decode stops the cut: the frames before it stay deliverable, and
+   its error waits in [r.broken] until they are handed out. *)
 let cut_lines r =
   let s = Buffer.contents r.buf in
   let n = String.length s in
   let msgs = ref [] in
   let start = ref 0 in
   (try
-     while true do
+     while r.broken = None do
        let nl = String.index_from s !start '\n' in
        let line = String.sub s !start (nl - !start) in
        (if String.length line > 0 then
           match classify r line with
           | Some m -> msgs := m :: !msgs
-          | None -> ());
+          | None -> ()
+          | exception Protocol_error e -> r.broken <- Some e);
        start := nl + 1
      done
    with Not_found -> ());
   Buffer.clear r.buf;
   if !start < n then Buffer.add_substring r.buf s !start (n - !start);
   r.pending <- r.pending @ List.rev !msgs
+
+let take_broken r =
+  let e = r.broken in
+  r.broken <- None;
+  e
 
 (* One read(2); -1 encodes EINTR (retryable, not EOF). *)
 let read_once r =
@@ -259,7 +269,10 @@ let drain r =
   cut_lines r;
   let msgs = r.pending in
   r.pending <- [];
-  (msgs, n = 0)
+  ( msgs,
+    match take_broken r with
+    | Some e -> `Broken e
+    | None -> if n = 0 then `Eof else `Open )
 
 let rec recv r =
   match r.pending with
@@ -267,6 +280,7 @@ let rec recv r =
       r.pending <- rest;
       Some m
   | [] -> (
+      Option.iter (fun e -> raise (Protocol_error e)) (take_broken r);
       match read_once r with
       | 0 -> None
       | n ->
@@ -298,6 +312,7 @@ let recv_within r ~timeout_s =
         r.pending <- rest;
         `Msg m
     | [] -> (
+        Option.iter (fun e -> raise (Protocol_error e)) (take_broken r);
         let remaining = timeout_s -. Obs.Clock.elapsed_s t0 in
         if remaining < 0.0 then `Timeout
         else

@@ -107,18 +107,21 @@ val corrupt_count : reader -> int
 (** Lines this reader skipped for failing the frame checks (also
     accumulated in the [dist.corrupt_frames] metric). *)
 
-val drain : reader -> msg list * bool
+val drain : reader -> msg list * [ `Open | `Eof | `Broken of string ]
 (** One non-blocking-ish step for a select loop: a single [Unix.read]
     (the caller knows the fd is readable, so it will not block),
-    returning every message completed by it plus [true] when the peer
+    returning every message completed by it and [`Eof] when the peer
     closed the connection (EOF — a SIGKILLed worker's socket reads as
-    EOF, which is exactly how worker death is detected).
-    @raise Protocol_error on a CRC-valid frame that does not decode. *)
+    EOF, which is exactly how worker death is detected), or
+    [`Broken e] when a CRC-valid frame did not decode: the messages
+    are then the frames before it, for the caller to handle before it
+    drops the connection. *)
 
 val recv : reader -> msg option
 (** Blocking receive of the next single message; [None] on EOF. The
     worker side's main loop.
-    @raise Protocol_error on a CRC-valid frame that does not decode. *)
+    @raise Protocol_error on a CRC-valid frame that does not decode,
+    once every frame that arrived before it has been returned. *)
 
 val recv_within :
   reader -> timeout_s:float -> [ `Msg of msg | `Eof | `Timeout ]
@@ -126,7 +129,8 @@ val recv_within :
     seconds (0 polls) for a complete message. [`Timeout] is how an
     idle worker discovers it has been silent too long and owes the
     coordinator a heartbeat — under chaos, a dropped [Grant] would
-    otherwise leave it blocked and indistinguishable from dead. *)
+    otherwise leave it blocked and indistinguishable from dead.
+    @raise Protocol_error as {!recv}. *)
 
 val select_eintr : Unix.file_descr list -> float -> Unix.file_descr list
 (** [Unix.select fds [] [] timeout] that retries [EINTR] with the

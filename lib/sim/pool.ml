@@ -1,19 +1,16 @@
 type error_policy = [ `Fail | `Skip | `Retry of int ]
 
-(* The chunk partition is precomputed, a pure function of (tasks,
-   chunk) — never of timing or of [jobs] — so the set of (chunk index,
-   lo, hi) triples a run emits (lease/done events, accumulator slots) is
+(* The chunk partition is arithmetic, a pure function of (tasks, chunk)
+   — never of timing or of [jobs] — so the set of (chunk index, lo, hi)
+   triples a run emits (lease/done events, accumulator slots) is
    deterministic and jobs-invariant, and index-ordered reduction over
    the slots equals the sequential left-to-right fold. Chunk [ci] holds
-   indices [ci * chunk, min tasks ((ci + 1) * chunk)). *)
-let boundaries ~tasks ~chunk =
+   indices [ci * chunk, min tasks ((ci + 1) * chunk)); nothing stores
+   the ranges. *)
+let num_chunks ~tasks ~chunk =
   let chunk = Stdlib.max 1 chunk in
   (* ceiling division that cannot overflow on a chunk near max_int *)
-  Array.init
-    ((tasks / chunk) + if tasks mod chunk > 0 then 1 else 0)
-    (fun ci ->
-      let lo = ci * chunk in
-      (lo, Stdlib.min tasks (lo + chunk)))
+  (tasks / chunk) + if tasks mod chunk > 0 then 1 else 0
 
 type failure = {
   chunk_index : int;
@@ -102,9 +99,9 @@ let retry_event ~name ~ci ~remaining =
    (iterated rounds). The [jobs - 1] helper domains are spawned once and
    persist across rounds behind one barrier; worker 0 is the calling
    domain, and only it calls [next], which yields the next round's
-   label and its precomputed chunk partition ([None] to finish); every
-   domain then claims chunks of that partition off one shared
-   counter.
+   label and task count ([None] to finish); every domain then claims
+   chunks of that round off one shared counter and computes each
+   claim's range.
 
    A task exception never leaves [run_chunk]: [policy] resolves it.
    Anything else a domain raises — the caller's [should_stop],
@@ -112,13 +109,14 @@ let retry_event ~name ~ci ~remaining =
    cancels the batch. A helper records it and still reaches the
    barrier, so no round deadlocks; the original exception re-raises,
    with its backtrace, after every domain is joined. *)
-let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
-    f =
+let fan_out ~jobs ~chunk ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done
+    ~next f =
   let span = name ^ ".chunk" in
+  let chunk = Stdlib.max 1 chunk in
   let retries = match policy with `Retry n -> Stdlib.max 0 n | _ -> 0 in
   (* the open round, written by worker 0 under [mutex] before it wakes
      the helpers, so they read it after the barrier *)
-  let label = ref None and bounds = ref [||] in
+  let label = ref None and tasks = ref 0 and chunks = ref 0 in
   let next_ci = Atomic.make 0 in
   (* Cancellation token: set by the first [`Fail] failure, by an
      escaping exception, or when [should_stop] fires. Every worker stops
@@ -158,7 +156,8 @@ let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
     | _ -> false
   in
   let run_chunk w ci =
-    let lo, hi = !bounds.(ci) and round = !label in
+    let lo = ci * chunk and round = !label in
+    let hi = lo + Stdlib.min chunk (!tasks - lo) in
     let c0_ns = Obs.Clock.now_ns () in
     lease_event ~name ~round ~ci ~lo ~hi;
     let args =
@@ -205,7 +204,7 @@ let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
   let rec claim w =
     if not (stop_requested ()) then begin
       let ci = Atomic.fetch_and_add next_ci 1 in
-      if ci < Array.length !bounds then begin
+      if ci < !chunks then begin
         if not (match skip_chunk with Some g -> g ci | None -> false) then
           run_chunk w ci;
         claim w
@@ -243,10 +242,11 @@ let fan_out ~jobs ~name ~policy ?should_stop ?skip_chunk ?on_chunk_done ~next
     if not (Atomic.get cancelled) then
       match next () with
       | None -> ()
-      | Some (l, b) ->
+      | Some (l, t) ->
         Mutex.lock mutex;
         label := l;
-        bounds := b;
+        tasks := t;
+        chunks := num_chunks ~tasks:t ~chunk;
         Atomic.set next_ci 0;
         finished := 0;
         incr opened;
@@ -304,13 +304,13 @@ let run ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ?(on_task_error = `Fail)
     ?should_stop ?skip_chunk ?on_chunk_done ~tasks f =
   if tasks < 0 then invalid_arg "Pool.run: tasks >= 0 required";
   let jobs = Stdlib.max 1 (Stdlib.min jobs tasks) in
-  let round = ref (Some (None, boundaries ~tasks ~chunk)) in
+  let round = ref (Some (None, tasks)) in
   let next () =
     let r = !round in
     round := None;
     r
   in
-  fan_out ~jobs ~name ~policy:on_task_error ?should_stop ?skip_chunk
+  fan_out ~jobs ~chunk ~name ~policy:on_task_error ?should_stop ?skip_chunk
     ?on_chunk_done ~next f
 
 let run_rounds ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ~next f =
@@ -321,6 +321,6 @@ let run_rounds ?(jobs = 1) ?(chunk = 1) ?(name = "pool") ~next f =
     | Some tasks ->
       if tasks < 0 then invalid_arg "Pool.run_rounds: tasks >= 0 required";
       incr label;
-      Some (Some !label, boundaries ~tasks ~chunk)
+      Some (Some !label, tasks)
   in
-  fan_out ~jobs:(Stdlib.max 1 jobs) ~name ~policy:`Fail ~next f
+  fan_out ~jobs:(Stdlib.max 1 jobs) ~chunk ~name ~policy:`Fail ~next f

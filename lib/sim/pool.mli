@@ -1,7 +1,7 @@
 (** A reusable domain pool for deterministic, fault-isolated fan-out.
 
     One engine runs both entry points: {!run} is a single round over a
-    precomputed chunk partition of [0 .. tasks-1], {!run_rounds} the
+    chunk partition of [0 .. tasks-1], {!run_rounds} the
     same fan-out iterated over rounds that the caller stages one at a
     time. [jobs] domains take part (worker 0 is the calling domain);
     the [jobs - 1] others are spawned once per call and persist across
@@ -30,11 +30,12 @@ type error_policy =
   | `Retry of int  (** re-run the chunk up to [n] more times, then skip *)
   ]
 
-val boundaries : tasks:int -> chunk:int -> (int * int) array
-(** The chunk partition [run] and [run_rounds] use: slot [ci] covers
-    task indices [\[ci * chunk, min tasks ((ci + 1) * chunk))], with
-    [chunk] clamped to at least 1 as [run] clamps it. [jobs] never
-    shapes it, so callers that allocate one accumulator slot per chunk
+val num_chunks : tasks:int -> chunk:int -> int
+(** The number of chunks [run] and [run_rounds] cut [tasks] into: chunk
+    [ci] covers task indices [\[ci * chunk, min tasks ((ci + 1) * chunk))],
+    with [chunk] clamped to at least 1 as [run] clamps it. The ranges
+    are computed per claim, never stored. [jobs] never shapes the
+    partition, so callers that allocate one accumulator slot per chunk
     size their arrays with this. *)
 
 type failure = {
@@ -70,7 +71,7 @@ val run :
   stats
 (** [run ~jobs ~chunk ~name ~tasks f] is one round of the engine: it
     calls [f ~lo ~hi] once for every chunk [\[lo, hi)] of the task
-    range — the partition given by {!boundaries} — across a pool of
+    range — the {!num_chunks} chunks of [chunk] tasks — across a pool of
     [jobs] domains (worker 0 is the calling domain; defaults:
     [jobs = 1], [chunk = 1]). Its events and spans carry no round
     label.
@@ -89,8 +90,7 @@ val run :
     token for signal-driven shutdown: once it returns true no further
     chunks are claimed, in-flight chunks drain, and {!stats.cancelled}
     is set. [skip_chunk] (resume support) suppresses chunks — by chunk
-    index, i.e. the slot position in {!boundaries} ([lo / chunk]) —
-    that a checkpoint already recorded;
+    index ([lo / chunk]) — that a checkpoint already recorded;
     skipped chunks are neither run nor counted. [on_chunk_done] fires
     in the worker after each successfully completed chunk (its writes
     to the chunk's slot are visible) — checkpoint writers hook here.
@@ -120,8 +120,8 @@ val run_rounds :
     The driver alone calls [next ()] before each round: it reduces the
     previous round's per-task slots (in index order — this is where
     determinism lives) and stages the next round, returning
-    [Some tasks] to fan out [f ~lo ~hi] over the {!boundaries}
-    partition of [0 .. tasks-1] into chunks of [chunk], or [None] to
+    [Some tasks] to fan out [f ~lo ~hi] over the partition of
+    [0 .. tasks-1] into chunks of [chunk], or [None] to
     finish. Rounds are labelled 0, 1, 2, … in the order [next] returns
     them, at every [jobs]; the label is the ["round"] field of the
     [pool.lease] and [pool.chunk_done] events and the ["round"] arg of

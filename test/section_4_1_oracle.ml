@@ -2,7 +2,7 @@
    protocol and input (Configgraph.explore, then a forward search for a
    configuration whose consensus output is 1 via
    Population.output_of_config), one protocol at a time. It shares no
-   code with the support summaries Section_4_1 reads. *)
+   code with the support summaries Section_4_1 and the census read. *)
 let min_accepting_input ?(max_configs = 60_000) p ~max_input =
   if not (Array.exists Fun.id p.Population.output) then None
   else begin
@@ -18,8 +18,10 @@ let min_accepting_input ?(max_configs = 60_000) p ~max_input =
     go inputs
   end
 
-(* Section_4_1.scan over every code of the n-state space, protocol by
-   protocol: (unreachable, aborted, histogram). *)
+(* Section 4.1's f over every code of the n-state space, protocol by
+   protocol and unpruned — the reference for
+   [Busy_beaver.scan ~analysis:All_1]: (unreachable, aborted,
+   histogram). *)
 let scan ?(max_input = 12) ?max_configs ~n () =
   let unreachable = ref 0 and aborted = ref 0 in
   let hist = Hashtbl.create 16 in

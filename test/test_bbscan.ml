@@ -133,15 +133,22 @@ let test_prune_exact_n2 () =
   Alcotest.(check int) "counts the whole space" 108
     pruned.Busy_beaver.num_protocols
 
+(* under both analyses: a relabelling that fixes the input state keeps
+   a code's threshold and its least input reaching All_1 *)
 let test_prune_exact_n3_sampled () =
-  let pruned =
-    Busy_beaver.scan ~n:3 ~max_input:8 ~sample:(400, 11) ~prune:true ()
-  in
-  let unpruned =
-    Busy_beaver.scan ~n:3 ~max_input:8 ~sample:(400, 11) ~prune:false ()
-  in
-  Alcotest.(check bool) "sampled n=3 aggregates identical" true
-    (aggregates_eq pruned unpruned)
+  List.iter
+    (fun (label, analysis) ->
+      let pruned =
+        Busy_beaver.scan ~analysis ~n:3 ~max_input:8 ~sample:(400, 11)
+          ~prune:true ()
+      in
+      let unpruned =
+        Busy_beaver.scan ~analysis ~n:3 ~max_input:8 ~sample:(400, 11)
+          ~prune:false ()
+      in
+      Alcotest.(check bool) (label ^ ": sampled n=3 aggregates identical") true
+        (aggregates_eq pruned unpruned))
+    [ ("threshold", Busy_beaver.Threshold); ("all_1", Busy_beaver.All_1) ]
 
 (* -- Determinism across the domain pool ------------------------------------ *)
 
@@ -169,17 +176,21 @@ let test_jobs_invariance_sampled () =
         true (result_eq reference r))
     [ (2, 64); (4, 17) ]
 
-(* the one partition is a pure function of (tasks, chunk): contiguous
-   slots covering the range exactly, slot [ci] starting at [ci * chunk]
-   and holding at most [chunk] indices *)
+(* the one partition is a pure function of (tasks, chunk): the ranges
+   [Pool.run] hands out, [Pool.num_chunks] of them, are contiguous and
+   cover the range exactly, range [ci] starting at [ci * chunk] and
+   holding at most [chunk] indices *)
 let boundaries_prop =
   prop "boundaries cut the range into chunk-aligned slots" ~count:200
     QCheck.(pair (int_range 0 5000) (int_range 1 512))
     (fun (tasks, chunk) ->
-      let bounds = Pool.boundaries ~tasks ~chunk in
+      let lock = Mutex.create () and ranges = ref [] in
+      ignore
+        (Pool.run ~jobs:2 ~chunk ~tasks (fun ~lo ~hi ->
+             Mutex.protect lock (fun () -> ranges := (lo, hi) :: !ranges)));
+      let ranges = List.sort Stdlib.compare !ranges in
       let ok, covered =
-        Array.to_list bounds
-        |> List.mapi (fun ci b -> (ci, b))
+        List.mapi (fun ci b -> (ci, b)) ranges
         |> List.fold_left
              (fun (ok, expect) (ci, (lo, hi)) ->
                ( ok && lo = expect && lo = ci * chunk && hi > lo
@@ -187,7 +198,37 @@ let boundaries_prop =
                  hi ))
              (true, 0)
       in
-      ok && covered = tasks)
+      ok && covered = tasks
+      && List.length ranges = Pool.num_chunks ~tasks ~chunk)
+
+(* a plan computes its chunk ranges and stores none: a one-code
+   chunking of n = 3 (373,248 chunks) allocates next to nothing, and an
+   exhaustive n = 4 configuration from outside bytes decodes to its
+   156,250,000 chunks without allocating them *)
+let test_plan_ranges_computed () =
+  let before = Gc.allocated_bytes () in
+  let p = Busy_beaver.plan ~n:3 ~chunk:1 () in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "one chunk per code" 373_248 (Busy_beaver.plan_chunks p);
+  Alcotest.(check bool)
+    (Printf.sprintf "plan allocates under 1 MB (%.0f bytes)" allocated)
+    true (allocated < 1e6);
+  let config =
+    Busy_beaver.plan_config (Busy_beaver.plan ~n:3 ())
+    |> (function Obs.Json.Obj fields -> fields | _ -> assert false)
+    |> List.map (function
+         | "n", _ -> ("n", Obs.Json.Int 4)
+         | "total", _ -> ("total", Obs.Json.Int 160_000_000_000)
+         | field -> field)
+  in
+  match Busy_beaver.plan_of_config (Obs.Json.Obj config) with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+    let chunks = Busy_beaver.plan_chunks p in
+    Alcotest.(check int) "n=4 chunks" 156_250_000 chunks;
+    Alcotest.(check (pair int int)) "last chunk"
+      (159_999_998_976, 160_000_000_000)
+      (Busy_beaver.plan_chunk_range p (chunks - 1))
 
 (* the sampled stream is per-index, so it is also jobs-independent when
    pruning rewrites each draw to its canonical representative *)
@@ -486,7 +527,7 @@ let test_summaries_match_find_small () =
 
 let summaries_match_find_prop ~n ~count =
   prop
-    (Printf.sprintf "summary verdicts = Eta_search.find on n=%d codes" n)
+    (Printf.sprintf "n=%d: summary verdicts = Eta_search.find" n)
     ~count
     QCheck.(int_range 0 (Busy_beaver.num_assignments n - 1))
     (fun assignment ->
@@ -609,6 +650,8 @@ let () =
           Alcotest.test_case "sampled scan, no pruning" `Quick
             test_jobs_invariance_sampled_unpruned;
           boundaries_prop;
+          Alcotest.test_case "plan ranges are computed" `Quick
+            test_plan_ranges_computed;
         ] );
       ( "pool",
         [

@@ -318,20 +318,28 @@ let test_f_min_accepting () =
     (Invalid_argument "Fair_semantics.summarise: too many states for a support mask")
     (fun () -> ignore (Section_4_1.min_accepting_input p ~max_input:3))
 
+(* Section 4.1's f is the census driver under the All_1 analysis *)
+let f_scan ?max_configs ?max_input ~n () =
+  Busy_beaver.scan ~analysis:All_1 ?max_configs ?max_input ~n ()
+
+(* what the oracle returns: (never reach All_1, aborted, histogram) *)
+let f_counts (r : Busy_beaver.scan_result) =
+  (r.Busy_beaver.num_reject_all, r.Busy_beaver.num_aborted, r.Busy_beaver.histogram)
+
 let test_f_scan () =
-  let r = Section_4_1.scan ~n:2 ~max_input:10 () in
-  Alcotest.(check int) "space size" 108 r.Section_4_1.num_protocols;
-  Alcotest.(check int) "f(2) apparent" 2 r.Section_4_1.max_f;
-  Alcotest.(check int) "histogram total" (108 - r.Section_4_1.num_unreachable)
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 r.Section_4_1.histogram)
+  let r = f_scan ~n:2 ~max_input:10 () in
+  Alcotest.(check int) "space size" 108 r.Busy_beaver.num_protocols;
+  Alcotest.(check int) "f(2) apparent" 2 r.Busy_beaver.best_eta;
+  Alcotest.(check int) "histogram total" (108 - r.Busy_beaver.num_reject_all)
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 r.Busy_beaver.histogram)
 
 let test_f_dominates_busy_beaver () =
   (* For a threshold protocol, the minimum input reaching All_1 is
      exactly its threshold, so f-scan >= BB-scan on the same space. *)
-  let f = Section_4_1.scan ~n:2 ~max_input:10 () in
+  let f = f_scan ~n:2 ~max_input:10 () in
   let bb = Busy_beaver.scan ~n:2 ~max_input:10 () in
   Alcotest.(check bool) "f >= BB" true
-    (f.Section_4_1.max_f >= bb.Busy_beaver.best_eta)
+    (f.Busy_beaver.best_eta >= bb.Busy_beaver.best_eta)
 
 (* An exploration over its node budget leaves the answer unknown: it is
    counted apart, never as "never reaches All_1". With a budget of 2
@@ -339,31 +347,29 @@ let test_f_dominates_busy_beaver () =
    others explore every input within budget without reaching All_1, 24
    abort, and 48 reach All_1 at input 2. *)
 let test_f_aborts_counted_apart () =
-  let r = Section_4_1.scan ~n:2 ~max_configs:2 () in
-  Alcotest.(check int) "space size" 108 r.Section_4_1.num_protocols;
-  Alcotest.(check int) "never reach All_1" 36 r.Section_4_1.num_unreachable;
-  Alcotest.(check int) "aborted" 24 r.Section_4_1.num_aborted;
+  let r = f_scan ~n:2 ~max_configs:2 () in
+  Alcotest.(check int) "space size" 108 r.Busy_beaver.num_protocols;
+  Alcotest.(check int) "never reach All_1" 36 r.Busy_beaver.num_reject_all;
+  Alcotest.(check int) "aborted" 24 r.Busy_beaver.num_aborted;
   Alcotest.(check (list (pair int int))) "histogram" [ (2, 48) ]
-    r.Section_4_1.histogram;
-  let unreachable, aborted, hist = Section_4_1_oracle.scan ~max_configs:2 ~n:2 () in
+    r.Busy_beaver.histogram;
   Alcotest.(check (triple int int (list (pair int int)))) "oracle agrees"
-    (unreachable, aborted, hist)
-    (r.Section_4_1.num_unreachable, r.Section_4_1.num_aborted, r.Section_4_1.histogram)
+    (Section_4_1_oracle.scan ~max_configs:2 ~n:2 ())
+    (f_counts r)
 
-(* The assignment-major scan against the protocol-by-protocol multiset
-   oracle, on every protocol with n <= 2, at two cutoffs. *)
+(* The pruned, assignment-major scan against the protocol-by-protocol
+   multiset oracle, on every protocol with n <= 2, at two cutoffs. *)
 let test_f_scan_matches_oracle () =
   List.iter
     (fun (n, max_input) ->
-      let r = Section_4_1.scan ~n ~max_input () in
+      let r = f_scan ~n ~max_input () in
       let unreachable, aborted, hist = Section_4_1_oracle.scan ~max_input ~n () in
       let label = Printf.sprintf "n=%d max_input=%d" n max_input in
       Alcotest.(check (triple int int (list (pair int int)))) label
-        (unreachable, aborted, hist)
-        (r.Section_4_1.num_unreachable, r.Section_4_1.num_aborted, r.Section_4_1.histogram);
+        (unreachable, aborted, hist) (f_counts r);
       Alcotest.(check int) (label ^ " max_f")
         (List.fold_left (fun m (i, _) -> Stdlib.max m i) 0 hist)
-        r.Section_4_1.max_f)
+        r.Busy_beaver.best_eta)
     [ (1, 12); (2, 12); (2, 5) ];
   for assignment = 0 to Busy_beaver.num_assignments 2 - 1 do
     for output_bits = 0 to 3 do
@@ -373,6 +379,19 @@ let test_f_scan_matches_oracle () =
         (Section_4_1.min_accepting_input p ~max_input:12)
     done
   done
+
+(* At n <= 2 the symmetry group is trivial; at n = 3 it is S_2, so this
+   is where orbit weights carry f's counts. A 6-node budget keeps the
+   oracle's 373,248 protocols cheap and makes 13% of them abort, so the
+   aborted count is weighted too. *)
+let test_f_orbit_weights_n3 () =
+  let r = f_scan ~n:3 ~max_configs:6 () in
+  Alcotest.(check (triple int int (list (pair int int)))) "oracle agrees"
+    (Section_4_1_oracle.scan ~max_configs:6 ~n:3 ())
+    (f_counts r);
+  Alcotest.(check int) "every code counted once" 373_248
+    (r.Busy_beaver.num_reject_all + r.Busy_beaver.num_aborted
+     + r.Busy_beaver.num_threshold)
 
 let f_oracle_n3_prop =
   QCheck_alcotest.to_alcotest
@@ -456,6 +475,8 @@ let () =
             test_f_aborts_counted_apart;
           Alcotest.test_case "scan = multiset oracle (n <= 2)" `Quick
             test_f_scan_matches_oracle;
+          Alcotest.test_case "n=3 orbit weights = multiset oracle" `Quick
+            test_f_orbit_weights_n3;
           f_oracle_n3_prop;
         ] );
       ( "state-complexity",

@@ -159,15 +159,31 @@ let test_wire_unknown_kind () =
        (contains e "frobnicate")
    | Ok _ -> Alcotest.fail "unknown kind decoded as a message");
   (* through the reader, a CRC-valid frame of that kind is a broken
-     peer, like a frame missing a required field *)
+     peer, like a frame missing a required field; a frame that arrived
+     in the same read before it is still delivered, first *)
+  let grant = Dist.Wire.Grant { lo_chunk = 0; hi_chunk = 2; epoch = 1 } in
+  let bytes = v3_frame (payload_of grant) ^ v3_frame (Obs.Json.to_string unknown) in
   with_pipe (fun rfd wfd ->
-      write_str wfd (v3_frame (Obs.Json.to_string unknown));
+      write_str wfd bytes;
       Unix.close wfd;
-      match Dist.Wire.recv (Dist.Wire.reader rfd) with
+      let rd = Dist.Wire.reader rfd in
+      Alcotest.(check bool) "recv: the Grant first" true
+        (Dist.Wire.recv rd = Some grant);
+      match Dist.Wire.recv rd with
       | exception Dist.Wire.Protocol_error e ->
         Alcotest.(check bool) "Protocol_error names the kind" true
           (contains e "frobnicate")
-      | _ -> Alcotest.fail "a CRC-valid unknown kind must raise")
+      | _ -> Alcotest.fail "a CRC-valid unknown kind must raise");
+  with_pipe (fun rfd wfd ->
+      write_str wfd bytes;
+      match Dist.Wire.drain (Dist.Wire.reader rfd) with
+      | [ m ], `Broken e ->
+        Alcotest.(check bool) "drain: the Grant" true (m = grant);
+        Alcotest.(check bool) "drain: the error names the kind" true
+          (contains e "frobnicate")
+      | msgs, _ ->
+        Alcotest.failf "drain: %d messages, not the Grant and the error"
+          (List.length msgs))
 
 (* a peer may add fields to any known message — decoders must skip
    what they do not know. Inject junk fields at random positions into
@@ -626,12 +642,13 @@ let resume_fuzz_props =
           | exception Obs.Checkpoint.Mismatch _ -> Error "mismatch"
           | exception Invalid_argument e -> Error e))
 
-(* n stays at 1 or 2 so that a configuration which does decode is a
-   cheap plan *)
+(* a plan computes its chunk ranges, so even the exhaustive n = 4
+   space (160,000,000,000 codes) is a cheap plan *)
 let plan_fuzz_props =
-  Fuzz_gen.properties ~record:true ~decoder:"Busy_beaver.plan_of_config"
+  Fuzz_gen.properties ~record:true ~decoder:"plan_of_config"
     ~vocab:
-      [ {|"workload":"bbsearch"|}; {|"n":1|}; {|"n":2|}; {|"n":-1|};
+      [ {|"workload":"bbsearch"|}; {|"n":1|}; {|"n":2|}; {|"n":3|};
+        {|"n":4|}; {|"n":-1|};
         {|"n":4611686018427387903|}; {|"max_input":-1|};
         {|"max_input":4611686018427387903|}; {|"max_configs":-1|};
         {|"eta_budget_s":-1|}; {|"prune":true|}; {|"chunk":-1|};
@@ -639,7 +656,9 @@ let plan_fuzz_props =
         {|"sample":[4611686018427387903,5]|}; {|"sample":[2,-1]|};
         {|"sample":null|}; {|"schedule":"guided"|}; {|"jobs":-1|};
         {|"jobs":4611686018427387903|}; {|"total":2|}; {|"total":-1|};
-        {|"total":4611686018427387903|} ]
+        {|"total":4611686018427387903|}; {|"total":373248|};
+        {|"total":160000000000|}; {|"analysis":"all_1"|};
+        {|"analysis":"census"|} ]
     (of_parsed Busy_beaver.plan_of_config)
 
 let test_select_eintr_rides_signals () =
@@ -1184,6 +1203,20 @@ let test_fork_smoke () =
     (not o.Distributed_scan.result.Busy_beaver.interrupted);
   Alcotest.(check int) "both workers joined" 2
     o.Distributed_scan.stats.Dist.Coordinator.workers_seen
+
+(* the analysis travels in the plan a worker rebuilds from the Welcome:
+   forked workers return the local All_1 scan's result, which is not
+   the threshold census's *)
+let test_fork_all_1 () =
+  let plan = Busy_beaver.plan ~analysis:All_1 ~chunk:8 ~max_input:8 ~n:2 () in
+  let reference =
+    Busy_beaver.scan ~analysis:All_1 ~chunk:8 ~max_input:8 ~n:2 ()
+  in
+  let o = Distributed_scan.coordinate ~workers:2 ~plan () in
+  Alcotest.(check bool) "result identical to the local All_1 scan" true
+    (result_eq o.Distributed_scan.result reference);
+  Alcotest.(check bool) "the census differs" false
+    (result_eq reference (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 ()))
 
 let test_fork_chaos_kill () =
   let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
@@ -1796,6 +1829,8 @@ let () =
         [
           Alcotest.test_case "fork workers, identical result" `Quick
             test_fork_smoke;
+          Alcotest.test_case "All_1 plan through fork workers" `Quick
+            test_fork_all_1;
           Alcotest.test_case "SIGKILL mid-scan, identical result" `Quick
             test_fork_chaos_kill;
           Alcotest.test_case "checkpoint epochs across adoptions" `Quick

@@ -23,7 +23,7 @@ let ensemble_of ?(jobs = 1) ?chunk ?backend ~seed ~trials () =
 
 let jobs_invariance_prop backend_name backend =
   prop
-    (Printf.sprintf "aggregate independent of jobs (%s)" backend_name)
+    (Printf.sprintf "%s: aggregate independent of jobs" backend_name)
     ~count:8 QCheck.(int_range 0 10_000)
     (fun seed ->
       let reference = ensemble_of ~jobs:1 ~backend ~seed ~trials:10 () in

@@ -350,7 +350,7 @@ let () =
             test_parser_out_of_range;
           Alcotest.test_case "semantics" `Quick test_parser_semantics_agree;
         ]
-        @ Fuzz_gen.properties ~decoder:"Predicate_parser.parse"
+        @ Fuzz_gen.properties ~decoder:"parse"
             ~vocab:
               [ "x0"; "x1"; "x65535"; "x65536"; "x99999999999999999999"; "0";
                 "7"; "99999999999999999999"; "4611686018427387903"; "+"; "-";

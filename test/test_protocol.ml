@@ -262,7 +262,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_syntax_errors;
           Alcotest.test_case "leaders" `Quick test_syntax_leaders;
         ]
-        @ Fuzz_gen.properties ~decoder:"Protocol_syntax.parse_string"
+        @ Fuzz_gen.properties ~decoder:"parse_string"
             ~vocab:
               [ "protocol"; "states"; "input"; "leader"; "accept"; "trans";
                 "->"; "a"; "b"; "x"; "0"; "2"; "-1"; "99999999999999999999";

@@ -640,7 +640,7 @@ let () =
                 ^ wrong_shape_histogram ^ "}}]";
                 {|"sections":[{"id":"E2","wall_s":1e999,"metrics":{"h":{"type":"histogram","bounds":[1e999,-1],"counts":[4611686018427387903,-1,1],"sum":1e999,"count":4611686018427387903},"g":{"type":"gauge","value":-1e999}}}]|} ]
             (fun s -> Result.map render_run (Obs.History.parse_run s))
-        @ Fuzz_gen.properties ~record:true ~decoder:"Export.snapshot_of_json"
+        @ Fuzz_gen.properties ~record:true ~decoder:"snapshot_of_json"
             ~vocab:
               [ {|"schema":"ppmetrics/v2"|}; {|"schema":"ppmetrics/v1"|};
                 {|"elapsed_s":-1|}; {|"elapsed_s":"x"|}; {|"meta":-1|};
