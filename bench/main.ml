@@ -331,7 +331,7 @@ let e7p () =
                   (fun j c -> Mset.equal c (Configgraph.Packed.config pg j))
                   g.Configgraph.configs)
       done)
-    (Busy_beaver.sample_codes ~n:3 ~count:codes ~seed:20260705);
+    (Array.init codes (Busy_beaver.sample_code ~n:3 ~seed:20260705));
   row "  %d graphs   multiset: %.2fs   packed: %.2fs   speedup x%.2f   \
        graphs identical: %b\n"
     !graphs !w_ref !w_pk (!w_ref /. !w_pk) !identical

@@ -10,8 +10,6 @@ let of_bignat n = Pos n
 let of_int n =
   if n >= 0 then Pos (Bignat.of_int n) else Neg (Bignat.of_int (-n))
 
-let one = of_int 1
-let minus_one = of_int (-1)
 
 let to_bignat_opt = function Pos n -> Some n | Neg _ -> None
 
@@ -59,4 +57,3 @@ let to_string = function
   | Pos n -> Bignat.to_string n
   | Neg n -> "-" ^ Bignat.to_string n
 
-let pp fmt x = Format.pp_print_string fmt (to_string x)

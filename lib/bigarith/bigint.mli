@@ -7,8 +7,6 @@
 type t
 
 val zero : t
-val one : t
-val minus_one : t
 
 val of_int : int -> t
 val of_bignat : Bignat.t -> t
@@ -31,4 +29,3 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -42,7 +42,6 @@ let rec compare a b =
   | Exp2 _, Num _ -> -compare b a
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
 
 let log2_floor = function
@@ -85,4 +84,3 @@ let rec to_string = function
     else Printf.sprintf "~2^%d" (Bignat.log2_floor n)
   | Exp2 m -> "2^(" ^ to_string m ^ ")"
 
-let pp fmt x = Format.pp_print_string fmt (to_string x)

@@ -30,7 +30,6 @@ val compare : t -> t -> int
 (** Exact comparison. *)
 
 val equal : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 
 val log2_floor : t -> t
@@ -51,4 +50,3 @@ val tower_height : t -> int
 val to_string : t -> string
 (** Decimal for small values, ["2^(...)"] towers otherwise. *)
 
-val pp : Format.formatter -> t -> unit

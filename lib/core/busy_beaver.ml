@@ -60,20 +60,13 @@ let protocol_of_code ~n ~assignment ~output_bits =
 
 (* Sampled codes come from per-index splits of the master stream (the
    [Ensemble.rng_for_trial] scheme): sample [i] depends only on the seed
-   and [i], never on the chunking or the domain count. *)
-let sample_codes ~n ~count ~seed =
-  check_n "sample_codes" n;
-  if count < 0 || count > Sys.max_array_length then
-    invalid_arg (Printf.sprintf "Busy_beaver.sample_codes: count %d" count);
-  let num_assignments = num_assignments n and num_outputs = 1 lsl n in
-  let master = Splitmix64.create seed in
-  let codes = Array.make count (0, 0) in
-  for i = 0 to count - 1 do
-    let rng = Splitmix64.split master in
-    let assignment = Splitmix64.int_below rng num_assignments in
-    codes.(i) <- (assignment, Splitmix64.int_below rng num_outputs)
-  done;
-  codes
+   and [i], never on the chunking or the domain count, and is computed
+   in O(1). *)
+let sample_code ~n ~seed i =
+  check_n "sample_code" n;
+  let rng = Splitmix64.nth_split ~seed i in
+  let assignment = Splitmix64.int_below rng (num_assignments n) in
+  (assignment, Splitmix64.int_below rng (1 lsl n))
 
 module Symmetry = struct
   (* The group acting on the code space. A state permutation sends a
@@ -351,7 +344,6 @@ type plan = {
   pl_prune : bool;
   pl_chunk : int;
   pl_sample : (int * int) option;
-  pl_codes : (int * int) array option;
   pl_sym : Symmetry.t option;
   pl_total : int;
 }
@@ -361,11 +353,13 @@ let plan ?(analysis = Threshold) ?jobs:_ ?(chunk = 1024) ?(prune = true)
   check_n "plan" n;
   let pair_list = pairs n in
   let num_outputs = 1 lsl n in
-  let codes = Option.map (fun (count, seed) -> sample_codes ~n ~count ~seed) sample in
   let total =
-    match codes with
+    match sample with
     | None -> num_deterministic_protocols n
-    | Some codes -> Array.length codes
+    | Some (count, _) ->
+      if count < 0 || count > Sys.max_array_length then
+        invalid_arg (Printf.sprintf "Busy_beaver.plan: sample count %d" count);
+      count
   in
   let chunk = Stdlib.max 1 chunk in
   {
@@ -379,7 +373,6 @@ let plan ?(analysis = Threshold) ?jobs:_ ?(chunk = 1024) ?(prune = true)
     pl_prune = prune;
     pl_chunk = chunk;
     pl_sample = sample;
-    pl_codes = codes;
     pl_sym = (if prune then Some (Symmetry.make n) else None);
     pl_total = total;
   }
@@ -452,8 +445,9 @@ let plan_of_config j =
        let* chunk = field "chunk" int j in
        let* sample = field_opt "sample" (pair int int) j in
        let* total = field "total" int j in
-       (* the total is checked before [plan] allocates anything sized by
-          it: a sample count comes from outside bytes *)
+       (* the total must match the space the other fields describe; a
+          plan computes its codes and ranges, so no count from outside
+          bytes allocates anything here *)
        let space =
          match sample with
          | Some (count, _) -> count
@@ -583,13 +577,13 @@ let run_chunk ?display plan ci =
   in
   let lo, hi = plan_chunk_range plan ci in
   for idx = lo to hi - 1 do
-    match plan.pl_codes with
-    | Some codes ->
+    match plan.pl_sample with
+    | Some (_, seed) ->
       (* sampling examines every drawn code exactly once; with pruning
          on, its canonical orbit representative is verified instead —
          same threshold result, and duplicate-orbit draws then hit the
          same protocol *)
-      let assignment, output_bits = codes.(idx) in
+      let assignment, output_bits = sample_code ~n:plan.pl_n ~seed idx in
       let assignment, output_bits =
         match plan.pl_sym with
         | None -> (assignment, output_bits)

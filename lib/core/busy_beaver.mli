@@ -164,7 +164,9 @@ val plan :
   plan
 (** Same defaults as {!scan}. [jobs] has no effect on the plan: the
     partition is a function of the code space and [chunk] alone, and
-    is computed, never stored. *)
+    is computed, never stored; so are sampled codes ({!sample_code}).
+    @raise Invalid_argument on a negative sample count or one above
+    [Sys.max_array_length]. *)
 
 val plan_config : plan -> Obs.Json.t
 (** The canonical configuration object — what {!scan} fingerprints into
@@ -243,11 +245,11 @@ val num_assignments : int -> int
 (** [P^P], the number of transition assignments; each has [2^n] output
     maps. *)
 
-val sample_codes : n:int -> count:int -> seed:int -> (int * int) array
-(** The [(assignment, output_bits)] codes a [~sample:(count, seed)] scan
-    draws, in order: code [i] comes from the [i]-th split of the seed's
-    stream, so it depends on nothing else.
-    @raise Invalid_argument on a negative or oversized [count]. *)
+val sample_code : n:int -> seed:int -> int -> int * int
+(** [sample_code ~n ~seed i] is the [(assignment, output_bits)] code a
+    [~sample:(count, seed)] scan draws [i]-th: it comes from the [i]-th
+    split of the seed's stream ({!Splitmix64.nth_split}), so it depends
+    on nothing else and costs O(1). *)
 
 (** Per-assignment summaries, the unit the census explores. A code's
     configuration graphs depend on its transition assignment alone, so

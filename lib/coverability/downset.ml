@@ -23,7 +23,6 @@ let of_max_elements dim vs =
 let dim d = d.dim
 let max_elements d = d.maximal
 let mem c d = List.exists (Omega_vec.member c) d.maximal
-let is_empty d = d.maximal = []
 let basis d = List.map Omega_vec.to_basis_element d.maximal
 let size d = List.length d.maximal
 let norm d = List.fold_left (fun acc v -> Stdlib.max acc (Omega_vec.norm_inf v)) 0 d.maximal

@@ -15,7 +15,6 @@ val keep_maximal : Omega_vec.t list -> Omega_vec.t list
 val dim : t -> int
 val max_elements : t -> Omega_vec.t list
 val mem : Mset.t -> t -> bool
-val is_empty : t -> bool
 
 val basis : t -> (Mset.t * int list) list
 (** The base as [(B, S)] pairs: the set denoted is

@@ -21,7 +21,6 @@ let of_elements dim elements =
 
 let minimal_elements u = u.minimal
 let mem c u = List.exists (fun m -> Mset.leq m c) u.minimal
-let is_empty u = u.minimal = []
 
 let add m u =
   if mem m u then None

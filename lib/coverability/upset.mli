@@ -13,7 +13,6 @@ val minimal_elements : t -> Mset.t list
 (** The canonical antichain, sorted. *)
 
 val mem : Mset.t -> t -> bool
-val is_empty : t -> bool
 
 val add : Mset.t -> t -> t option
 (** [add m u] is [Some u'] with [u' = u ∪ up(m)] if [m] is not already

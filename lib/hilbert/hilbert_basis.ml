@@ -1,6 +1,8 @@
 let dot (u : int array) (v : int array) =
   let acc = ref 0 in
-  Array.iteri (fun i x -> acc := !acc + (x * v.(i))) u;
+  for i = 0 to Array.length u - 1 do
+    acc := !acc + (u.(i) * v.(i))
+  done;
   !acc
 
 let vec_leq (u : int array) (v : int array) =
@@ -10,13 +12,29 @@ let vec_leq (u : int array) (v : int array) =
 
 let is_zero (u : int array) = Array.for_all (fun x -> x = 0) u
 
-(* Keep only the pointwise-minimal vectors. *)
-let minimize vectors =
-  List.filter
-    (fun y ->
-      not (List.exists (fun y' -> y' <> y && vec_leq y' y) vectors))
-    vectors
-  |> List.sort_uniq Stdlib.compare
+(* Support bitmask, coordinates >= 62 lumped into the top bit:
+   [b <= y] requires [support b ⊆ support y]. *)
+let bit j = 1 lsl (if j < 62 then j else 62)
+
+let support_mask (y : int array) =
+  let m = ref 0 in
+  for j = 0 to Array.length y - 1 do
+    if y.(j) > 0 then m := !m lor bit j
+  done;
+  !m
+
+(* [b <= y + e_j] for a [b] with [b(j) = y(j) + 1]: coordinate [j] is
+   skipped. *)
+let rec leq_except (b : int array) (y : int array) j i =
+  i >= Array.length y
+  || ((i = j || b.(i) <= y.(i)) && leq_except b y j (i + 1))
+
+(* Some [(mask, b)] of a bucket lies below [y + e_j], whose support
+   mask is [m]. *)
+let rec dominated_in m y j = function
+  | [] -> false
+  | (mb, b) :: rest ->
+    (mb land lnot m = 0 && leq_except b y j 0) || dominated_in m y j rest
 
 type Obs.Budget.partial += Partial_basis of int array list
 
@@ -29,16 +47,33 @@ let m_basis = Obs.Metrics.counter "hilbert.basis_elements"
 
 (* One criterion-passing extension, as computed by the parallel phase:
    either already dominated by a basis element harvested at this level's
-   start (its defect is never needed), or a live candidate carrying its
-   defect. The duplicate classification cannot be decided in parallel —
-   it depends on the order extensions are admitted — so it happens in
-   the sequential reduction. *)
+   start (neither its vector nor its defect is needed: within a round
+   domination depends on the vector alone, so a dominated vector never
+   equals a live one and is never a duplicate), or a live candidate
+   carrying its defect. The duplicate classification cannot be decided
+   in parallel — it depends on the order extensions are admitted — so
+   it happens in the sequential reduction. *)
 type extension =
-  | Dominated of int array
+  | Dominated
   | Live of int array * int array
 
 let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
     ?(scalar_criterion = true) sys =
+  (* The level's duplicate table, hashed on every coordinate: the
+     polymorphic hash reads only the first ten. A local instance, so
+     the module keeps no state. *)
+  let module Seen = Hashtbl.Make (struct
+    type t = int array
+
+    let equal : t -> t -> bool = ( = )
+
+    let hash (a : t) =
+      let h = ref 0 in
+      for i = 0 to Array.length a - 1 do
+        h := (!h lxor a.(i)) * 0x2545F4914F6CDD1D
+      done;
+      !h lxor (!h lsr 29)
+  end) in
   let v = sys.Diophantine.num_vars in
   let columns =
     Array.init v (fun j ->
@@ -50,20 +85,16 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
     y
   in
   let basis = ref [] in
-  (* The domination scan is the completion's hot loop. Each basis
-     element is stored with a support bitmask (coordinates >= 62 lumped
-     into the top bit): [b <= y] requires [support b ⊆ support y], so a
-     one-word mask test rejects most basis elements without touching
-     the arrays. A pure filter — the scan's outcome is unchanged. *)
-  let support_mask (y : int array) =
-    let n = Array.length y in
-    let m = ref 0 in
-    for j = 0 to n - 1 do
-      if y.(j) > 0 then m := !m lor (1 lsl (if j < 62 then j else 62))
-    done;
-    !m
-  in
-  let masked_basis = ref [] in
+  (* The domination test is the completion's hot loop. The completion
+     is breadth-first by norm, so no harvested element lies below a
+     frontier vector [y]: when [y] (norm k) was admitted it was tested
+     against every element of norm < k, and a level-k element below [y]
+     would equal it. Hence a basis element [b] is below the extension
+     [y + e_j] only if [b(j) = y(j) + 1], and [by_coord.(j).(c)] holds
+     exactly the elements with [b(j) = c > 0], each with its support
+     mask, so one mask test rejects most of the bucket without touching
+     the arrays. *)
+  let by_coord = Array.make v [||] in
   let candidates = ref 0 in
   (* Contejean–Devie completion accounting: extensions vetoed by the
      scalar-product criterion vs. dropped as duplicates of this level
@@ -74,34 +105,41 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
   let pruned_dominated = ref 0 in
   let levels = ref 0 in
   let progress = Obs.Progress.create "hilbert.solve" in
-  let dominated y =
-    let my = support_mask y in
-    List.exists
-      (fun (mb, b) -> mb land lnot my = 0 && vec_leq b y)
-      !masked_basis
+  (* [y + e_j] is dominated, for a frontier vector [y] of mask [my] *)
+  let dominated_ext y my j =
+    let c = y.(j) + 1 in
+    let buckets = by_coord.(j) in
+    c < Array.length buckets && dominated_in (my lor bit j) y j buckets.(c)
   in
   let harvest y =
     basis := y :: !basis;
-    masked_basis := (support_mask y, y) :: !masked_basis
+    let entry = (support_mask y, y) in
+    Array.iteri
+      (fun j c ->
+        if c > 0 then begin
+          if c >= Array.length by_coord.(j) then
+            by_coord.(j) <- Array.append by_coord.(j) (Array.make (c + 1) []);
+          by_coord.(j).(c) <- entry :: by_coord.(j).(c)
+        end)
+      y
   in
   let frontier = ref (List.init v (fun j -> (unit j, columns.(j)))) in
   (* Each completion round fans the extension work — the scalar
-     criterion and, above all, the domination scan over the harvested
-     basis — out over the pool; the per-task slots are then reduced
-     sequentially in (task, j) order, which is exactly the sequential
-     path's iteration order. The basis is only extended during the
-     harvest (driver-side, before the round opens), so the domination
-     set the workers read is the same one the sequential path uses, and
-     every counter, the frontier order, the seen-duplicate
-     classification and the budget trip point are byte-identical for
-     any [jobs]/[chunk]. *)
+     criterion and, above all, the domination test — out over the pool;
+     the per-task slots are then reduced sequentially in (task, j)
+     order, which is exactly the sequential path's iteration order. The
+     basis and its index are only extended during the harvest (on the
+     calling domain, before the round opens), so the index the workers
+     read is the same one the sequential path uses, and every counter,
+     the frontier order, the seen-duplicate classification and the
+     budget trip point are byte-identical for any [jobs]/[chunk]. *)
   let tasks = ref [||] in
   let slots = ref [||] in
   let pending = ref false in
   let budget_trip () =
     raise
       (Obs.Budget.exceeded
-         ~partial:(Partial_basis (minimize !basis))
+         ~partial:(Partial_basis (List.sort_uniq Stdlib.compare !basis))
          ~source:"hilbert.solve_eq" ~resource:"candidates"
          ~limit:(float_of_int max_candidates)
          ~consumed:
@@ -115,7 +153,7 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
   let next () =
     if !pending then begin
       pending := false;
-      let seen = Hashtbl.create 256 in
+      let seen = Seen.create 256 in
       let next_frontier = ref [] in
       Array.iter
         (fun (vetoes, exts) ->
@@ -123,13 +161,11 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
           List.iter
             (fun ext ->
               match ext with
-              | Dominated y' ->
-                if Hashtbl.mem seen y' then incr pruned_duplicate
-                else incr pruned_dominated
+              | Dominated -> incr pruned_dominated
               | Live (y', defect') ->
-                if Hashtbl.mem seen y' then incr pruned_duplicate
+                if Seen.mem seen y' then incr pruned_duplicate
                 else begin
-                  Hashtbl.add seen y' ();
+                  Seen.add seen y' ();
                   incr candidates;
                   if !candidates > max_candidates then budget_trip ();
                   next_frontier := (y', defect') :: !next_frontier
@@ -152,7 +188,9 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
          solution at the current level must prune its level-mates'
          extensions. *)
       let solutions, others = List.partition (fun (_, defect) -> is_zero defect) fr in
-      List.iter (fun (y, _) -> if not (dominated y) then harvest y) solutions;
+      (* no solution is dominated: the frontier holds no vector above a
+         harvested element *)
+      List.iter (fun (y, _) -> harvest y) solutions;
       tasks := Array.of_list others;
       let n = Array.length !tasks in
       if n = 0 then None
@@ -187,19 +225,21 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
                  let tasks = !tasks and slots = !slots in
                  for i = lo to hi - 1 do
                    let y, defect = tasks.(i) in
+                   let my = support_mask y in
                    let vetoes = ref 0 in
                    let exts = ref [] in
                    for j = v - 1 downto 0 do
                      if (not scalar_criterion) || dot defect columns.(j) < 0
                      then begin
-                       let y' = Array.copy y in
-                       y'.(j) <- y'.(j) + 1;
-                       if dominated y' then exts := Dominated y' :: !exts
-                       else
+                       if dominated_ext y my j then exts := Dominated :: !exts
+                       else begin
+                         let y' = Array.copy y in
+                         y'.(j) <- y'.(j) + 1;
                          let defect' =
                            Array.mapi (fun i d -> d + columns.(j).(i)) defect
                          in
                          exts := Live (y', defect') :: !exts
+                       end
                      end
                      else incr vetoes
                    done;
@@ -208,7 +248,7 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
   Obs.Progress.finish progress (fun () ->
       Printf.sprintf "%d levels, %d candidates, basis %d" !levels !candidates
         (List.length !basis));
-  let result = minimize !basis in
+  let result = List.sort_uniq Stdlib.compare !basis in
   if Obs.Metrics.enabled () then Obs.Metrics.add m_basis (List.length result);
   result
 

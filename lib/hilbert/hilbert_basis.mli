@@ -25,8 +25,19 @@ val solve_eq :
     (the benchmark harness uses this as an ablation; rely on
     [max_candidates]).
 
+    The completion is breadth-first by norm, so no harvested basis
+    element lies below a frontier vector [y] (each was tested against
+    every element of smaller norm when admitted, and one of equal norm
+    would equal it). A basis element [b] can then dominate the
+    extension [y + e_j] only if [b(j) = y(j) + 1]: the harvested basis
+    is indexed by (coordinate, value), and each extension is tested
+    against that one bucket, support mask first. The invariant does
+    not use the scalar criterion, so it also holds with
+    [~scalar_criterion:false]. A level's duplicates are found in a
+    table hashed on every coordinate.
+
     [jobs] (default 1) domains compute each completion round's
-    extensions — criterion, domination scan, defect update — in chunks
+    extensions — criterion, domination test, defect update — in chunks
     of [chunk] (default 16) frontier vectors over a {!Pool.run_rounds}
     pool; admission (duplicate detection, budget accounting) is reduced
     sequentially in the sequential path's own order, so the returned

@@ -5,7 +5,6 @@ let of_array a =
     invalid_arg "Mset.of_array: negative coordinate";
   Array.copy a
 
-let unsafe_of_array a = a
 let to_intvec (c : t) : Intvec.t = c
 let zero d = Array.make d 0
 

@@ -14,10 +14,6 @@ val of_array : int array -> t
 (** Validates non-negativity (the array is copied).
     @raise Invalid_argument on a negative coordinate. *)
 
-val unsafe_of_array : int array -> t
-(** No copy, no check; the caller must guarantee non-negative coordinates
-    and renounce mutation. For hot loops only. *)
-
 val to_intvec : t -> Intvec.t
 val zero : int -> t
 val singleton : int -> int -> t

@@ -41,7 +41,6 @@ let describe i =
        "; consumed "
        ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ number v) l))
 
-let pp fmt i = Format.pp_print_string fmt (describe i)
 
 let () =
   Printexc.register_printer (function

@@ -41,8 +41,6 @@ val exceeded :
 val describe : info -> string
 (** One line: source, resource, limit and the consumed stats. *)
 
-val pp : Format.formatter -> info -> unit
-
 (** A wall-clock budget as an absolute deadline on the monotonic clock,
     so one budget can span nested calls (e.g. every configuration-graph
     exploration of one [Eta_search.find]). *)

@@ -6,7 +6,6 @@ type state = {
 }
 
 let current : state option ref = ref None
-let active () = !current <> None
 
 (* Written only by the sampler thread while it runs, read after the
    join — but exposed live (via the atomic counter) so tests can wait

@@ -39,8 +39,6 @@ val stop : unit -> unit
 (** Stop sampling, join the sampler thread and write the folded-stack
     file. No-op when not running. *)
 
-val active : unit -> bool
-
 val samples : unit -> int
 (** Number of sampling ticks so far that observed at least one
     non-empty stack (test helper: poll this instead of sleeping). *)

@@ -20,8 +20,6 @@ type state = { sink : sink; t0 : int64; lock : Mutex.t }
    and a stale read skips or drops a span at the boundary. *)
 let current : state option ref = ref None
 
-let enabled () = match !current with None -> false | Some _ -> true
-
 (* --------------------------------------------- per-domain span stacks *)
 
 (* Span identity and nesting are tracked only while some consumer needs

@@ -31,8 +31,6 @@ type event = {
   args : (string * string) list;
 }
 
-val enabled : unit -> bool
-
 val start_file : string -> unit
 (** Open [file] and start recording. Replaces any active sink
     (finalising it first). *)

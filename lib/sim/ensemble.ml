@@ -28,25 +28,12 @@ type t = {
   wall : float;
 }
 
-(* Trial [i] runs on the [i]-th split of the master generator. The
-   master is advanced sequentially up front, so the stream of trial [i]
-   depends only on [seed] and [i] — not on the number of trials, the
-   number of domains, or scheduling order. *)
-let trial_rngs ~seed n =
-  let master = Splitmix64.create seed in
-  let a = Array.make n master in
-  for i = 0 to n - 1 do
-    a.(i) <- Splitmix64.split master
-  done;
-  a
-
+(* Trial [i] runs on the [i]-th split of the master generator,
+   computed from [seed] and [i] alone, so its stream does not depend on
+   the number of trials, the number of domains, or scheduling order. *)
 let rng_for_trial ~seed i =
   if i < 0 then invalid_arg "Ensemble.rng_for_trial: i >= 0 required";
-  let master = Splitmix64.create seed in
-  let rec go k = if k = 0 then Splitmix64.split master
-    else (ignore (Splitmix64.split master); go (k - 1))
-  in
-  go i
+  Splitmix64.nth_split ~seed i
 
 let run_trial backend p c0 ~population index rng =
   match backend with
@@ -75,7 +62,6 @@ let run ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ?should_stop
   let population = Mset.size c0 in
   if trials > 0 && population < 2 then
     invalid_arg "Ensemble.run: population size >= 2 required";
-  let rngs = trial_rngs ~seed trials in
   let results = Array.make trials None in
   (* Slot [i] of [results] is written by exactly one domain; the joins
      inside [Pool.run] publish the writes to this driver. *)
@@ -83,7 +69,9 @@ let run ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ?should_stop
     Pool.run ~jobs ~chunk ~name:"ensemble" ?should_stop ?on_task_error
       ~tasks:trials (fun ~lo ~hi ->
         for i = lo to hi - 1 do
-          let t = run_trial backend p c0 ~population i rngs.(i) in
+          let t =
+            run_trial backend p c0 ~population i (rng_for_trial ~seed i)
+          in
           Obs.Metrics.observe m_trial_steps (float_of_int t.steps);
           results.(i) <- Some t
         done)

@@ -40,3 +40,11 @@ let float_unit g =
 let split g =
   let seed = Int64.to_int (next g) in
   create seed
+
+(* Every draw adds [golden] to the state, so after [i] draws the master
+   of [create seed] holds [seed + i·golden]: jump there and split. *)
+let nth_split ~seed i =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0
+    (Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int i) golden));
+  split g

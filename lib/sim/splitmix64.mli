@@ -23,3 +23,7 @@ val float_unit : t -> float
 
 val split : t -> t
 (** A generator with an independent stream. *)
+
+val nth_split : seed:int -> int -> t
+(** [nth_split ~seed i] is the generator the [(i+1)]-th {!split} of
+    [create seed] returns, computed in O(1). *)

@@ -654,6 +654,7 @@ let plan_fuzz_props =
         {|"eta_budget_s":-1|}; {|"prune":true|}; {|"chunk":-1|};
         {|"chunk":4611686018427387903|}; {|"sample":[-1,5]|};
         {|"sample":[4611686018427387903,5]|}; {|"sample":[2,-1]|};
+        {|"sample":[1125899906842624,1]|}; {|"total":1125899906842624|};
         {|"sample":null|}; {|"schedule":"guided"|}; {|"jobs":-1|};
         {|"jobs":4611686018427387903|}; {|"total":2|}; {|"total":-1|};
         {|"total":4611686018427387903|}; {|"total":373248|};
@@ -917,7 +918,22 @@ let test_outside_counts_are_errors () =
       | Ok _ -> Alcotest.failf "sample count %d decoded" count)
     [ (-1, -1); (-1, 2); (max_int, max_int); (max_int, 2) ];
   Alcotest.(check bool) "a max_int chunk still plans" true
-    (Result.is_ok (Busy_beaver.plan_of_config (config ~chunk:max_int (2, 2))))
+    (Result.is_ok (Busy_beaver.plan_of_config (config ~chunk:max_int (2, 2))));
+  (* a plan computes its sampled codes: a 2^50-code sample decodes at
+     once, and its last chunk draws its codes on demand *)
+  let before = Gc.allocated_bytes () in
+  match Busy_beaver.plan_of_config (config (1 lsl 50, 1 lsl 50)) with
+  | Error e -> Alcotest.failf "a 2^50-code sample refused: %s" e
+  | Ok plan ->
+    let allocated = Gc.allocated_bytes () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "a 2^50-code sample plans in under 1 MB (%.0f bytes)"
+         allocated)
+      true (allocated < 1e6);
+    let chunks = Busy_beaver.plan_chunks plan in
+    Alcotest.(check int) "2^47 chunks of 8" (1 lsl 47) chunks;
+    Alcotest.(check bool) "the last chunk scans" true
+      (Busy_beaver.scan_chunk plan (chunks - 1) <> Obs.Json.Null)
 
 let test_mismatch_diff () =
   let expected =

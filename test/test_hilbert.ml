@@ -208,6 +208,116 @@ let geq_generation_prop =
       go 0;
       !ok)
 
+(* -- differential oracle ------------------------------------------------- *)
+
+(* [Hilbert_oracle.solve_eq] is the completion before the (coordinate,
+   value) domination index and the full-vector duplicate table: the
+   basis, every [hilbert.*] counter and a budget trip's payload must be
+   equal at the same [chunk] (the pool's [hilbert.chunks] counts
+   rounds' chunks). Per-domain chunk counts ([hilbert.domainN.chunks])
+   depend on scheduling, so they are left out. *)
+type run = {
+  outcome : (int array list, int array list * (string * float) list) result;
+  counters : (string * int) list;
+}
+
+let hilbert_counters diff =
+  List.filter_map
+    (fun (name, v) ->
+      match v with
+      | Obs.Metrics.Counter n
+        when String.starts_with ~prefix:"hilbert." name
+             && not (String.starts_with ~prefix:"hilbert.domain" name) ->
+        Some (name, n)
+      | _ -> None)
+    diff
+
+let observe solve =
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) (fun () ->
+      let before = Obs.Metrics.snapshot ~process:false () in
+      let outcome =
+        match solve () with
+        | basis -> Ok basis
+        | exception Obs.Budget.Exceeded info -> (
+          match info.Obs.Budget.partial with
+          | Hilbert_basis.Partial_basis partial ->
+            Error (partial, info.Obs.Budget.consumed)
+          | _ -> Error ([], []))
+      in
+      let after = Obs.Metrics.snapshot ~process:false () in
+      { outcome; counters = hilbert_counters (Obs.Metrics.diff ~before ~after) })
+
+let same_as_oracle ?(jobs = [ 1 ]) ?scalar_criterion ~max_candidates s =
+  let reference =
+    observe (fun () ->
+        Hilbert_oracle.solve_eq ~chunk:2 ?scalar_criterion ~max_candidates s)
+  in
+  List.for_all
+    (fun jobs ->
+      observe (fun () ->
+          Hilbert_basis.solve_eq ~jobs ~chunk:2 ?scalar_criterion
+            ~max_candidates s)
+      = reference)
+    jobs
+
+(* 2–14 variables, so vectors also differ past the tenth coordinate *)
+let arb_wide_system =
+  QCheck.make
+    ~print:(fun (rows, v) ->
+      Printf.sprintf "%d vars: %s" v
+        (String.concat " | "
+           (List.map
+              (fun r -> String.concat "," (List.map string_of_int (Array.to_list r)))
+              rows)))
+    QCheck.Gen.(
+      int_range 2 14 >>= fun v ->
+      list_size (int_range 1 3) (array_size (return v) (int_range (-3) 3))
+      >|= fun rows -> (rows, v))
+
+let oracle_random_prop =
+  prop "random systems: basis and counters = oracle" ~count:60
+    arb_wide_system (fun (rows, v) ->
+      same_as_oracle ~max_candidates:20_000
+        (Diophantine.make (Array.of_list rows) ~num_vars:v))
+
+(* without the criterion the search diverges; a small budget trips it
+   in the middle of a round's slots *)
+let oracle_trip_prop =
+  prop "criterion off: budget trip = oracle" ~count:60
+    QCheck.(pair arb_wide_system (int_range 1 400))
+    (fun ((rows, v), max_candidates) ->
+      same_as_oracle ~jobs:[ 1; 2 ] ~scalar_criterion:false ~max_candidates
+        (Diophantine.make (Array.of_list rows) ~num_vars:v))
+
+let oracle_protocol_prop =
+  prop "3-state protocols: lifted system = oracle at jobs 1, 2" ~count:25
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let p =
+        Protocol_gen.generate
+          ~config:{ Protocol_gen.default with Protocol_gen.num_states = 3 }
+          ~seed ()
+      in
+      same_as_oracle ~jobs:[ 1; 2 ] ~max_candidates:50_000
+        (Hilbert_oracle.lift (Potential.system p)))
+
+(* coordinates 62 and 63 share the top mask bit: x_0 - x_1 + x_2 - ...
+   has the 1,024 pairs (even, odd) as basis, and without the criterion
+   the level-3 extensions are tested against them until the budget
+   trips mid-round *)
+let test_oracle_lumped_mask () =
+  let s =
+    Diophantine.make
+      [| Array.init 64 (fun i -> if i mod 2 = 0 then 1 else -1) |]
+      ~num_vars:64
+  in
+  Alcotest.(check bool) "criterion on" true
+    (same_as_oracle ~max_candidates:5_000 s);
+  Alcotest.(check bool) "criterion off, budget trip" true
+    (same_as_oracle ~jobs:[ 1; 2 ] ~scalar_criterion:false
+       ~max_candidates:2_400 s)
+
 let () =
   Alcotest.run "hilbert"
     [
@@ -234,5 +344,13 @@ let () =
           Alcotest.test_case "decompose eq" `Quick test_decompose_eq;
           geq_soundness_prop;
           geq_generation_prop;
+        ] );
+      ( "oracle",
+        [
+          oracle_random_prop;
+          oracle_trip_prop;
+          oracle_protocol_prop;
+          Alcotest.test_case "64 variables: lumped mask bit = oracle" `Quick
+            test_oracle_lumped_mask;
         ] );
     ]

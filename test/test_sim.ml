@@ -82,6 +82,22 @@ let test_prng_split_independence () =
   Alcotest.(check int64) "streams are isolated" (Splitmix64.next probe)
     (Splitmix64.next s3)
 
+(* the O(1) jump equals the master's sequential splits, for seeds at
+   both ends of the int range *)
+let test_prng_nth_split () =
+  List.iter
+    (fun seed ->
+      let master = Splitmix64.create seed in
+      for i = 0 to 40 do
+        let s = Splitmix64.split master in
+        let jumped = Splitmix64.nth_split ~seed i in
+        Alcotest.(check (list int64))
+          (Printf.sprintf "seed %d, split %d" seed i)
+          (List.init 3 (fun _ -> Splitmix64.next s))
+          (List.init 3 (fun _ -> Splitmix64.next jumped))
+      done)
+    [ 0; 42; -1; max_int; min_int ]
+
 let prng_props =
   [
     prop "int_below in range" QCheck.(pair (int_range 1 1000) int) (fun (n, seed) ->
@@ -600,6 +616,7 @@ let () =
           Alcotest.test_case "pinned int_below and float_unit" `Quick
             test_prng_pinned_draws;
           Alcotest.test_case "split independence" `Quick test_prng_split_independence;
+          Alcotest.test_case "nth_split = sequential splits" `Quick test_prng_nth_split;
         ]
         @ prng_props );
       ( "simulator",
