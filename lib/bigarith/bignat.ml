@@ -55,11 +55,6 @@ let to_int_opt x =
     go (n - 1) 0
   end
 
-let to_int_exn x =
-  match to_int_opt x with
-  | Some n -> n
-  | None -> failwith "Bignat.to_int_exn: does not fit in an int"
-
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
   if la <> lb then Stdlib.compare la lb
@@ -73,8 +68,6 @@ let compare (a : t) (b : t) =
   end
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let add (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in

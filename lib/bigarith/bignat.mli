@@ -21,15 +21,9 @@ val of_int : int -> t
 val to_int_opt : t -> int option
 (** [to_int_opt x] is [Some n] iff [x] fits in a non-negative [int]. *)
 
-val to_int_exn : t -> int
-(** @raise Failure if the value does not fit in an [int]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val is_zero : t -> bool
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 val add : t -> t -> t
 val succ : t -> t
@@ -76,8 +70,6 @@ val bits : t -> int
 
 val log2_floor : t -> int
 (** [log2_floor x] for [x > 0].  @raise Invalid_argument on zero. *)
-
-val testbit : t -> int -> bool
 
 val factorial : int -> t
 (** [factorial n] is [n!] for [n >= 0]. *)

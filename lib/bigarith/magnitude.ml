@@ -41,14 +41,7 @@ let rec compare a b =
     else 1
   | Exp2 _, Num _ -> -compare b a
 
-let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
-
-let log2_floor = function
-  | Num n ->
-    if Bignat.is_zero n then invalid_arg "Magnitude.log2_floor: zero"
-    else Num (Bignat.of_int (Bignat.log2_floor n))
-  | Exp2 m -> m
 
 (* ceil(log2 x) as a magnitude; on towers it equals the exponent. *)
 let log2_ceil = function

@@ -29,24 +29,12 @@ val to_bignat_opt : t -> Bignat.t option
 val compare : t -> t -> int
 (** Exact comparison. *)
 
-val equal : t -> t -> bool
-val max : t -> t -> t
-
-val log2_floor : t -> t
-(** [log2_floor (exp2 m) = m]; on concrete values, the usual floor.
-    @raise Invalid_argument on zero. *)
-
 val mul_upper : t -> t -> t
 (** An upper bound on the product: exact on two concrete values, and
     within a factor [2] per concrete operand otherwise. *)
-
-val add_upper : t -> t -> t
-(** An upper bound on the sum: exact on two concrete values, otherwise at
-    most twice the true value. *)
 
 val tower_height : t -> int
 (** Number of [exp2] constructors after normalisation. *)
 
 val to_string : t -> string
 (** Decimal for small values, ["2^(...)"] towers otherwise. *)
-

@@ -23,9 +23,6 @@ val basis :
     parallelise the completion (see {!Hilbert_basis.solve_eq}); the
     basis is identical for any setting. *)
 
-val displacement : Population.t -> int array -> Intvec.t
-(** [Δ_π]. *)
-
 val size : int array -> int
 (** [|π|], the total number of transition occurrences. *)
 
@@ -42,7 +39,8 @@ val decompose : Population.t -> int array -> int array list option
     multiset as a sum of Pottier-basis elements (with multiplicity);
     [None] if the argument is not potentially realisable. Computes the
     basis internally — cache it via {!basis} +
-    {!Hilbert_basis.decompose_geq} in hot paths. *)
+    {!Hilbert_basis.decompose_geq} in hot paths. A test oracle for
+    Corollary 5.7; no engine calls it. *)
 
 val check_corollary_5_7 : Population.t -> int array list -> bool
 (** Every basis element [π] satisfies [|π| <= ξ/2], its minimal input

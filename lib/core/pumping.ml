@@ -10,8 +10,8 @@ type witness = {
 let stable_union_downset analysis = Stable_sets.stable_union analysis
 
 (* First stable configuration in BFS order from [c0]. *)
-let first_stable ?max_configs p sc c0 =
-  let g = Configgraph.explore ?max_configs p c0 in
+let first_stable p sc c0 =
+  let g = Configgraph.explore p c0 in
   let n = Configgraph.num_configs g in
   let rec go i =
     if i >= n then None
@@ -26,7 +26,7 @@ let add_inputs p c j =
   let x = Potential.input_state p in
   Mset.add c (Mset.scale j (Mset.singleton (Mset.dim c) x))
 
-let sequence ?max_configs p analysis ~first ~count =
+let sequence p analysis ~first ~count =
   let sc = stable_union_downset analysis in
   let rec go i c_prev acc remaining =
     if remaining = 0 then List.rev acc
@@ -36,7 +36,7 @@ let sequence ?max_configs p analysis ~first ~count =
         | None -> Population.initial_single p i
         | Some c -> add_inputs p c 1
       in
-      match first_stable ?max_configs p sc start with
+      match first_stable p sc start with
       | None -> failwith "Pumping.sequence: no stable configuration reachable"
       | Some c -> go (i + 1) (Some c) ((i, c) :: acc) (remaining - 1)
     end
@@ -61,15 +61,13 @@ let compatible sc_vectors c_k c_l =
       sc_vectors
   end
 
-let find_witness ?max_configs ?(first = 2) p ~max_input =
+let find_witness p ~max_input =
   if Array.length p.Population.input_vars <> 1 then
     Error "single-input protocols only"
   else begin
     let analysis = Stable_sets.analyse p in
     let sc_vectors = Downset.max_elements (stable_union_downset analysis) in
-    match
-      sequence ?max_configs p analysis ~first ~count:(max_input - first + 1)
-    with
+    match sequence p analysis ~first:2 ~count:(max_input - 1) with
     | exception Failure msg -> Error msg
     | seq ->
       let arr = Array.of_list seq in
@@ -87,11 +85,11 @@ let find_witness ?max_configs ?(first = 2) p ~max_input =
       scan 0 1
   end
 
-let reaches ?max_configs p c0 target =
-  let g = Configgraph.explore ?max_configs p c0 in
+let reaches p c0 target =
+  let g = Configgraph.explore p c0 in
   Configgraph.can_reach_config g ~src:g.Configgraph.root target
 
-let check ?max_configs w =
+let check w =
   let p = w.protocol in
   let analysis = Stable_sets.analyse p in
   let sc = stable_union_downset analysis in
@@ -105,8 +103,8 @@ let check ?max_configs w =
      | None -> false)
   && List.exists (Omega_vec.equal w.omega) sc_vectors
   && Omega_vec.member w.c_ab w.omega
-  && reaches ?max_configs p (Population.initial_single p w.a) w.c_a
-  && reaches ?max_configs p (add_inputs p w.c_a w.b) w.c_ab
+  && reaches p (Population.initial_single p w.a) w.c_a
+  && reaches p (add_inputs p w.c_a w.b) w.c_ab
 
 let pp fmt w =
   let names = w.protocol.Population.states in

@@ -21,25 +21,18 @@ type witness = private {
 }
 
 val sequence :
-  ?max_configs:int ->
-  Population.t ->
-  Stable_sets.t ->
-  first:int ->
-  count:int ->
-  (int * Mset.t) list
+  Population.t -> Stable_sets.t -> first:int -> count:int -> (int * Mset.t) list
 (** [(i, C_i)] pairs of the Lemma 4.2 construction, for [count] inputs
     starting at [first]: each [C_{i+1}] is the first stable
     configuration found (breadth-first) from [C_i + x].
     @raise Failure if some exploration finds no stable configuration
     (the protocol then computes nothing). *)
 
-val find_witness :
-  ?max_configs:int -> ?first:int -> Population.t -> max_input:int ->
-  (witness, string) result
-(** Builds the sequence up to [max_input] and returns the first Dickson
-    witness compatible with a basis element of [SC]. *)
+val find_witness : Population.t -> max_input:int -> (witness, string) result
+(** Builds the sequence from input 2 up to [max_input] and returns the
+    first Dickson witness compatible with a basis element of [SC]. *)
 
-val check : ?max_configs:int -> witness -> bool
+val check : witness -> bool
 (** Re-validates: stability of both configurations, reachability
     [IC(a) →* c_a] and [c_a + b·x →* c_ab], the ordering, and the
     basis-element side conditions. *)

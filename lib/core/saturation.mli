@@ -26,10 +26,6 @@ val find : Population.t -> (witness, string) result
 (** Errors: protocol has leaders, several input variables, or
     non-coverable states (listed in the message). *)
 
-val replay : Population.t -> input:int -> int list -> Mset.t option
-(** Fire a transition sequence from [IC(input)]; [None] if some
-    transition is disabled en route. *)
-
 val replay_scaled : witness -> int -> Mset.t option
 (** [replay_scaled w m] fires [sigma] [m] times from [IC(m·3^j)];
     returns the final configuration (equal to [m·result] when the

@@ -20,13 +20,12 @@ val reaches_all_1 : output:int -> Fair_semantics.summary -> bool
     from [IC(i)]'s summary: one of its reached supports lies inside
     [output]. *)
 
-val min_accepting_input :
-  ?max_configs:int -> Population.t -> max_input:int -> int option
+val min_accepting_input : Population.t -> max_input:int -> int option
 (** Least [i <= max_input] such that some configuration reachable from
     [IC(i)] has all agents on output-1 states; [None] if there is none
     below the cutoff (or the protocol has no output-1 state at all),
     by {!reaches_all_1} on each input's {!Fair_semantics.summary}.
     @raise Configgraph.Too_many_configs when an exploration exceeds
-    [max_configs] (default 60,000) before an answer is found.
+    60,000 configurations before an answer is found.
     @raise Invalid_argument for a protocol with more states than an int
     has bits. *)

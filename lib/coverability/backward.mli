@@ -34,4 +34,6 @@ val pre_star_stats :
   ?jobs:int -> ?chunk:int -> Population.t -> Upset.t -> Upset.t * stats
 
 val coverable : Population.t -> from:Mset.t -> target:Mset.t -> bool
-(** [coverable p ~from ~target]: can [from] reach some [C >= target]? *)
+(** [coverable p ~from ~target]: can [from] reach some [C >= target]?
+    A test oracle: no engine calls it; the tests compare it with
+    explicit search and with {!Karp_miller.coverable}. *)

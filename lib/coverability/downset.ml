@@ -20,7 +20,6 @@ let of_max_elements dim vs =
     vs;
   { dim; maximal = keep_maximal vs }
 
-let dim d = d.dim
 let max_elements d = d.maximal
 let mem c d = List.exists (Omega_vec.member c) d.maximal
 let basis d = List.map Omega_vec.to_basis_element d.maximal

@@ -12,7 +12,6 @@ val keep_maximal : Omega_vec.t list -> Omega_vec.t list
     sorted by [Stdlib.compare]: the canonical form of the maximal
     elements kept by {!of_max_elements}. *)
 
-val dim : t -> int
 val max_elements : t -> Omega_vec.t list
 val mem : Mset.t -> t -> bool
 

@@ -1,8 +1,3 @@
-type stats = {
-  nodes : int;
-  accelerations : int;
-}
-
 let coord_at_least (v : Omega_vec.t) i k =
   match Omega_vec.get v i with Omega_vec.Omega -> true | Omega_vec.Fin n -> n >= k
 
@@ -44,7 +39,7 @@ let accelerate ancestors v' =
 
 type Obs.Budget.partial += Partial_clover of Omega_vec.t list
 
-let clover_stats ?(max_nodes = 1_000_000) p c0 =
+let clover ?(max_nodes = 1_000_000) p c0 =
   let nt = Population.num_transitions p in
   let nodes = ref 0 in
   let accelerations = ref 0 in
@@ -83,16 +78,13 @@ let clover_stats ?(max_nodes = 1_000_000) p c0 =
     done
   in
   expand root [];
-  (Downset.keep_maximal !discovered, { nodes = !nodes; accelerations = !accelerations })
-
-let clover ?max_nodes p c0 = fst (clover_stats ?max_nodes p c0)
+  Downset.keep_maximal !discovered
 
 let coverable p ~from ~target =
   let cl = clover p from in
   List.exists (Omega_vec.member target) cl
 
-let downset ?max_nodes p c0 =
-  Downset.of_max_elements (Population.num_states p) (clover ?max_nodes p c0)
+let downset p c0 = Downset.of_max_elements (Population.num_states p) (clover p c0)
 
 let clover_parametric ?(max_nodes = 1_000_000) p =
   (* Re-run the tree construction from the ω-input root. The code above

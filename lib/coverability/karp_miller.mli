@@ -10,11 +10,6 @@
     (self-covering loops pump coordinates to ω, which is sound for
     coverability by the monotonicity property of Section 2.2). *)
 
-type stats = {
-  nodes : int;          (** tree nodes expanded *)
-  accelerations : int;  (** ω-introductions performed *)
-}
-
 type Obs.Budget.partial += Partial_clover of Omega_vec.t list
 (** The maximal ω-vectors discovered before a node budget ran out — an
     under-approximation of the clover, carried by
@@ -26,14 +21,13 @@ val clover : ?max_nodes:int -> Population.t -> Mset.t -> Omega_vec.t list
     (default 1_000_000) nodes; the exception carries {!Partial_clover}
     and the node/acceleration counts consumed. *)
 
-val clover_stats :
-  ?max_nodes:int -> Population.t -> Mset.t -> Omega_vec.t list * stats
-
 val coverable : Population.t -> from:Mset.t -> target:Mset.t -> bool
-(** Same answer as {!Backward.coverable}, computed forward. *)
+(** Same answer as {!Backward.coverable}, computed forward. A test
+    oracle: the tests check the two against each other. *)
 
-val downset : ?max_nodes:int -> Population.t -> Mset.t -> Downset.t
-(** The coverability set as a {!Downset.t}. *)
+val downset : Population.t -> Mset.t -> Downset.t
+(** The coverability set as a {!Downset.t}, under {!clover}'s default
+    node budget. *)
 
 val clover_parametric : ?max_nodes:int -> Population.t -> Omega_vec.t list
 (** The coverability set over {e all} initial configurations at once:

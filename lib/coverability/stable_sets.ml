@@ -92,7 +92,7 @@ let memo_cap = 128
 let memo : (string, t) Hashtbl.t = Hashtbl.create 32
 let memo_lock = Mutex.create ()
 
-let analyse_memo ?jobs ?chunk p =
+let analyse_memo ?jobs p =
   let key = fingerprint p in
   let cached =
     Mutex.lock memo_lock;
@@ -106,7 +106,7 @@ let analyse_memo ?jobs ?chunk p =
     a
   | None ->
     if Obs.Metrics.enabled () then Obs.Metrics.incr m_memo_misses;
-    let a = analyse ?jobs ?chunk p in
+    let a = analyse ?jobs p in
     Mutex.lock memo_lock;
     if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
     if not (Hashtbl.mem memo key) then Hashtbl.add memo key a;

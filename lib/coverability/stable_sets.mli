@@ -20,7 +20,7 @@ val analyse : ?jobs:int -> ?chunk:int -> Population.t -> t
 (** [jobs]/[chunk] parallelise the two backward fixpoints (see
     {!Backward.pre_star}); the analysis is identical for any setting. *)
 
-val analyse_memo : ?jobs:int -> ?chunk:int -> Population.t -> t
+val analyse_memo : ?jobs:int -> Population.t -> t
 (** {!analyse}, memoized in a bounded process-wide cache keyed by a
     structural fingerprint of the protocol (name excluded), so repeated
     sweeps — e.g. one {!val:analyse} per eta candidate — pay for the

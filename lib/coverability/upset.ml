@@ -35,10 +35,6 @@ let add m u =
     in
     Some { u with minimal }
 
-let union a b =
-  if a.dim <> b.dim then invalid_arg "Upset.union: dimension mismatch";
-  { dim = a.dim; minimal = minimize (a.minimal @ b.minimal) }
-
 let subset a b = List.for_all (fun m -> mem m b) a.minimal
 let equal a b = subset a b && subset b a
 let size u = List.length u.minimal
@@ -112,15 +108,3 @@ let complement u =
     (Array.map (fun x -> if x = max_int then Omega_vec.Omega else Omega_vec.Fin x))
     result
   |> List.sort Stdlib.compare
-
-let pp ?names fmt u =
-  match u.minimal with
-  | [] -> Format.pp_print_string fmt "∅"
-  | ms ->
-    Format.fprintf fmt "@[<v>up{";
-    List.iteri
-      (fun i m ->
-        if i > 0 then Format.fprintf fmt ",@ ";
-        Mset.pp ?names fmt m)
-      ms;
-    Format.fprintf fmt "}@]"

@@ -18,7 +18,6 @@ val add : Mset.t -> t -> t option
 (** [add m u] is [Some u'] with [u' = u ∪ up(m)] if [m] is not already
     in [u], and [None] if [m ∈ u] (no change). *)
 
-val union : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 
@@ -48,5 +47,3 @@ val complement : t -> Omega_vec.t list
     Publishes ["upset.complement_children"] (children generated) and
     ["upset.complement_pruned"] (children dropped as dominated) once per
     call. *)
-
-val pp : ?names:string array -> Format.formatter -> t -> unit

@@ -47,8 +47,6 @@ type cache
     the 128 most recent are kept, the oldest evicted first. Resends are
     counted in [dist.cache_resends]. *)
 
-val cache_create : unit -> cache
-
 val run :
   ?heartbeat_every:float ->
   ?welcome_timeout:float ->

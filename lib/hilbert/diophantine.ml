@@ -34,19 +34,3 @@ let pottier_bound sys =
   let row_abs_sum row = Array.fold_left (fun acc c -> acc + abs c) 0 row in
   let m = Array.fold_left (fun acc row -> Stdlib.max acc (row_abs_sum row)) 0 sys.rows in
   Bignat.pow (Bignat.of_int (1 + m)) (num_constraints sys)
-
-let pp fmt sys =
-  Format.fprintf fmt "@[<v>";
-  Array.iteri
-    (fun i row ->
-      if i > 0 then Format.fprintf fmt "@,";
-      let terms =
-        List.filter_map
-          (fun j ->
-            if row.(j) = 0 then None else Some (Printf.sprintf "%+d·y%d" row.(j) j))
-          (List.init sys.num_vars Fun.id)
-      in
-      Format.fprintf fmt "%s = 0"
-        (if terms = [] then "0" else String.concat " " terms))
-    sys.rows;
-  Format.fprintf fmt "@]"

@@ -28,5 +28,3 @@ val pottier_bound : t -> Bignat.t
 (** Theorem 5.6: every element [m] of some basis of [A·y >= 0]
     satisfies [‖m‖₁ <= (1 + max_i Σ_j |a_ij|)^e], [e] the number of
     constraints. *)
-
-val pp : Format.formatter -> t -> unit

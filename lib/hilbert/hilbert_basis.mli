@@ -63,11 +63,14 @@ val decompose_eq :
     basis elements (returned with multiplicity); [None] if [y] is not a
     solution or the basis is not generating. Greedy subtraction — any
     basis element pointwise below a solution of an equality system can
-    be subtracted, so greediness is complete. *)
+    be subtracted, so greediness is complete. A test oracle for the
+    generating property; no engine calls it. *)
 
 val decompose_geq :
   Diophantine.t -> basis:int array list -> int array -> int array list option
 (** Same for inequality systems, via the slack-variable lift. *)
 
 val verify_minimal : Diophantine.t -> eq:bool -> int array list -> bool
-(** All elements are non-zero solutions and pairwise incomparable. *)
+(** All elements are non-zero solutions and pairwise incomparable. A
+    test oracle: no engine calls it; the tests check every computed
+    basis with it. *)

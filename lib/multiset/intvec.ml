@@ -1,6 +1,5 @@
 type t = int array
 
-let make d v = Array.make d v
 let zero d = Array.make d 0
 let init = Array.init
 let dim = Array.length
@@ -35,7 +34,6 @@ let leq (u : t) (v : t) =
   let rec go i = i >= d || (u.(i) <= v.(i) && go (i + 1)) in
   go 0
 
-let lt u v = leq u v && not (equal u v)
 
 let map2 f (u : t) (v : t) : t =
   if Array.length u <> Array.length v then

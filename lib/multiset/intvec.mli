@@ -8,9 +8,6 @@
 
 type t = int array
 
-val make : int -> int -> t
-(** [make d v] is the [d]-dimensional vector with all coordinates [v]. *)
-
 val zero : int -> t
 val init : int -> (int -> int) -> t
 val dim : t -> int
@@ -25,9 +22,6 @@ val compare_lex : t -> t -> int
 
 val leq : t -> t -> bool
 (** Pointwise order [u <= v], the order of Dickson's lemma. *)
-
-val lt : t -> t -> bool
-(** Strict pointwise order: [leq u v && not (equal u v)]. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

@@ -33,17 +33,11 @@ let is_zero (c : t) = Array.for_all (fun x -> x = 0) c
 let equal = Intvec.equal
 let compare = Intvec.compare_lex
 let leq = Intvec.leq
-let lt = Intvec.lt
 let add (a : t) (b : t) : t = Intvec.add a b
 
 let sub_opt (a : t) (b : t) : t option =
   let r = Intvec.sub a b in
   if Intvec.is_nonnegative r then Some r else None
-
-let sub a b =
-  match sub_opt a b with
-  | Some r -> r
-  | None -> invalid_arg "Mset.sub: negative result"
 
 let scale k (c : t) : t =
   if k < 0 then invalid_arg "Mset.scale: negative factor";

@@ -40,12 +40,7 @@ val compare : t -> t -> int
 val leq : t -> t -> bool
 (** Pointwise order. *)
 
-val lt : t -> t -> bool
-
 val add : t -> t -> t
-
-val sub : t -> t -> t
-(** @raise Invalid_argument if the result would be negative. *)
 
 val sub_opt : t -> t -> t option
 val scale : int -> t -> t

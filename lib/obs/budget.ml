@@ -58,8 +58,8 @@ let deadline_in ~source budget_s =
 
 let expired d = Int64.compare (Clock.now_ns ()) d.at_ns > 0
 
-let raise_if_expired ?partial ~consumed d =
+let raise_if_expired ~consumed d =
   if expired d then
     raise
-      (exceeded ?partial ~source:d.source ~resource:"wall_s" ~limit:d.budget_s
+      (exceeded ~source:d.source ~resource:"wall_s" ~limit:d.budget_s
          ~consumed ())

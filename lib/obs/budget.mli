@@ -51,7 +51,6 @@ val deadline_in : source:string -> float -> deadline
 
 val expired : deadline -> bool
 
-val raise_if_expired :
-  ?partial:partial -> consumed:(string * float) list -> deadline -> unit
+val raise_if_expired : consumed:(string * float) list -> deadline -> unit
 (** Raise {!Exceeded} (resource ["wall_s"], limit the deadline's
-    budget) if the deadline has passed. *)
+    budget, no partial result) if the deadline has passed. *)

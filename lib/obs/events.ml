@@ -6,13 +6,6 @@ let severity_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let severity_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let schema = "ppevents/v1"
 
 (* A sink writes records to a channel (the normal --events file) or

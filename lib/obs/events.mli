@@ -25,11 +25,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
-
-val schema : string
-
 val enabled : unit -> bool
 
 val start_file : string -> unit
@@ -37,9 +32,6 @@ val start_file : string -> unit
     any active sink (stopping it first). Also acquires
     {!Trace.track_stacks} so events carry span correlation ids even
     when no trace sink is recording. *)
-
-val start_channel : out_channel -> unit
-(** As {!start_file} on an already-open channel (tests). *)
 
 val start_sink : (string -> unit) -> unit
 (** Capture mode: each serialised record line goes to the callback

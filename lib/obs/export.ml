@@ -43,7 +43,6 @@ type fleet_worker = {
    closure). *)
 let identity_ref : (string * string) list ref = ref []
 let set_identity kvs = identity_ref := kvs
-let identity () = !identity_ref
 
 let fleet_ref : (unit -> fleet_worker list) option ref = ref None
 let set_fleet f = fleet_ref := f

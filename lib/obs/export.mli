@@ -3,7 +3,7 @@
 
     Two renderings are kept side by side at every write: an atomic
     (tmp + rename, never torn) JSON snapshot at [path] — schema
-    {!schema}, with a ["workers"] section holding one row per
+    ["ppmetrics/v2"], with a ["workers"] section holding one row per
     distributed worker, empty in a single process — and the Prometheus
     text format at {!prom_path}[ path], ready for a node-exporter-style
     textfile collector.
@@ -41,8 +41,6 @@ val set_identity : (string * string) list -> unit
     [[("role", "worker"); ("worker", name)]]. Empty (the default)
     leaves the exposition byte-identical to the pre-fleet format. *)
 
-val identity : unit -> (string * string) list
-
 val prometheus_of_snapshot :
   ?meta:Run_meta.t ->
   ?identity:(string * string) list ->
@@ -57,9 +55,6 @@ val prometheus_of_snapshot :
     escaped label values ([identity] appends further labels to it).
     [fleet] rows append the [pp_fleet_*] and [pp_worker_*] families
     described at {!set_fleet}. *)
-
-val schema : string
-(** ["ppmetrics/v2"], the one schema a snapshot carries. *)
 
 val snapshot_json :
   ?meta:Run_meta.t ->
@@ -80,7 +75,7 @@ type snapshot = {
 
 val snapshot_of_json : Json.t -> (snapshot, string) result
 (** Inverse of {!snapshot_json}, for [pptop]. The schema must be
-    {!schema}; ["metrics"] and ["workers"] are required, and every
+    ["ppmetrics/v2"]; ["metrics"] and ["workers"] are required, and every
     worker row needs every field {!snapshot_json} writes. The header
     fields only label the view: an absent or malformed ["meta"] reads
     as [None], an absent or malformed ["elapsed_s"] as 0. Errors name

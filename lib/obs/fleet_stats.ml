@@ -40,21 +40,6 @@ type report = {
 
 let schema = "ppfleet-report/v1"
 
-(* ------------------------------------------------------- tiny helpers *)
-
-let percentile sorted q =
-  (* linear interpolation on an already-sorted array *)
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else if n = 1 then sorted.(0)
-  else begin
-    let rank = q *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
-
 (* ------------------------------------------------------------ parsing *)
 
 type acc = {
@@ -295,8 +280,8 @@ let analyse ?(source = "<fleet>") lines =
           w_timeline =
             (match d with Some d -> d.Trace_stats.d_timeline | None -> []);
           w_lease_count = Array.length lat;
-          w_lease_median_s = percentile lat 0.5;
-          w_lease_p99_s = percentile lat 0.99;
+          w_lease_median_s = Trace_stats.percentile lat 0.5;
+          w_lease_p99_s = Trace_stats.percentile lat 0.99;
           w_lease_max_s = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));
           w_lost = Option.value ~default:0 (Hashtbl.find_opt a.lost name);
         })
@@ -319,17 +304,9 @@ let analyse ?(source = "<fleet>") lines =
   }
 
 let load path =
-  match open_in path with
+  match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Ok (analyse ~source:path (List.rev !lines))
+  | contents -> Ok (analyse ~source:path (String.split_on_char '\n' contents))
 
 (* ---------------------------------------------------------- rendering *)
 

@@ -25,7 +25,9 @@ type worker_row = {
   w_util : float;  (** busy / wall *)
   w_timeline : float list;  (** bucketed utilization in [0, 1] *)
   w_lease_count : int;  (** completions matched to their grant *)
-  w_lease_median_s : float;  (** grant-to-completion latency *)
+  w_lease_median_s : float;
+      (** grant-to-completion latency, nearest rank
+          ({!Trace_stats.percentile}) *)
   w_lease_p99_s : float;
   w_lease_max_s : float;
   w_lost : int;  (** [dist.worker_lost] records naming it *)

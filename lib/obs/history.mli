@@ -16,9 +16,6 @@ type run = {
   timings : (string * float) list;  (** bechamel name, ns/run *)
 }
 
-val schema : string
-(** ["ppbench/v2"]. *)
-
 val run_to_json : run -> Json.t
 val run_of_json : Json.t -> (run, string) result
 (** Accepts only [ppbench/v2]; [Error] names any other schema. *)

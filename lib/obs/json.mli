@@ -20,8 +20,6 @@ val to_string : t -> string
     [".0"] suffix so the integer/float distinction survives a
     round-trip; other floats print with 17 significant digits. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val parse : string -> (t, string) result
 (** Strict parser for the subset [to_string] emits plus insignificant
     whitespace. Numbers containing [.], [e] or [E] parse as [Float],

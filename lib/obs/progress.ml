@@ -7,7 +7,6 @@ type mode = Auto | Forced of bool
 let mode = ref Auto
 let set_enabled b = mode := Forced b
 let set_auto () = mode := Auto
-let enabled () = match !mode with Forced b -> b | Auto -> false
 
 type t = {
   label : string;

@@ -25,10 +25,6 @@ val set_auto : unit -> unit
 (** Return to the default automatic mode (print iff the reporter's
     channel is a TTY, checked at {!create}). *)
 
-val enabled : unit -> bool
-(** [true] iff forced on. In automatic mode this is [false] even
-    though TTY-backed reporters will print. *)
-
 type t
 
 val create : ?interval_s:float -> ?out:out_channel -> string -> t
@@ -47,6 +43,3 @@ val finish : t -> (unit -> string) -> unit
 
 val lines : t -> int
 (** Lines printed so far (test helper). *)
-
-val elapsed_s : t -> float
-(** Seconds since {!create}, on the monotonic clock. *)

@@ -73,8 +73,6 @@ val track_stacks : unit -> unit
 val untrack_stacks : unit -> unit
 (** Release one reference (never below zero). *)
 
-val stacks_tracked : unit -> bool
-
 val current_span_id : unit -> int
 (** The innermost open span of the calling domain, [0] when none (or
     when tracking is off). *)

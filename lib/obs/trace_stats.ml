@@ -144,8 +144,13 @@ let chunk_label sp =
      | Some lo, Some hi -> Printf.sprintf "tasks %s..%s" lo hi
      | _ -> if sp.sid <> 0 then Printf.sprintf "span %d" sp.sid else "span")
 
-let analyse ?(source = "") ?(timeline_buckets = 48)
-    ?(straggler_factor = 2.0) (spans, instant_count) =
+(* a domain's utilization timeline has [timeline_buckets] buckets; a
+   chunk group straggles when its max exceeds [straggler_factor] times
+   its median *)
+let timeline_buckets = 48
+let straggler_factor = 2.0
+
+let analyse ?(source = "") (spans, instant_count) =
   let span_count = List.length spans in
   let by_sid = Hashtbl.create (2 * span_count + 1) in
   List.iter (fun sp -> if sp.sid <> 0 then Hashtbl.replace by_sid sp.sid sp) spans;

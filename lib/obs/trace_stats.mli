@@ -48,7 +48,7 @@ type chunk_group = {
   g_median_s : float;
   g_p99_s : float;
   g_max_s : float;
-  g_straggler : bool;  (** max exceeds [straggler_factor] x median *)
+  g_straggler : bool;  (** max exceeds twice the median *)
   g_worst : (string * float) list;
       (** up to 3 slowest members, labelled by chunk index (or task
           range) and duration *)
@@ -63,7 +63,7 @@ type chunk_group = {
   g_task_max_s : float;
   g_task_straggler : bool;
       (** straggler {e after} normalising by chunk size: per-task max
-          exceeds [straggler_factor] x per-task median. A section
+          exceeds twice the per-task median. A section
           straggling raw but not per-task has uneven chunk sizes;
           straggling per-task is genuinely slow work *)
 }
@@ -87,14 +87,14 @@ val spans_of_json : Json.t -> (span list * int, string) result
     trace-event array; unknown event kinds are skipped, and a field an
     event lacks or mistypes reads as its default (0, [""], no args). *)
 
-val analyse :
-  ?source:string ->
-  ?timeline_buckets:int ->
-  ?straggler_factor:float ->
-  span list * int ->
-  report
-(** Pure analysis (deterministic for a given trace). Defaults: 48
-    timeline buckets, straggler factor 2.0. Span and parent ids come
+val percentile : float array -> float -> float
+(** [percentile sorted q] is the nearest-rank [q]-quantile of an
+    ascending array: the element of rank [ceil (q * n)], so it is always
+    a sample that occurred; [0.0] on an empty array. *)
+
+val analyse : ?source:string -> span list * int -> report
+(** Pure analysis (deterministic for a given trace), with 48 timeline
+    buckets per domain. Span and parent ids come
     from the file: the critical path expands each id once, so a span
     that names itself (or a cycle) as its parent ends it. *)
 

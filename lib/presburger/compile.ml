@@ -87,11 +87,6 @@ let compile pred =
   let arity = Stdlib.max 1 (Predicate.arity pred) in
   go ~arity pred
 
-let compile_exn pred =
-  match compile pred with
-  | Ok p -> p
-  | Error e -> invalid_arg ("Compile.compile_exn: " ^ e)
-
 let rec states_of pred =
   match pred with
   | Predicate.Const _ -> Some 1

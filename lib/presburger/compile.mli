@@ -20,9 +20,6 @@ val compile : Predicate.t -> (Population.t, string) result
     of arity 0 get a single dummy variable). Every returned protocol is
     leaderless and complete. *)
 
-val compile_exn : Predicate.t -> Population.t
-(** @raise Invalid_argument on unsupported predicates. *)
-
 val states_needed : Predicate.t -> int option
 (** Number of states {!compile} would produce, without building the
     protocol; [None] if unsupported. *)

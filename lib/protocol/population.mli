@@ -38,8 +38,6 @@ val make :
     @raise Invalid_argument on out-of-range indices, empty [states], no
     input variable, or an [output] array of the wrong length. *)
 
-val transition_of_quad : int * int * int * int -> transition
-
 val rename : t -> string -> t
 (** A copy of the protocol under a different name. *)
 

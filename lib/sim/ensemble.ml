@@ -56,18 +56,20 @@ let run_trial backend p c0 ~population index rng =
       converged = r.Gillespie.converged;
     }
 
-let run ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ?should_stop
-    ?on_task_error ~seed ~trials p c0 =
-  if trials < 0 then invalid_arg "Ensemble.run: trials >= 0 required";
+let run_input ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ~seed ~trials
+    p v =
+  let c0 = Population.initial_config p v in
+  if trials < 0 then invalid_arg "Ensemble.run_input: trials >= 0 required";
   let population = Mset.size c0 in
   if trials > 0 && population < 2 then
-    invalid_arg "Ensemble.run: population size >= 2 required";
+    invalid_arg "Ensemble.run_input: population size >= 2 required";
   let results = Array.make trials None in
   (* Slot [i] of [results] is written by exactly one domain; the joins
-     inside [Pool.run] publish the writes to this driver. *)
+     inside [Pool.run] publish the writes to this driver. Under its
+     default [`Fail] policy [Pool.run] either raises or fills every
+     slot. *)
   let stats =
-    Pool.run ~jobs ~chunk ~name:"ensemble" ?should_stop ?on_task_error
-      ~tasks:trials (fun ~lo ~hi ->
+    Pool.run ~jobs ~chunk ~name:"ensemble" ~tasks:trials (fun ~lo ~hi ->
         for i = lo to hi - 1 do
           let t =
             run_trial backend p c0 ~population i (rng_for_trial ~seed i)
@@ -80,18 +82,8 @@ let run ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ?should_stop
     Obs.Metrics.incr m_batches;
     Obs.Metrics.add m_trials trials
   end;
-  (* cancelled or skipped chunks leave empty slots; the completed
-     trials keep their per-index streams, so they match the slots an
-     uninterrupted run would produce at the same indices *)
-  let trials =
-    Array.to_list results |> List.filter_map Fun.id |> Array.of_list
-  in
+  let trials = Array.map Option.get results in
   { backend; population; jobs = stats.Pool.jobs; trials; wall = stats.Pool.wall_s }
-
-let run_input ?jobs ?chunk ?backend ?should_stop ?on_task_error ~seed ~trials
-    p v =
-  run ?jobs ?chunk ?backend ?should_stop ?on_task_error ~seed ~trials p
-    (Population.initial_config p v)
 
 let parallel_times e =
   Array.to_list e.trials

@@ -47,43 +47,28 @@ type t = {
                              field outside the determinism guarantee *)
 }
 
-val run :
-  ?jobs:int ->
-  ?chunk:int ->
-  ?backend:backend ->
-  ?should_stop:(unit -> bool) ->
-  ?on_task_error:Pool.error_policy ->
-  seed:int ->
-  trials:int ->
-  Population.t ->
-  Mset.t ->
-  t
-(** [run ~jobs ~seed ~trials p c0] executes [trials] independent
-    simulations of [p] from [c0] on [jobs] domains (default 1; clamped
-    to [max 1 (min jobs trials)]). [chunk] (default 1) is the number of
-    consecutive trial indices a domain claims per scheduling round.
-    [backend] defaults to [uniform ()].
-
-    [should_stop] and [on_task_error] are forwarded to {!Pool.run}
-    (cancellation token, chunk fault policy). When a batch is cancelled
-    or chunks are skipped, [t.trials] holds only the completed trials —
-    still in index order, each identical to the same-index trial of an
-    uninterrupted run (per-index RNG streams).
-    @raise Invalid_argument when [trials < 0], or when [trials > 0] and
-    [Mset.size c0 < 2]. *)
-
 val run_input :
   ?jobs:int ->
   ?chunk:int ->
   ?backend:backend ->
-  ?should_stop:(unit -> bool) ->
-  ?on_task_error:Pool.error_policy ->
   seed:int ->
   trials:int ->
   Population.t ->
   int array ->
   t
-(** [run_input ... p v] runs the batch from [IC(v)]. *)
+(** [run_input ~jobs ~seed ~trials p v] executes [trials] independent
+    simulations of [p] from [IC(v)] on [jobs] domains (default 1;
+    clamped to [max 1 (min jobs trials)]). [chunk] (default 1) is the
+    number of consecutive trial indices a domain claims per scheduling
+    round. [backend] defaults to [uniform ()].
+
+    [t.trials] is in index order, and trial [i] is identical to the
+    same-index trial of any other batch with the same [seed], [p] and
+    [v] (per-index RNG streams), whatever [jobs], [chunk] and
+    [trials]. A trial that raises cancels the batch and the exception
+    re-raises after every domain is joined ({!Pool.run}'s [`Fail]).
+    @raise Invalid_argument when [trials < 0], or when [trials > 0] and
+    the population [IC(v)] has fewer than 2 agents. *)
 
 val rng_for_trial : seed:int -> int -> Splitmix64.t
 (** The generator trial [i] of a [seed]-ensemble runs on: the [(i+1)]-th
@@ -97,9 +82,6 @@ val rng_for_trial : seed:int -> int -> Splitmix64.t
 
 val parallel_times : t -> float list
 (** Convergence estimates of the converged trials, in trial order. *)
-
-val outputs : t -> int * int * int
-(** [(accept, reject, undecided)] over all trials. *)
 
 val majority_output : t -> bool option
 (** [Some b] when strictly more trials output [b] than [not b];

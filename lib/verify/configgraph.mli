@@ -60,12 +60,10 @@ val find : t -> Mset.t -> int option
 (** Index of a configuration in the graph, if reachable. O(1): answered
     from the exploration's own hash index, not by scanning. *)
 
-val reachable_from : t -> int -> bool array
-(** Forward closure of a node, as a membership array. *)
-
 val can_reach : t -> src:int -> (Mset.t -> bool) -> bool
 (** Does some configuration satisfying the predicate lie in the forward
-    closure of [src]? *)
+    closure of [src]? The explicit search the tests' coverability and
+    Section 4.1 oracles are built on; no engine calls it. *)
 
 val can_reach_config : t -> src:int -> Mset.t -> bool
 (** [can_reach_config g ~src c]: is the {e known} target configuration

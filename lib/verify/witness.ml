@@ -5,7 +5,9 @@ module H = Hashtbl.Make (struct
   let hash = Mset.hash
 end)
 
-let find ?(max_configs = 2_000_000) p ~src ~target =
+let max_configs = 2_000_000
+
+let find p ~src ~target =
   (* BFS recording, for every discovered configuration, the transition
      and predecessor that first reached it. *)
   let parent : (int * Mset.t) option H.t = H.create 1024 in
@@ -40,8 +42,8 @@ let find ?(max_configs = 2_000_000) p ~src ~target =
    with Exit -> ());
   !found
 
-let find_config ?max_configs p ~src c =
-  Option.map fst (find ?max_configs p ~src ~target:(Mset.equal c))
+let find_config p ~src c =
+  Option.map fst (find p ~src ~target:(Mset.equal c))
 
 let replay p c0 sigma =
   let rec go c = function

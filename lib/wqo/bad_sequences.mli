@@ -26,4 +26,5 @@ val descending_staircase : delta:int -> max_len:int -> Intvec.t list
     [(i + delta)]-controlled, of length exponential in [delta]. *)
 
 val is_controlled_bad : delta:int -> Intvec.t list -> bool
-(** Checks both badness and the control condition. *)
+(** Checks both badness and the control condition: the test oracle for
+    the sequences the searches return. *)

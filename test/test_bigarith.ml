@@ -1,4 +1,4 @@
-(* Tests for Bignat, Bigint and Magnitude: ring and order laws, division
+(* Tests for Bignat and Magnitude: ring and order laws, division
    invariants, string round-trips, and exactness of magnitude
    comparisons on the paper's constants. *)
 
@@ -144,34 +144,6 @@ let props =
         Bignat.is_zero (Bignat.rem a g) && Bignat.is_zero (Bignat.rem b g));
   ]
 
-(* -- Bigint -------------------------------------------------------------- *)
-
-let arb_bigint =
-  QCheck.make
-    ~print:Bigint.to_string
-    QCheck.Gen.(
-      pair bool gen_bignat >|= fun (neg, m) ->
-      if neg then Bigint.neg (Bigint.of_bignat m) else Bigint.of_bignat m)
-
-let bigint_props =
-  [
-    prop "bigint add/sub cancel" QCheck.(pair arb_bigint arb_bigint) (fun (a, b) ->
-        Bigint.equal a (Bigint.sub (Bigint.add a b) b));
-    prop "bigint mul sign" QCheck.(pair arb_bigint arb_bigint) (fun (a, b) ->
-        let s = Bigint.sign (Bigint.mul a b) in
-        if Bigint.sign a = 0 || Bigint.sign b = 0 then s = 0
-        else s = Bigint.sign a * Bigint.sign b);
-    prop "bigint neg involutive" arb_bigint (fun a ->
-        Bigint.equal a (Bigint.neg (Bigint.neg a)));
-    prop "bigint compare antisymmetric" QCheck.(pair arb_bigint arb_bigint)
-      (fun (a, b) -> Bigint.compare a b = -Bigint.compare b a);
-  ]
-
-let test_bigint_basic () =
-  Alcotest.(check string) "negative" "-42" (Bigint.to_string (Bigint.of_int (-42)));
-  Alcotest.(check (option int)) "to_int" (Some (-7)) (Bigint.to_int_opt (Bigint.of_int (-7)));
-  Alcotest.(check int) "sign zero" 0 (Bigint.sign Bigint.zero)
-
 (* -- Magnitude ----------------------------------------------------------- *)
 
 let test_magnitude_compare () =
@@ -241,8 +213,6 @@ let () =
           Alcotest.test_case "sub errors" `Quick test_sub_errors;
         ] );
       ("bignat-props", props);
-      ( "bigint",
-        Alcotest.test_case "basics" `Quick test_bigint_basic :: bigint_props );
       ( "magnitude",
         [
           Alcotest.test_case "compare" `Quick test_magnitude_compare;

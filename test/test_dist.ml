@@ -1234,17 +1234,6 @@ let test_fork_all_1 () =
   Alcotest.(check bool) "the census differs" false
     (result_eq reference (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 ()))
 
-let test_fork_chaos_kill () =
-  let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
-  let reference = Busy_beaver.scan ~chunk:4 ~max_input:8 ~n:2 () in
-  let o =
-    Distributed_scan.coordinate ~workers:3 ~chaos_kill:(1, 1) ~plan ()
-  in
-  Alcotest.(check bool) "result identical despite the SIGKILL" true
-    (result_eq o.Distributed_scan.result reference);
-  Alcotest.(check int) "the killed worker was noticed" 1
-    o.Distributed_scan.stats.Dist.Coordinator.workers_lost
-
 (* every snapshot write fails, the adoption's included; the scan still
    completes, as the local driver's does *)
 let test_fork_unwritable_checkpoint () =
@@ -1265,6 +1254,37 @@ let with_temp_checkpoint f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+(* The killed worker is the only one, so it holds the first grant and
+   SIGKILLs itself after its first result: the loss is certain, and
+   the coordinator, left with no worker, ends the scan interrupted.
+   Two survivors resume the ledger. Live reassignment to surviving
+   workers is fork_chaos_kill_prop's. *)
+let test_fork_chaos_kill () =
+  with_temp_checkpoint (fun path ->
+      let plan = Busy_beaver.plan ~chunk:4 ~max_input:8 ~n:2 () in
+      let reference = Busy_beaver.scan ~chunk:4 ~max_input:8 ~n:2 () in
+      let o =
+        Distributed_scan.coordinate ~workers:1 ~chaos_kill:(0, 1)
+          ~checkpoint:path ~plan ()
+      in
+      let stats = o.Distributed_scan.stats in
+      Alcotest.(check int) "the killed worker was noticed" 1
+        stats.Dist.Coordinator.workers_lost;
+      Alcotest.(check int) "its one result was kept" 1
+        stats.Dist.Coordinator.chunks_done;
+      Alcotest.(check bool) "no worker left: interrupted" true
+        o.Distributed_scan.result.Busy_beaver.interrupted;
+      let resumed =
+        Distributed_scan.coordinate ~workers:2 ~checkpoint:path ~resume:true
+          ~plan ()
+      in
+      Alcotest.(check bool) "resumed result identical despite the SIGKILL"
+        true
+        (result_eq resumed.Distributed_scan.result reference);
+      Alcotest.(check int) "the resume ran the other chunks"
+        (Busy_beaver.plan_chunks plan - 1)
+        resumed.Distributed_scan.stats.Dist.Coordinator.chunks_done)
 
 let test_fork_checkpoint_epochs () =
   with_temp_checkpoint (fun path ->

@@ -1096,6 +1096,38 @@ let test_hostile_ids_and_ranges () =
   Alcotest.(check bool) "the fleet report renders" true
     (String.length (Obs.Fleet_stats.to_markdown r) > 0)
 
+(* Lease latency is the time from a chunk's dist.lease grant to its
+   dist.chunk_done; here 1, 2, 3 and 4 s. Its percentiles are nearest
+   ranks, as the chunk columns' are, so each is a latency some chunk
+   really had: p50 = 2 s, p99 = 4 s (interpolating would give 2.5 and
+   3.97 s). *)
+let test_fleet_lease_percentiles () =
+  let r =
+    Obs.Fleet_stats.analyse
+      ({|{"ev":"dist.lease","ts_s":0,"data":{"worker":"w","lo_chunk":0,"hi_chunk":4}}|}
+      :: List.init 4 (fun c ->
+             Printf.sprintf
+               {|{"ev":"dist.chunk_done","ts_s":%d,"data":{"worker":"w","chunk":%d}}|}
+               (c + 1) c))
+  in
+  match r.Obs.Fleet_stats.workers with
+  | [ w ] ->
+    Alcotest.(check int) "four leases matched" 4 w.Obs.Fleet_stats.w_lease_count;
+    Alcotest.(check (float 0.0)) "lease p50" 2.0 w.Obs.Fleet_stats.w_lease_median_s;
+    Alcotest.(check (float 0.0)) "lease p99" 4.0 w.Obs.Fleet_stats.w_lease_p99_s;
+    Alcotest.(check bool) "the workers table prints them" true
+      (contains (Obs.Fleet_stats.to_markdown r) "| 2.00s | 4.00s | 4.00s |")
+  | ws -> Alcotest.failf "expected one worker, got %d" (List.length ws)
+
+(* an unreadable events path is an Error for ppreport to print, not an
+   exception *)
+let test_fleet_load_directory () =
+  match Obs.Fleet_stats.load Filename.current_dir_name with
+  | Ok _ -> Alcotest.fail "a directory loaded as an events log"
+  | Error e ->
+    Alcotest.(check bool) "the error names the cause" true
+      (contains e "directory")
+
 let trace_fuzz_props =
   Fuzz_gen.properties
     ~records:(fun rs -> "[" ^ String.concat "," rs ^ "]")
@@ -1195,6 +1227,10 @@ let () =
             test_trace_report_json_schema;
           Alcotest.test_case "hostile ids and ranges still report" `Quick
             test_hostile_ids_and_ranges;
+          Alcotest.test_case "fleet lease p50/p99 are nearest-rank" `Quick
+            test_fleet_lease_percentiles;
+          Alcotest.test_case "fleet load of a directory is an Error" `Quick
+            test_fleet_load_directory;
         ]
         @ trace_fuzz_props @ fleet_fuzz_props );
       ( "events",
