@@ -58,7 +58,7 @@ let run_worker (host, port) chaos_kill chaos_net heartbeat_timeout =
     Printf.eprintf "bbsearch: worker: %s\n" e;
     1
 
-let run n max_input sample seed jobs chunk eta_budget checkpoint ckpt_chunks
+let run n max_input sample seed jobs chunk checkpoint ckpt_chunks
     ckpt_secs resume on_error print_best workers serve connect chaos_kill
     chaos_worker chaos_net heartbeat_timeout () =
   match connect with
@@ -76,8 +76,7 @@ let run n max_input sample seed jobs chunk eta_budget checkpoint ckpt_chunks
       Obs.Shutdown.with_graceful (fun () ->
           if distributed then begin
             let plan =
-              Busy_beaver.plan ?sample ~chunk ?eta_budget_s:eta_budget
-                ~max_input ~n ()
+              Busy_beaver.plan ?sample ~chunk ~max_input ~n ()
             in
             let serve_fd =
               Option.map (fun port -> Distributed_scan.listen ~port ()) serve
@@ -114,8 +113,8 @@ let run n max_input sample seed jobs chunk eta_budget checkpoint ckpt_chunks
             o.Distributed_scan.result
           end
           else
-            Busy_beaver.scan ?sample ~jobs ~chunk ?eta_budget_s:eta_budget
-              ?checkpoint ~checkpoint_every_chunks:ckpt_chunks
+            Busy_beaver.scan ?sample ~jobs ~chunk ?checkpoint
+              ~checkpoint_every_chunks:ckpt_chunks
               ~checkpoint_every_s:ckpt_secs ~resume ~on_task_error:on_error
               ~max_input ~n ())
     with
@@ -188,16 +187,6 @@ let chunk_arg =
                depends on this value alone, so a $(b,--checkpoint) \
                ledger resumes at the same $(b,--chunk) under any \
                $(b,--jobs) or $(b,--workers).")
-
-let eta_budget_arg =
-  Arg.(value & opt (some float) None & info [ "eta-budget" ] ~docv:"S"
-         ~doc:"Wall-clock budget in seconds for exploring any single \
-               transition assignment: one deadline spans the \
-               configuration graphs of all its inputs, which every \
-               output map of the assignment shares. Protocols whose \
-               verdict needs an over-budget graph are counted as \
-               unknown instead of aborting the scan. Machine-dependent \
-               — leave off when byte-identical reruns matter.")
 
 let checkpoint_arg =
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE"
@@ -329,7 +318,7 @@ let cmd =
   Cmd.v (Cmd.info "bbsearch" ~doc:"Busy-beaver search over small protocols")
     Term.(
       const run $ n_arg $ max_input_arg $ sample_arg $ seed_arg $ jobs_arg
-      $ chunk_arg $ eta_budget_arg $ checkpoint_arg $ ckpt_chunks_arg
+      $ chunk_arg $ checkpoint_arg $ ckpt_chunks_arg
       $ ckpt_secs_arg $ resume_arg $ on_error_arg $ best_arg $ workers_arg
       $ serve_arg $ connect_arg $ chaos_kill_arg $ chaos_worker_arg
       $ chaos_net_arg $ heartbeat_timeout_arg $ Obs_cli.term)

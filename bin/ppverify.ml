@@ -17,11 +17,7 @@ let print_witness p v =
     Format.printf "reached: %a@." (Population.pp_config p) c
   | None -> Format.printf "no accepting configuration is reachable@."
 
-let run name file input max_input max_configs wall_budget witness jobs stable ()
-    =
-  let deadline =
-    Option.map (Obs.Budget.deadline_in ~source:"ppverify") wall_budget
-  in
+let run name file input max_input max_configs witness jobs stable () =
   match Catalog.load ~name ~file with
   | Error e ->
     prerr_endline e;
@@ -33,16 +29,13 @@ let run name file input max_input max_configs wall_budget witness jobs stable ()
        let v = Array.of_list parts in
        (try
           Format.printf "input %s: %a@." s Fair_semantics.pp_verdict
-            (Fair_semantics.decide ~max_configs ?deadline p v);
+            (Fair_semantics.decide ~max_configs p v);
           if witness then print_witness p v;
           0
         with
         | Configgraph.Too_many_configs n ->
           Format.printf "input %s: unknown (state space exceeds %d configurations)@."
             s n;
-          0
-        | Obs.Budget.Exceeded info ->
-          Format.printf "input %s: unknown (%s)@." s (Obs.Budget.describe info);
           0
         | Invalid_argument msg ->
           prerr_endline msg;
@@ -54,7 +47,7 @@ let run name file input max_input max_configs wall_budget witness jobs stable ()
        end
        else begin
          try
-           (match Eta_search.find ~max_configs ?wall_budget_s:wall_budget ~jobs
+           (match Eta_search.find ~max_configs ~jobs
                     ~stable:(if stable then `Memo else `Off) p ~max_input with
             | Eta_search.Eta eta ->
               Format.printf "threshold protocol: eta = %d (inputs up to %d)@." eta max_input
@@ -65,9 +58,6 @@ let run name file input max_input max_configs wall_budget witness jobs stable ()
            Format.printf
              "threshold unknown (state space exceeds %d configurations; lower --max-input)@."
              n;
-           0
-         | Obs.Budget.Exceeded info ->
-           Format.printf "threshold unknown (%s)@." (Obs.Budget.describe info);
            0
        end)
 
@@ -92,11 +82,6 @@ let max_configs_arg =
   Arg.(value & opt int 2_000_000 & info [ "max-configs" ]
          ~doc:"Exploration budget per input.")
 
-let wall_budget_arg =
-  Arg.(value & opt (some float) None & info [ "wall-budget" ] ~docv:"S"
-         ~doc:"Wall-clock budget in seconds; on expiry the verdict degrades \
-               to unknown instead of aborting. Makes aborts machine-dependent.")
-
 let witness_arg =
   Arg.(value & flag & info [ "w"; "witness" ]
          ~doc:"With --input: print a shortest trace to an accepting configuration.")
@@ -119,7 +104,7 @@ let cmd =
     (Cmd.info "ppverify" ~doc:"Exact verification of population protocols")
     Term.(
       const run $ name_arg $ file_arg $ input_arg $ max_input_arg
-      $ max_configs_arg $ wall_budget_arg $ witness_arg $ jobs_arg $ stable_arg
+      $ max_configs_arg $ witness_arg $ jobs_arg $ stable_arg
       $ Obs_cli.term)
 
 let () = exit (Cmd.eval' cmd)

@@ -194,15 +194,13 @@ module Summaries = struct
     n : int;
     pair_list : (int * int) array;
     max_configs : int;
-    budget_s : float option;
     inputs : int list;
     slots : slot array;  (* slot k: input k + 2, the least valid input *)
     mutable assignment : int;  (* -1 until the first [get] *)
     mutable protocol : Population.t;
-    mutable deadline : Obs.Budget.deadline option;
   }
 
-  let create ?(max_configs = 60_000) ?eta_budget_s ~n ~max_input () =
+  let create ?(max_configs = 60_000) ~n ~max_input () =
     check_n "Summaries.create" n;
     let pair_list = pairs n in
     let protocol = decode n ~pair_list ~assignment:0 ~output_bits:0 in
@@ -212,24 +210,18 @@ module Summaries = struct
       n;
       pair_list;
       max_configs;
-      budget_s = eta_budget_s;
       inputs;
       slots = Array.make (List.length inputs) Unfilled;
       assignment = -1;
       protocol;
-      deadline = None;
     }
 
   let inputs t = t.inputs
 
   let get t ~assignment i =
     if assignment <> t.assignment then begin
-      (* a new assignment is asked for because one of its graphs is
-         needed now: its one deadline starts here *)
       t.assignment <- assignment;
       t.protocol <- decode t.n ~pair_list:t.pair_list ~assignment ~output_bits:0;
-      t.deadline <-
-        Option.map (Obs.Budget.deadline_in ~source:"bbsearch.summarise") t.budget_s;
       Array.fill t.slots 0 (Array.length t.slots) Unfilled
     end;
     let k = i - 2 in
@@ -244,12 +236,11 @@ module Summaries = struct
           Obs.Trace.with_span "bbsearch.summarise" ~cat:"bbsearch"
             ~args:[ ("protocol", p.Population.name); ("input", string_of_int i) ]
             (fun () ->
-              Fair_semantics.summarise ~max_configs:t.max_configs
-                ?deadline:t.deadline p (Population.initial_config p [| i |]))
+              Fair_semantics.summarise ~max_configs:t.max_configs p
+                (Population.initial_config p [| i |]))
         with
         | s -> Summary s
-        | exception (Configgraph.Too_many_configs _ | Obs.Budget.Exceeded _) ->
-          Aborted
+        | exception Configgraph.Too_many_configs _ -> Aborted
       in
       t.slots.(k) <- slot;
       (match slot with Summary s -> Some s | Unfilled | Aborted -> None)
@@ -340,7 +331,6 @@ type plan = {
   pl_num_outputs : int;
   pl_max_input : int;
   pl_max_configs : int;
-  pl_eta_budget_s : float option;
   pl_prune : bool;
   pl_chunk : int;
   pl_sample : (int * int) option;
@@ -349,7 +339,7 @@ type plan = {
 }
 
 let plan ?(analysis = Threshold) ?jobs:_ ?(chunk = 1024) ?(prune = true)
-    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample ~n () =
+    ?(max_input = 12) ?(max_configs = 60_000) ?sample ~n () =
   check_n "plan" n;
   let pair_list = pairs n in
   let num_outputs = 1 lsl n in
@@ -369,7 +359,6 @@ let plan ?(analysis = Threshold) ?jobs:_ ?(chunk = 1024) ?(prune = true)
     pl_num_outputs = num_outputs;
     pl_max_input = max_input;
     pl_max_configs = max_configs;
-    pl_eta_budget_s = eta_budget_s;
     pl_prune = prune;
     pl_chunk = chunk;
     pl_sample = sample;
@@ -395,8 +384,8 @@ let plan_chunk_range plan ci =
    nothing else, and the partition on [chunk] alone. A snapshot whose
    configuration has any other field set, or a field this one lacks,
    never resumes: the hashes differ, and the mismatch names the
-   fields. Only a non-census analysis adds a member, so census ledgers
-   of earlier builds resume and no ledger resumes another analysis. *)
+   fields. Only a non-census analysis adds a member, so no ledger
+   resumes another analysis. *)
 let plan_config plan =
   let open Obs.Json in
   Obj
@@ -405,8 +394,6 @@ let plan_config plan =
       ("n", Int plan.pl_n);
       ("max_input", Int plan.pl_max_input);
       ("max_configs", Int plan.pl_max_configs);
-      ( "eta_budget_s",
-        match plan.pl_eta_budget_s with None -> Null | Some s -> Float s );
       ("prune", Bool plan.pl_prune);
       ("chunk", Int plan.pl_chunk);
       ( "sample",
@@ -440,7 +427,15 @@ let plan_of_config j =
      else
        let* max_input = field "max_input" int j in
        let* max_configs = field "max_configs" int j in
-       let* eta_budget_s = field_opt "eta_budget_s" number j in
+       (* an older build's wall-clock budget: this build would run the
+          scan unbudgeted, so not the scan its sender meant *)
+       let* () =
+         match field_opt "eta_budget_s" number j with
+         | Ok None -> Ok ()
+         | Ok (Some _) | Error _ ->
+           Error "eta_budget_s: wall-clock budgets are gone; max_configs \
+                  is the only budget"
+       in
        let* prune = field "prune" bool j in
        let* chunk = field "chunk" int j in
        let* sample = field_opt "sample" (pair int int) j in
@@ -458,8 +453,7 @@ let plan_of_config j =
            (Printf.sprintf "total %d does not match the space (%d)" total space)
        else
          match
-           plan ~analysis ~chunk ~prune ~max_input ~max_configs ?eta_budget_s
-             ?sample ~n ()
+           plan ~analysis ~chunk ~prune ~max_input ~max_configs ?sample ~n ()
          with
          | p -> Ok p
          | exception Invalid_argument e -> Error e)
@@ -571,8 +565,7 @@ let examine plan sums part display ~weight ~assignment ~output_bits =
 let run_chunk ?display plan ci =
   let part = fresh_partial () in
   let sums =
-    Summaries.create ~max_configs:plan.pl_max_configs
-      ?eta_budget_s:plan.pl_eta_budget_s ~n:plan.pl_n
+    Summaries.create ~max_configs:plan.pl_max_configs ~n:plan.pl_n
       ~max_input:plan.pl_max_input ()
   in
   let lo, hi = plan_chunk_range plan ci in
@@ -699,13 +692,10 @@ let with_ledger ?checkpoint ?every_chunks ?every_s ?(resume = false) plan f =
 let finished : partial option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let scan ?analysis ?(jobs = 1) ?(chunk = 1024) ?(prune = true)
-    ?(max_input = 12) ?(max_configs = 60_000) ?eta_budget_s ?sample
-    ?checkpoint ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
+    ?(max_input = 12) ?(max_configs = 60_000) ?sample ?checkpoint
+    ?(checkpoint_every_chunks = 64) ?(checkpoint_every_s = 30.0)
     ?(resume = false) ?should_stop ?(on_task_error = `Fail) ~n () =
-  let plan =
-    plan ?analysis ~chunk ~prune ~max_input ~max_configs ?eta_budget_s ?sample
-      ~n ()
-  in
+  let plan = plan ?analysis ~chunk ~prune ~max_input ~max_configs ?sample ~n () in
   let total = plan.pl_total in
   with_ledger ?checkpoint ~every_chunks:checkpoint_every_chunks
     ~every_s:checkpoint_every_s ~resume plan

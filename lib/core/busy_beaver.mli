@@ -53,9 +53,9 @@ type scan_result = {
           [All_1]: reach All_1 from none of them *)
   num_aborted : int;
       (** verdict unknown: an exploration these protocols needed hit
-          the node budget ({!Configgraph.Too_many_configs}) or its
-          assignment's [eta_budget_s] wall budget ([All_1]: before
-          an input reached All_1) *)
+          the node budget [max_configs]
+          ({!Configgraph.Too_many_configs}; [All_1]: before an input
+          reached All_1) *)
   best_eta : int;            (** largest threshold seen; [All_1]: [f(n)] *)
   best : Population.t option;
   histogram : (int * int) list;
@@ -76,7 +76,6 @@ val scan :
   ?prune:bool ->
   ?max_input:int ->
   ?max_configs:int ->
-  ?eta_budget_s:float ->
   ?sample:int * int ->
   ?checkpoint:string ->
   ?checkpoint_every_chunks:int ->
@@ -106,13 +105,11 @@ val scan :
     {!Configgraph.Packed.applicable} holds, which it always does here.
     Defaults: [max_input = 12], [max_configs = 60_000].
 
-    {b Robustness.} [?eta_budget_s] caps the wall-clock spent exploring
-    any single transition assignment (one deadline across its inputs,
-    shared by all its output maps); codes whose verdict needs an
-    over-budget exploration count into [num_aborted] (unknown verdict)
-    instead of killing the scan — note wall budgets make which
-    protocols abort machine-dependent, so leave it off when
-    byte-identical reruns matter. [?on_task_error] (default [`Fail]) is
+    {b Robustness.} [?max_configs] is the node budget of every
+    exploration; codes whose verdict needs an over-budget exploration
+    count into [num_aborted] (unknown verdict) instead of killing the
+    scan, and which codes those are depends on the plan alone, not on
+    the machine, [jobs] or [chunk]. [?on_task_error] (default [`Fail]) is
     the {!Pool.run} fault policy for unexpected per-chunk exceptions.
     [?should_stop] is a cancellation token polled between chunks;
     {!Obs.Shutdown.requested} is always polled alongside it, so a
@@ -157,7 +154,6 @@ val plan :
   ?prune:bool ->
   ?max_input:int ->
   ?max_configs:int ->
-  ?eta_budget_s:float ->
   ?sample:int * int ->
   n:int ->
   unit ->
@@ -176,7 +172,9 @@ val plan_config : plan -> Obs.Json.t
 val plan_of_config : Obs.Json.t -> (plan, string) result
 (** Rebuild a plan from {!plan_config} output: a worker process derives
     its entire scan — sample codes included — from the coordinator's
-    welcome message, so the two cannot disagree. *)
+    welcome message, so the two cannot disagree. A configuration with a
+    numeric ["eta_budget_s"] (an older build's wall-clock budget) is
+    refused with an error naming that member. *)
 
 val plan_chunks : plan -> int
 (** Number of chunks in the partition. *)
@@ -264,13 +262,9 @@ val sample_code : n:int -> seed:int -> int -> int * int
 module Summaries : sig
   type t
 
-  val create :
-    ?max_configs:int -> ?eta_budget_s:float -> n:int -> max_input:int ->
-    unit -> t
+  val create : ?max_configs:int -> n:int -> max_input:int -> unit -> t
   (** An empty cache for the [n]-state code space with the same defaults
-      as {!scan}. [eta_budget_s] is one wall-clock deadline per
-      assignment, started by its first exploration and spanning all of
-      its inputs. *)
+      as {!scan}. *)
 
   val inputs : t -> int list
   (** The valid inputs up to [max_input], ascending: [2..max_input]. *)
@@ -278,9 +272,9 @@ module Summaries : sig
   val get : t -> assignment:int -> int -> Fair_semantics.summary option
   (** [get t ~assignment i] is the summary of [IC(i)] under
       [assignment], exploring it on first request; [None] when the
-      exploration hit the node budget or the assignment's deadline
-      (remembered, so every output map of the assignment reads the
-      same abort). Asking for another assignment empties the cache. *)
+      exploration hit the node budget (remembered, so every output map
+      of the assignment reads the same abort). Asking for another
+      assignment empties the cache. *)
 end
 
 (** The symmetry group of the code space: state permutations fixing the

@@ -22,8 +22,8 @@ let system p =
 
 let is_potentially_realisable p pi = Diophantine.is_solution_geq (system p) pi
 
-let basis ?jobs ?chunk ?max_candidates p =
-  Hilbert_basis.solve_geq ?jobs ?chunk ?max_candidates (system p)
+let basis ?jobs ?max_candidates p =
+  Hilbert_basis.solve_geq ?jobs ?max_candidates (system p)
 
 let displacement p pi = Population.displacement_of_multiset p pi
 

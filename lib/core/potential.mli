@@ -16,11 +16,9 @@ val system : Population.t -> Diophantine.t
 
 val is_potentially_realisable : Population.t -> int array -> bool
 
-val basis :
-  ?jobs:int -> ?chunk:int -> ?max_candidates:int -> Population.t ->
-  int array list
-(** Hilbert basis of {!system} (Corollary 5.7's basis). [jobs]/[chunk]
-    parallelise the completion (see {!Hilbert_basis.solve_eq}); the
+val basis : ?jobs:int -> ?max_candidates:int -> Population.t -> int array list
+(** Hilbert basis of {!system} (Corollary 5.7's basis). [jobs]
+    parallelises the completion (see {!Hilbert_basis.solve_eq}); the
     basis is identical for any setting. *)
 
 val size : int array -> int

@@ -11,29 +11,6 @@ let input_state p =
     invalid_arg "Saturation: single-input protocols only";
   p.Population.input_map.(0)
 
-let coverable_support p =
-  let d = Population.num_states p in
-  let in_set = Array.make d false in
-  Array.iter (fun s -> in_set.(s) <- true) p.Population.input_map;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun { Population.pre = a, b; post = a', b' } ->
-        if in_set.(a) && in_set.(b) then begin
-          if not in_set.(a') then begin
-            in_set.(a') <- true;
-            changed := true
-          end;
-          if not in_set.(b') then begin
-            in_set.(b') <- true;
-            changed := true
-          end
-        end)
-      p.Population.transitions
-  done;
-  List.filter (fun q -> in_set.(q)) (List.init d Fun.id)
-
 (* Lemma 5.3: a transition enabled inside the support that moves an agent
    outside it. *)
 let expanding_transition p support =
@@ -56,15 +33,13 @@ let find p =
     Error "protocol has several input variables"
   else begin
     let d = Population.num_states p in
-    match List.length (coverable_support p) with
-    | c when c < d ->
-      let dead =
-        List.filter (fun q -> not (List.mem q (coverable_support p)))
-          (List.init d Fun.id)
-        |> List.map (Population.state_name p)
-      in
-      Error ("states not coverable: " ^ String.concat ", " dead)
-    | _ ->
+    let coverable = Transform.coverable_states p in
+    match List.filter (fun q -> not coverable.(q)) (List.init d Fun.id) with
+    | _ :: _ as dead ->
+      Error
+        ("states not coverable: "
+        ^ String.concat ", " (List.map (Population.state_name p) dead))
+    | [] ->
       (* Build C_0 = x, C_{k+1} = 3·C_k + Δ_t per the proof of Lemma 5.4. *)
       let x = input_state p in
       let rec build k config sigma =

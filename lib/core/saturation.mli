@@ -16,15 +16,9 @@ type witness = private {
   result : Mset.t;     (** the 1-saturated configuration reached *)
 }
 
-val coverable_support : Population.t -> int list
-(** Closure of the input states under "some transition with its
-    precondition inside the set puts an agent outside it" — the states
-    coverable from large inputs. Lemma 5.4 applies iff this is all
-    of [Q]. *)
-
 val find : Population.t -> (witness, string) result
-(** Errors: protocol has leaders, several input variables, or
-    non-coverable states (listed in the message). *)
+(** Errors: protocol has leaders, several input variables, or states
+    {!Transform.coverable_states} leaves out (listed in the message). *)
 
 val replay_scaled : witness -> int -> Mset.t option
 (** [replay_scaled w m] fires [sigma] [m] times from [IC(m·3^j)];

@@ -25,6 +25,9 @@ let pre_element p ti m =
   if a <> b then v.(b) <- Stdlib.max v.(b) 1;
   Mset.of_array v
 
+(* frontier elements per pool task *)
+let chunk = 4
+
 (* Generation-synchronous fixpoint: each round expands the whole current
    frontier. Per-candidate work — the [pre_element] computation and the
    membership test against the upset as it stood at the start of the
@@ -34,8 +37,8 @@ let pre_element p ti m =
    through the authoritative [Upset.add] in the sequential index-ordered
    reduction, so the computed basis — and, because candidates are counted
    per generation as [|frontier| * |T|] regardless of scheduling — every
-   counter is byte-identical for any [jobs]/[chunk] setting. *)
-let pre_star_stats ?(jobs = 1) ?(chunk = 4) p u =
+   counter is byte-identical for any [jobs] setting. *)
+let pre_star_stats ?(jobs = 1) p u =
   let nt = Population.num_transitions p in
   let candidates = ref 0 in
   let added = ref 0 in
@@ -119,7 +122,7 @@ let pre_star_stats ?(jobs = 1) ?(chunk = 4) p u =
   end;
   (result, { iterations = !candidates; added = !added })
 
-let pre_star ?jobs ?chunk p u = fst (pre_star_stats ?jobs ?chunk p u)
+let pre_star ?jobs p u = fst (pre_star_stats ?jobs p u)
 
 let coverable p ~from ~target =
   let u = Upset.of_elements (Population.num_states p) [ target ] in

@@ -12,8 +12,8 @@
     generation-start upset fanned out over a {!Pool.run_rounds} domain
     pool, and the basis updates reduced sequentially in index order.
     The resulting basis {e and} every published counter are
-    byte-identical for any [jobs]/[chunk] setting (the test suite
-    checks this differentially).
+    byte-identical for any [jobs] setting (the test suite checks this
+    differentially).
 
     This is the effective counterpart of the Rackoff-based argument of
     Lemma 3.2: instead of bounding the norm of stable-set bases by
@@ -24,14 +24,13 @@ type stats = {
   added : int;          (** minimal elements ever inserted *)
 }
 
-val pre_star : ?jobs:int -> ?chunk:int -> Population.t -> Upset.t -> Upset.t
+val pre_star : ?jobs:int -> Population.t -> Upset.t -> Upset.t
 (** [pre_star p u] is the set of configurations from which [u] is
     reachable (including [u] itself). [jobs] (default 1) domains expand
-    each frontier generation in chunks of [chunk] (default 4)
-    candidates; the result does not depend on either. *)
+    each frontier generation in chunks of 4 frontier elements; the
+    result does not depend on [jobs]. *)
 
-val pre_star_stats :
-  ?jobs:int -> ?chunk:int -> Population.t -> Upset.t -> Upset.t * stats
+val pre_star_stats : ?jobs:int -> Population.t -> Upset.t -> Upset.t * stats
 
 val coverable : Population.t -> from:Mset.t -> target:Mset.t -> bool
 (** [coverable p ~from ~target]: can [from] reach some [C >= target]?

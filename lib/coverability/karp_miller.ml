@@ -39,20 +39,21 @@ let accelerate ancestors v' =
 
 type Obs.Budget.partial += Partial_clover of Omega_vec.t list
 
-let clover ?(max_nodes = 1_000_000) p c0 =
+(* The tree from [root], depth-first over (vector, ancestor path); the
+   node budget trips under the name [source]. *)
+let tree ~source ~max_nodes p root =
   let nt = Population.num_transitions p in
   let nodes = ref 0 in
   let accelerations = ref 0 in
   let discovered : Omega_vec.t list ref = ref [] in
   let covered v = List.exists (fun u -> Omega_vec.leq v u) !discovered in
-  let root = Omega_vec.finite (Mset.to_intvec c0) in
   let budget () =
     (* the maximal elements seen so far under-approximate the clover;
        a budgeted caller can still use them as a partial answer *)
     raise
       (Obs.Budget.exceeded
          ~partial:(Partial_clover (Downset.keep_maximal !discovered))
-         ~source:"karp_miller.clover" ~resource:"nodes"
+         ~source ~resource:"nodes"
          ~limit:(float_of_int max_nodes)
          ~consumed:
            [
@@ -61,7 +62,6 @@ let clover ?(max_nodes = 1_000_000) p c0 =
            ]
          ())
   in
-  (* depth-first over (vector, ancestor path) *)
   let rec expand v ancestors =
     incr nodes;
     if !nodes > max_nodes then budget ();
@@ -80,46 +80,21 @@ let clover ?(max_nodes = 1_000_000) p c0 =
   expand root [];
   Downset.keep_maximal !discovered
 
+let clover ?(max_nodes = 1_000_000) p c0 =
+  tree ~source:"karp_miller.clover" ~max_nodes p
+    (Omega_vec.finite (Mset.to_intvec c0))
+
 let coverable p ~from ~target =
   let cl = clover p from in
   List.exists (Omega_vec.member target) cl
 
 let downset p c0 = Downset.of_max_elements (Population.num_states p) (clover p c0)
 
+(* rooted at ω on the input states and the leader counts elsewhere *)
 let clover_parametric ?(max_nodes = 1_000_000) p =
-  (* Re-run the tree construction from the ω-input root. The code above
-     only touches the root through [Omega_vec] operations, so we reuse
-     it by inlining a second entry point. *)
-  let d = Population.num_states p in
   let root =
-    Array.init d (fun q ->
-        if Array.exists (fun s -> s = q) p.Population.input_map then Omega_vec.Omega
+    Array.init (Population.num_states p) (fun q ->
+        if Array.mem q p.Population.input_map then Omega_vec.Omega
         else Omega_vec.Fin (Mset.get p.Population.leaders q))
   in
-  let nt = Population.num_transitions p in
-  let nodes = ref 0 in
-  let discovered : Omega_vec.t list ref = ref [] in
-  let covered v = List.exists (fun u -> Omega_vec.leq v u) !discovered in
-  let rec expand v ancestors =
-    incr nodes;
-    if !nodes > max_nodes then
-      raise
-        (Obs.Budget.exceeded
-           ~partial:(Partial_clover (Downset.keep_maximal !discovered))
-           ~source:"karp_miller.clover_parametric" ~resource:"nodes"
-           ~limit:(float_of_int max_nodes)
-           ~consumed:[ ("nodes", float_of_int !nodes) ]
-           ());
-    discovered := v :: !discovered;
-    let ancestors' = v :: ancestors in
-    for t = 0 to nt - 1 do
-      let tr = p.Population.transitions.(t) in
-      if enabled v tr.Population.pre then begin
-        let v' = apply v (Population.displacement p t) in
-        let v', _ = accelerate ancestors' v' in
-        if not (covered v') then expand v' ancestors'
-      end
-    done
-  in
-  expand root [];
-  Downset.keep_maximal !discovered
+  tree ~source:"karp_miller.clover_parametric" ~max_nodes p root

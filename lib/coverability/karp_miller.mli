@@ -36,4 +36,5 @@ val clover_parametric : ?max_nodes:int -> Population.t -> Omega_vec.t list
     closure of [∪_v Reach(IC(v))]. On a fixed input the population is
     conserved and no acceleration can fire; here accelerations do the
     work. A state is coverable from some input iff some clover vector
-    is positive on it (compare {!Saturation.coverable_support}). *)
+    is positive on it (compare {!Transform.coverable_states}). Budget
+    as {!clover}, reported as ["karp_miller.clover_parametric"]. *)

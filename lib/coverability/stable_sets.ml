@@ -25,7 +25,7 @@ let g_basis1 = Obs.Metrics.gauge "stable_sets.basis1_size"
 let g_norm0 = Obs.Metrics.gauge "stable_sets.norm0"
 let g_norm1 = Obs.Metrics.gauge "stable_sets.norm1"
 
-let analyse ?jobs ?chunk p =
+let analyse ?jobs p =
   Obs.Trace.with_span "stable_sets.analyse" ~cat:"coverability"
     ~args:[ ("protocol", p.Population.name) ]
     (fun () ->
@@ -34,7 +34,7 @@ let analyse ?jobs ?chunk p =
         Obs.Trace.with_span
           (if b then "stable_sets.unstable1" else "stable_sets.unstable0")
           ~cat:"coverability"
-          (fun () -> Backward.pre_star ?jobs ?chunk p (bad_upset p b))
+          (fun () -> Backward.pre_star ?jobs p (bad_upset p b))
       in
       let unstable0 = unstable false and unstable1 = unstable true in
       let stable b u =

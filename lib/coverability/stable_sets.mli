@@ -16,8 +16,8 @@ type t = {
   stable1 : Downset.t;   (** [SC_1] *)
 }
 
-val analyse : ?jobs:int -> ?chunk:int -> Population.t -> t
-(** [jobs]/[chunk] parallelise the two backward fixpoints (see
+val analyse : ?jobs:int -> Population.t -> t
+(** [jobs] parallelises the two backward fixpoints (see
     {!Backward.pre_star}); the analysis is identical for any setting. *)
 
 val analyse_memo : ?jobs:int -> Population.t -> t

@@ -57,7 +57,10 @@ type extension =
   | Dominated
   | Live of int array * int array
 
-let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
+(* frontier vectors per pool task *)
+let chunk = 16
+
+let solve_eq ?(jobs = 1) ?(max_candidates = 5_000_000)
     ?(scalar_criterion = true) sys =
   (* The level's duplicate table, hashed on every coordinate: the
      polymorphic hash reads only the first ten. A local instance, so
@@ -132,7 +135,7 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
      calling domain, before the round opens), so the index the workers
      read is the same one the sequential path uses, and every counter,
      the frontier order, the seen-duplicate classification and the
-     budget trip point are byte-identical for any [jobs]/[chunk]. *)
+     budget trip point are byte-identical for any [jobs]. *)
   let tasks = ref [||] in
   let slots = ref [||] in
   let pending = ref false in
@@ -265,9 +268,9 @@ let lift sys =
   in
   Diophantine.make rows ~num_vars:(v + e)
 
-let solve_geq ?jobs ?chunk ?max_candidates ?scalar_criterion sys =
+let solve_geq ?jobs ?max_candidates ?scalar_criterion sys =
   let v = sys.Diophantine.num_vars in
-  solve_eq ?jobs ?chunk ?max_candidates ?scalar_criterion (lift sys)
+  solve_eq ?jobs ?max_candidates ?scalar_criterion (lift sys)
   |> List.map (fun y -> Array.sub y 0 v)
   |> List.sort_uniq Stdlib.compare
 

@@ -14,8 +14,8 @@ type Obs.Budget.partial += Partial_basis of int array list
     {!Obs.Budget.Exceeded}. *)
 
 val solve_eq :
-  ?jobs:int -> ?chunk:int -> ?max_candidates:int -> ?scalar_criterion:bool ->
-  Diophantine.t -> int array list
+  ?jobs:int -> ?max_candidates:int -> ?scalar_criterion:bool -> Diophantine.t ->
+  int array list
 (** Minimal non-zero solutions of [A·y = 0]. Breadth-first completion
     from the unit vectors; each frontier vector is extended by [e_j]
     only when column [j] of [A] has negative scalar product with the
@@ -38,11 +38,11 @@ val solve_eq :
 
     [jobs] (default 1) domains compute each completion round's
     extensions — criterion, domination test, defect update — in chunks
-    of [chunk] (default 16) frontier vectors over a {!Pool.run_rounds}
-    pool; admission (duplicate detection, budget accounting) is reduced
-    sequentially in the sequential path's own order, so the returned
-    basis, all published counters and the budget trip point are
-    byte-identical for any [jobs]/[chunk].
+    of 16 frontier vectors over a {!Pool.run_rounds} pool; admission
+    (duplicate detection, budget accounting) is reduced sequentially in
+    the sequential path's own order, so the returned basis, all
+    published counters and the budget trip point are byte-identical
+    for any [jobs].
     @raise Obs.Budget.Exceeded if the completion exceeds
     [max_candidates] (default 5_000_000) candidate vectors — a safety
     valve only. The exception carries {!Partial_basis} and the
@@ -53,8 +53,8 @@ val solve_eq :
     materialise one level past the budget.) *)
 
 val solve_geq :
-  ?jobs:int -> ?chunk:int -> ?max_candidates:int -> ?scalar_criterion:bool ->
-  Diophantine.t -> int array list
+  ?jobs:int -> ?max_candidates:int -> ?scalar_criterion:bool -> Diophantine.t ->
+  int array list
 (** Hilbert basis (indecomposable solutions) of [A·y >= 0]. *)
 
 val decompose_eq :

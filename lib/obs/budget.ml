@@ -46,20 +46,3 @@ let () =
   Printexc.register_printer (function
     | Exceeded i -> Some ("Obs.Budget.Exceeded: " ^ describe i)
     | _ -> None)
-
-type deadline = { at_ns : int64; budget_s : float; source : string }
-
-let deadline_in ~source budget_s =
-  {
-    at_ns = Int64.add (Clock.now_ns ()) (Int64.of_float (budget_s *. 1e9));
-    budget_s;
-    source;
-  }
-
-let expired d = Int64.compare (Clock.now_ns ()) d.at_ns > 0
-
-let raise_if_expired ~consumed d =
-  if expired d then
-    raise
-      (exceeded ~source:d.source ~resource:"wall_s" ~limit:d.budget_s
-         ~consumed ())

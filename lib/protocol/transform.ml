@@ -19,8 +19,6 @@ let complement (p : Population.t) =
          (Array.mapi (fun x s -> (p.Population.input_vars.(x), s)) p.Population.input_map))
     ~output:(Array.map not p.Population.output)
 
-(* States populated by some reachable configuration: the closure of
-   input states and leader states under "both pre-states inside". *)
 let coverable_states (p : Population.t) =
   let d = Population.num_states p in
   let in_set = Array.make d false in

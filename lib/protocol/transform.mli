@@ -5,6 +5,14 @@ val complement : Population.t -> Population.t
     predicate (stable consensus for [b] becomes stable consensus for
     [not b]). *)
 
+val coverable_states : Population.t -> bool array
+(** [coverable_states p].(q) iff some configuration reachable from an
+    initial configuration populates [q]: the closure of the input and
+    leader states under "some transition with both pre-states inside
+    puts its post-states inside". For a leaderless protocol these are
+    the states coverable from large inputs, and Lemma 5.4
+    ({!Saturation.find}) applies iff every state is one. *)
+
 val restrict_to_coverable : Population.t -> Population.t
 (** Drop states no configuration reachable from an initial
     configuration ever populates (closure of the input states and

@@ -56,8 +56,10 @@ let run_trial backend p c0 ~population index rng =
       converged = r.Gillespie.converged;
     }
 
-let run_input ?(jobs = 1) ?(chunk = 1) ?(backend = uniform ()) ~seed ~trials
-    p v =
+(* trials per pool claim *)
+let chunk = 1
+
+let run_input ?(jobs = 1) ?(backend = uniform ()) ~seed ~trials p v =
   let c0 = Population.initial_config p v in
   if trials < 0 then invalid_arg "Ensemble.run_input: trials >= 0 required";
   let population = Mset.size c0 in

@@ -3,9 +3,9 @@
     Fans a batch of independent simulation trials across a fixed pool of
     OCaml 5 [Domain]s, with a deterministic seeding model: trial [i]
     always runs on the [i]-th {!Splitmix64.split} of a master generator
-    [Splitmix64.create seed]. Trials are handed to domains in chunks off
-    a shared atomic counter (work-stealing style self-scheduling, so
-    uneven trial lengths don't idle domains), and every per-trial record
+    [Splitmix64.create seed]. Trials are handed to domains one at a
+    time off a shared atomic counter (self-scheduling, so uneven trial
+    lengths don't idle domains), and every per-trial record
     is written back into slot [i] of the result array. Consequently the
     per-trial records — and every aggregate derived from them — are
     bit-identical regardless of [jobs] and of how the OS schedules the
@@ -49,7 +49,6 @@ type t = {
 
 val run_input :
   ?jobs:int ->
-  ?chunk:int ->
   ?backend:backend ->
   seed:int ->
   trials:int ->
@@ -58,14 +57,12 @@ val run_input :
   t
 (** [run_input ~jobs ~seed ~trials p v] executes [trials] independent
     simulations of [p] from [IC(v)] on [jobs] domains (default 1;
-    clamped to [max 1 (min jobs trials)]). [chunk] (default 1) is the
-    number of consecutive trial indices a domain claims per scheduling
-    round. [backend] defaults to [uniform ()].
+    clamped to [max 1 (min jobs trials)]), each claiming one trial at
+    a time. [backend] defaults to [uniform ()].
 
     [t.trials] is in index order, and trial [i] is identical to the
     same-index trial of any other batch with the same [seed], [p] and
-    [v] (per-index RNG streams), whatever [jobs], [chunk] and
-    [trials]. A trial that raises cancels the batch and the exception
+    [v] (per-index RNG streams), whatever [jobs] and [trials]. A trial that raises cancels the batch and the exception
     re-raises after every domain is joined ({!Pool.run}'s [`Fail]).
     @raise Invalid_argument when [trials < 0], or when [trials > 0] and
     the population [IC(v)] has fewer than 2 agents. *)

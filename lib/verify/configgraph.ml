@@ -51,9 +51,9 @@ let m_lazy = Obs.Metrics.counter "configgraph.lazy_explorations"
    transition order is what fixes the node numbering, so the multiset
    and the packed state give the same graph index for index under
    either traversal. [lookup] is the read-only probe the finished graph
-   keeps. [mask] sets the deadline period: the deadline is checked before
-   expanding a node whose index has those bits clear. [packed] counts the
-   exploration into [configgraph.packed_explorations]. *)
+   keeps. [mask] sets the progress period: a progress line is offered
+   before expanding a node whose index has those bits clear. [packed]
+   counts the exploration into [configgraph.packed_explorations]. *)
 type 'c state = {
   nodes : 'c Grow.t;
   intern : 'c -> int;
@@ -342,31 +342,20 @@ let lazy_sccs ~expand ~on_bottom =
 
 (* -- one exploration ------------------------------------------------------ *)
 
-let check_deadline deadline ~configs ~edges =
-  match deadline with
-  | None -> ()
-  | Some d ->
-    Obs.Budget.raise_if_expired
-      ~consumed:
-        [ ("configs", float_of_int configs); ("edges", float_of_int edges) ]
-      d
-
 (* Builds the state, interns [c0] as node 0 and runs [drive] on it inside
-   the span [name]. [step] is the traversals' [expand]: it adds the deadline
-   check and the progress line every [mask + 1] nodes, and counts edges.
-   The metrics are published even when the budget or the deadline aborts
-   the exploration, so an over-budget run still reports how far it got. *)
-let run ~name ~lazy_ ~make ?(max_configs = 2_000_000) ?deadline p c0 drive =
+   the span [name]. [step] is the traversals' [expand]: it adds the
+   progress line every [mask + 1] nodes, and counts edges. The metrics
+   are published even when the node budget aborts the exploration, so
+   an over-budget run still reports how far it got. *)
+let run ~name ~lazy_ ~make ?(max_configs = 2_000_000) p c0 drive =
   let st = make ~max_configs p in
   let edges = ref 0 in
   let progress = Obs.Progress.create name in
   let step v =
-    if v land st.mask = 0 then begin
-      check_deadline deadline ~configs:st.nodes.Grow.len ~edges:!edges;
+    if v land st.mask = 0 then
       Obs.Progress.tick progress (fun () ->
           Printf.sprintf "%d configs discovered, %d expanded, %d edges"
-            st.nodes.Grow.len v !edges)
-    end;
+            st.nodes.Grow.len v !edges);
     let ss = st.expand v in
     edges := !edges + Array.length ss;
     ss
@@ -391,26 +380,26 @@ let run ~name ~lazy_ ~make ?(max_configs = 2_000_000) ?deadline p c0 drive =
           r))
 
 (* The whole graph: the final state and every node's successors. *)
-let eager ~make ?max_configs ?deadline p c0 =
-  run ~name:"configgraph.explore" ~lazy_:false ~make ?max_configs ?deadline p
-    c0 (fun st step -> (st, bfs st ~step))
+let eager ~make ?max_configs p c0 =
+  run ~name:"configgraph.explore" ~lazy_:false ~make ?max_configs p c0
+    (fun st step -> (st, bfs st ~step))
 
-let sccs ~make ?max_configs ?deadline p c0 ~on_bottom =
-  run ~name:"configgraph.explore_sccs" ~lazy_:true ~make ?max_configs ?deadline
-    p c0 (fun st step ->
+let sccs ~make ?max_configs p c0 ~on_bottom =
+  run ~name:"configgraph.explore_sccs" ~lazy_:true ~make ?max_configs p c0
+    (fun st step ->
       lazy_sccs ~expand:step ~on_bottom:(fun members ->
           on_bottom (List.map (Grow.get st.nodes) members)))
 
 (* -- multiset graphs ------------------------------------------------------ *)
 
-let explore ?max_configs ?deadline p c0 =
-  let st, succ = eager ~make:multiset_state ?max_configs ?deadline p c0 in
+let explore ?max_configs p c0 =
+  let st, succ = eager ~make:multiset_state ?max_configs p c0 in
   (* the interning table survives as the O(1) lookup index *)
   let configs = Grow.to_array st.nodes in
   { protocol = p; configs; succ; root = 0; lookup = st.lookup }
 
-let explore_sccs ?max_configs ?deadline p c0 ~on_bottom =
-  sccs ~make:multiset_state ?max_configs ?deadline p c0 ~on_bottom
+let explore_sccs ?max_configs p c0 ~on_bottom =
+  sccs ~make:multiset_state ?max_configs p c0 ~on_bottom
 
 let num_configs g = Array.length g.configs
 let find (g : t) c = g.lookup c
@@ -476,15 +465,13 @@ module Packed = struct
   let find (g : graph) c = g.lookup c
   let config g i = Mset.unpack ~dim:(Population.num_states g.protocol) g.configs.(i)
 
-  let explore ?max_configs ?deadline p c0 =
+  let explore ?max_configs p c0 =
     require "explore" p c0;
-    let st, succ =
-      eager ~make:packed_state ?max_configs ?deadline p (Mset.pack c0)
-    in
+    let st, succ = eager ~make:packed_state ?max_configs p (Mset.pack c0) in
     let configs = Grow.to_array st.nodes in
     { protocol = p; configs; succ; root = 0; lookup = st.lookup }
 
-  let explore_sccs ?max_configs ?deadline p c0 ~on_bottom =
+  let explore_sccs ?max_configs p c0 ~on_bottom =
     require "explore_sccs" p c0;
-    sccs ~make:packed_state ?max_configs ?deadline p (Mset.pack c0) ~on_bottom
+    sccs ~make:packed_state ?max_configs p (Mset.pack c0) ~on_bottom
 end

@@ -30,18 +30,14 @@ exception Too_many_configs of int
     budget; the [configgraph.*] counters still record the nodes and
     edges explored up to the abort. *)
 
-val explore :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t -> Mset.t -> t
+val explore : ?max_configs:int -> Population.t -> Mset.t -> t
 (** [explore p c0] builds the graph of configurations reachable from
     [c0]. Default budget: 2_000_000 nodes.
-    @raise Too_many_configs if the node budget is exceeded.
-    @raise Obs.Budget.Exceeded if [deadline] expires mid-exploration
-    (checked every 256 nodes); the exception reports the configs/edges
-    consumed so far. *)
+    @raise Too_many_configs if the node budget is exceeded. *)
 
 val explore_sccs :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t ->
-  Mset.t -> on_bottom:(Mset.t list -> [ `Continue | `Stop ]) -> int
+  ?max_configs:int -> Population.t -> Mset.t ->
+  on_bottom:(Mset.t list -> [ `Continue | `Stop ]) -> int
 (** Incremental exploration with on-the-fly (Tarjan) SCC detection:
     nodes are discovered by DFS and a strongly connected component is
     complete — and, if no edge leaves it, reported to [on_bottom] with
@@ -50,8 +46,8 @@ val explore_sccs :
     abandons the exploration immediately; this is how
     {!Fair_semantics.decide} stops at the first decisive bottom SCC
     instead of materialising the whole graph. Returns the number of
-    SCCs detected before finishing (or stopping). Same budget/deadline
-    behaviour as {!explore}; node numbering is DFS discovery order, not
+    SCCs detected before finishing (or stopping). Same budget as
+    {!explore}; node numbering is DFS discovery order, not
     {!explore}'s BFS order. *)
 
 val num_configs : t -> int
@@ -94,16 +90,13 @@ module Packed : sig
 
   val applicable : Population.t -> Mset.t -> bool
 
-  val explore :
-    ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t ->
-    Mset.t -> graph
-  (** @raise Too_many_configs and @raise Obs.Budget.Exceeded as
-      {!val:explore} (deadline checked every 1024 nodes).
+  val explore : ?max_configs:int -> Population.t -> Mset.t -> graph
+  (** @raise Too_many_configs as {!val:explore}.
       @raise Invalid_argument when not {!applicable}. *)
 
   val explore_sccs :
-    ?max_configs:int -> ?deadline:Obs.Budget.deadline -> Population.t ->
-    Mset.t -> on_bottom:(int list -> [ `Continue | `Stop ]) -> int
+    ?max_configs:int -> Population.t -> Mset.t ->
+    on_bottom:(int list -> [ `Continue | `Stop ]) -> int
   (** As {!val:explore_sccs}, on packed configurations — [on_bottom]
       receives the bottom component's members as packed ints. *)
 

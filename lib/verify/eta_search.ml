@@ -39,15 +39,9 @@ let sweep inputs decide =
     invalid_arg "Eta_search.sweep: no valid inputs below the cutoff";
   go None inputs
 
-let find ?max_configs ?wall_budget_s ?(jobs = 1)
-    ?(stable = `Off) p ~max_input =
+let find ?max_configs ?(jobs = 1) ?(stable = `Off) p ~max_input =
   if Array.length p.Population.input_vars <> 1 then
     invalid_arg "Eta_search.find: single-input protocols only";
-  (* one deadline spans the whole scan, not one per input: the budget
-     bounds the total time spent on this protocol *)
-  let deadline =
-    Option.map (Obs.Budget.deadline_in ~source:"eta_search.find") wall_budget_s
-  in
   (* Stable-set shortcut: the analysis is a property of the protocol,
      not of the input, so [`Memo] pays for the two backward fixpoints
      once and answers every subsequent input from the cache; the
@@ -80,7 +74,7 @@ let find ?max_configs ?wall_budget_s ?(jobs = 1)
       Obs.Metrics.incr m_stable_hits;
       verdict
     | None ->
-      Fair_semantics.decide_config ?max_configs ?deadline p c0
+      Fair_semantics.decide_config ?max_configs p c0
   in
   let inputs = Fair_semantics.valid_inputs_single p ~max:max_input in
   let total = List.length inputs in

@@ -16,9 +16,8 @@ type result =
       (** some input breaks the 0*1* threshold pattern, or is undecided *)
 
 val find :
-  ?max_configs:int -> ?wall_budget_s:float -> ?jobs:int ->
-  ?stable:[ `Off | `Per_input | `Memo ] -> Population.t ->
-  max_input:int -> result
+  ?max_configs:int -> ?jobs:int -> ?stable:[ `Off | `Per_input | `Memo ] ->
+  Population.t -> max_input:int -> result
 (** [find p ~max_input] decides every valid input [<= max_input] of a
     single-input-variable protocol with {!Fair_semantics.decide_config},
     where {!Configgraph.Packed.applicable} alone picks the
@@ -27,10 +26,7 @@ val find :
     consensus-free bottom component. The busy-beaver census does not
     call it: it reads the same verdicts from per-assignment
     {!Fair_semantics.summary} values, and the tests compare the two.
-    [?wall_budget_s] bounds the {e total} wall-clock time spent on
-    this protocol (one deadline spans all its configuration-graph
-    explorations); note a wall budget makes aborts machine-dependent, so
-    leave it off when byte-identical reruns matter.
+    [?max_configs] is the node budget of each input's exploration.
 
     [?stable] (default [`Off]) consults the stable sets of Definition 2
     before exploring: when [IC(i) ∈ SC_b] the input is decided [b]
@@ -42,7 +38,8 @@ val find :
     parallelises the analysis' backward fixpoints. The result is
     identical for every [stable]/[jobs] setting.
     @raise Invalid_argument if the protocol has several input variables.
-    @raise Obs.Budget.Exceeded when the wall budget expires. *)
+    @raise Configgraph.Too_many_configs when an exploration exceeds
+    [max_configs]. *)
 
 val sweep : int list -> (int -> Fair_semantics.verdict) -> result
 (** [sweep inputs decide] is the threshold pattern [0*1*] read over

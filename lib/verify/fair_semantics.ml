@@ -112,14 +112,14 @@ let decide_with explore_sccs consensus =
   publish ~sccs ~bottoms:(List.length !seen);
   canonical_verdict Fun.id !seen
 
-let decide_config ?max_configs ?deadline p c0 =
+let decide_config ?max_configs p c0 =
   Obs.Trace.with_span "fair_semantics.decide" ~cat:"verify"
     ~args:[ ("protocol", p.Population.name) ]
     (fun () ->
       if Configgraph.Packed.applicable p c0 then
         let output = output_mask p in
         decide_with
-          (Configgraph.Packed.explore_sccs ?max_configs ?deadline p c0)
+          (Configgraph.Packed.explore_sccs ?max_configs p c0)
           (fun members ->
             consensus_of_union ~output
               (List.fold_left
@@ -127,20 +127,20 @@ let decide_config ?max_configs ?deadline p c0 =
                  0 members))
       else
         decide_with
-          (Configgraph.explore_sccs ?max_configs ?deadline p c0)
+          (Configgraph.explore_sccs ?max_configs p c0)
           (component_output ~output_of_node:(Population.output_of_config p)))
 
 type summary = { bottoms : int list; reached : int list }
 
-let summarise ?max_configs ?deadline p c0 =
+let summarise ?max_configs p c0 =
   let num_states = Population.num_states p in
   let succ, support =
     if Configgraph.Packed.applicable p c0 then
-      let g = Configgraph.Packed.explore ?max_configs ?deadline p c0 in
+      let g = Configgraph.Packed.explore ?max_configs p c0 in
       let configs = g.Configgraph.Packed.configs in
       (g.Configgraph.Packed.succ, fun v -> packed_support configs.(v))
     else if num_states < Sys.int_size then
-      let g = Configgraph.explore ?max_configs ?deadline p c0 in
+      let g = Configgraph.explore ?max_configs p c0 in
       let configs = g.Configgraph.configs in
       (g.Configgraph.succ, fun v -> mset_support ~num_states configs.(v))
     else invalid_arg "Fair_semantics.summarise: too many states for a support mask"
@@ -169,8 +169,8 @@ let summarise ?max_configs ?deadline p c0 =
   in
   { bottoms = List.sort_uniq Int.compare (List.map union bottom); reached }
 
-let decide ?max_configs ?deadline p v =
-  decide_config ?max_configs ?deadline p (Population.initial_config p v)
+let decide ?max_configs p v =
+  decide_config ?max_configs p (Population.initial_config p v)
 
 type check_result =
   | Ok_all of int

@@ -12,9 +12,7 @@ type verdict =
   | No_consensus            (** some reachable bottom SCC is not a uniform consensus *)
   | Conflicting             (** uniform bottom SCCs with different outputs *)
 
-val decide_config :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline ->
-  Population.t -> Mset.t -> verdict
+val decide_config : ?max_configs:int -> Population.t -> Mset.t -> verdict
 (** Verdict for a concrete initial configuration.
     {!Configgraph.Packed.applicable} alone picks the representation:
     when the instance fits, the graph is explored on immediate ints —
@@ -32,8 +30,7 @@ val decide_config :
     it does not depend on the order the components are popped; only the
     [fair.sccs]/[fair.bottom_sccs] counters reflect how much of the
     graph the early stop skipped.
-    @raise Configgraph.Too_many_configs if the graph exceeds the budget.
-    @raise Obs.Budget.Exceeded if [deadline] expires mid-exploration. *)
+    @raise Configgraph.Too_many_configs if the graph exceeds the budget. *)
 
 (** {2 Support summaries}
 
@@ -52,16 +49,13 @@ type summary = {
           ascending *)
 }
 
-val summarise :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline ->
-  Population.t -> Mset.t -> summary
+val summarise : ?max_configs:int -> Population.t -> Mset.t -> summary
 (** [summarise p c0] explores the graph reachable from [c0] once
     (breadth-first, packed when {!Configgraph.Packed.applicable}) and
     keeps only its summary; the protocol's own output map plays no
     part. It counts one [fair.decisions] for the graph, like
     {!decide_config}, and all of its SCCs in [fair.sccs].
     @raise Configgraph.Too_many_configs if the graph exceeds the budget.
-    @raise Obs.Budget.Exceeded if [deadline] expires mid-exploration.
     @raise Invalid_argument when a multiset graph has more states than
     an int has bits. *)
 
@@ -79,9 +73,7 @@ val verdict_of_unions : output:int -> int list -> verdict
     @raise Assert_failure on an empty list (a graph always has a
     bottom SCC). *)
 
-val decide :
-  ?max_configs:int -> ?deadline:Obs.Budget.deadline ->
-  Population.t -> int array -> verdict
+val decide : ?max_configs:int -> Population.t -> int array -> verdict
 (** Verdict for input [v] (starting from [IC(v)]). *)
 
 type check_result =

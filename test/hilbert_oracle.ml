@@ -46,7 +46,10 @@ type extension =
   | Dominated of int array
   | Live of int array * int array
 
-let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
+(* frontier vectors per pool task, as in [Hilbert_basis] *)
+let chunk = 16
+
+let solve_eq ?(jobs = 1) ?(max_candidates = 5_000_000)
     ?(scalar_criterion = true) sys =
   let v = sys.Diophantine.num_vars in
   let columns =
@@ -103,7 +106,7 @@ let solve_eq ?(jobs = 1) ?(chunk = 16) ?(max_candidates = 5_000_000)
      domination set the workers read is the same one the sequential
      path uses, and every counter, the frontier order, the
      seen-duplicate classification and the budget trip point are
-     byte-identical for any [jobs]/[chunk]. *)
+     byte-identical for any [jobs]. *)
   let tasks = ref [||] in
   let slots = ref [||] in
   let pending = ref false in

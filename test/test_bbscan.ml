@@ -567,25 +567,41 @@ let test_split_assignments () =
           ("chunk 3", fun () -> Busy_beaver.scan ~n:2 ~chunk:3 ());
         ])
 
-(* A zero wall budget aborts every assignment's first exploration, so
-   every code with an output-1 state is unknown; the abort counter
-   weighs each canonical code by its orbit, like num_aborted. *)
-let test_eta_budget_aborts () =
+(* A one-configuration budget admits only graphs whose initial
+   configuration is a sink, i.e. assignments with (0, 0) -> (0, 0): a
+   sixth of the codes, deciding every input by state 0's output. The
+   other codes abort unless their output map is all 0 (reject-all
+   without exploring). The abort counter weighs each canonical code by
+   its orbit, like num_aborted, and a node budget, unlike a wall-clock
+   one, aborts the same codes at any jobs. *)
+let test_node_budget_aborts () =
   let m_aborted = Obs.Metrics.counter "bbsearch.config_budget_aborts" in
   let was = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
-  let before = Obs.Metrics.value m_aborted in
-  let r =
+  let run jobs =
+    let before = Obs.Metrics.value m_aborted in
+    let r = Busy_beaver.scan ~n:3 ~max_configs:1 ~jobs () in
+    (r, Obs.Metrics.value m_aborted - before)
+  in
+  let (r, counted), (r2, counted2) =
     Fun.protect
       ~finally:(fun () -> Obs.Metrics.set_enabled was)
-      (fun () -> Busy_beaver.scan ~n:3 ~eta_budget_s:0.0 ())
+      (fun () ->
+        let one = run 1 in
+        (one, run 2))
   in
-  Alcotest.(check int) "aborted" 326_592 r.Busy_beaver.num_aborted;
+  Alcotest.(check int) "aborted" 272_160 r.Busy_beaver.num_aborted;
   Alcotest.(check int) "counter = num_aborted" r.Busy_beaver.num_aborted
-    (Obs.Metrics.value m_aborted - before);
-  Alcotest.(check int) "reject-all (output map 0)" 46_656
-    r.Busy_beaver.num_reject_all;
-  Alcotest.(check int) "threshold" 0 r.Busy_beaver.num_threshold
+    counted;
+  Alcotest.(check int) "reject-all" 69_984 r.Busy_beaver.num_reject_all;
+  Alcotest.(check int) "threshold (eta = 2)" 31_104 r.Busy_beaver.num_threshold;
+  Alcotest.(check (list (pair int int))) "histogram" [ (2, 31_104) ]
+    r.Busy_beaver.histogram;
+  Alcotest.(check bool) "jobs 2: identical result" true (result_eq r r2);
+  Alcotest.(check int) "jobs 2: aborted" r.Busy_beaver.num_aborted
+    r2.Busy_beaver.num_aborted;
+  Alcotest.(check int) "jobs 2: counter = num_aborted"
+    r2.Busy_beaver.num_aborted counted2
 
 (* -- Checkpoint/resume: kill at a random chunk, resume, compare ------------- *)
 
@@ -683,8 +699,8 @@ let () =
           summaries_match_find_prop ~n:4 ~count:15;
           Alcotest.test_case "assignments split across chunks" `Quick
             test_split_assignments;
-          Alcotest.test_case "zero eta budget aborts every code" `Quick
-            test_eta_budget_aborts;
+          Alcotest.test_case "node budget aborts the same codes at any jobs"
+            `Quick test_node_budget_aborts;
         ] );
       ("checkpoint", [ checkpoint_resume_prop ]);
     ]

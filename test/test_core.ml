@@ -60,8 +60,8 @@ let test_saturation_dead_state () =
   in
   match Saturation.find p with
   | Error msg ->
-    Alcotest.(check bool) "mentions dead state" true
-      (String.length msg > 0)
+    Alcotest.(check string) "names the dead state" "states not coverable: dead"
+      msg
   | Ok _ -> Alcotest.fail "dead state saturated"
 
 let test_saturation_scaling () =
@@ -77,8 +77,8 @@ let test_saturation_scaling () =
 
 let test_coverable_support () =
   let p = Flock.succinct 3 in
-  Alcotest.(check int) "all states coverable" (Population.num_states p)
-    (List.length (Saturation.coverable_support p))
+  Alcotest.(check bool) "all states coverable" true
+    (Array.for_all Fun.id (Transform.coverable_states p))
 
 (* -- Potential ---------------------------------------------------------------- *)
 

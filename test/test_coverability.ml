@@ -414,6 +414,30 @@ let test_km_budget () =
        Alcotest.(check bool) "partial clover non-empty" true (vs <> [])
      | _ -> Alcotest.fail "expected Partial_clover in the budget exception")
 
+(* the parametric tree trips its node budget under its own name, and
+   what it had found under-approximates the full parametric clover *)
+let test_km_parametric_budget () =
+  let p = Flock.succinct 3 in
+  let full = Karp_miller.clover_parametric p in
+  match Karp_miller.clover_parametric ~max_nodes:3 p with
+  | _ -> Alcotest.fail "budget of 3 nodes not enforced"
+  | exception Obs.Budget.Exceeded info ->
+    Alcotest.(check string) "source" "karp_miller.clover_parametric"
+      info.Obs.Budget.source;
+    Alcotest.(check string) "resource" "nodes" info.Obs.Budget.resource;
+    Alcotest.(check (list string)) "consumed" [ "nodes"; "accelerations" ]
+      (List.map fst info.Obs.Budget.consumed);
+    Alcotest.(check (float 0.0)) "nodes past the limit" 4.0
+      (List.assoc "nodes" info.Obs.Budget.consumed);
+    (match info.Obs.Budget.partial with
+     | Karp_miller.Partial_clover vs ->
+       Alcotest.(check bool) "partial clover non-empty" true (vs <> []);
+       Alcotest.(check bool) "partial clover below the full one" true
+         (List.for_all
+            (fun v -> List.exists (fun u -> Omega_vec.leq v u) full)
+            vs)
+     | _ -> Alcotest.fail "expected Partial_clover in the budget exception")
+
 let () =
   Alcotest.run "coverability"
     [
@@ -454,6 +478,7 @@ let () =
           Alcotest.test_case "parametric clover" `Quick test_km_parametric;
           Alcotest.test_case "parametric dead state" `Quick test_km_parametric_dead_state;
           Alcotest.test_case "budget" `Quick test_km_budget;
+          Alcotest.test_case "parametric budget" `Quick test_km_parametric_budget;
           km_vs_backward_prop;
         ] );
       ( "stable-sets",

@@ -935,6 +935,34 @@ let test_outside_counts_are_errors () =
     Alcotest.(check bool) "the last chunk scans" true
       (Busy_beaver.scan_chunk plan (chunks - 1) <> Obs.Json.Null)
 
+(* [plan_config] of [plan] with [member] added *)
+let config_with plan member value =
+  match Busy_beaver.plan_config plan with
+  | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ (member, value) ])
+  | _ -> Alcotest.fail "plan_config is not an object"
+
+(* an older build's configuration with a wall-clock budget would run
+   unbudgeted here, so it is refused; its "no budget" [null] is the
+   plan it always was *)
+let test_plan_refuses_wall_budget () =
+  let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
+  (match
+     Busy_beaver.plan_of_config
+       (config_with plan "eta_budget_s" (Obs.Json.Float 5.0))
+   with
+  | Error e ->
+    Alcotest.(check bool) ("the error names eta_budget_s: " ^ e) true
+      (contains e "eta_budget_s")
+  | Ok _ -> Alcotest.fail "a 5 s wall-clock budget was accepted");
+  match
+    Busy_beaver.plan_of_config (config_with plan "eta_budget_s" Obs.Json.Null)
+  with
+  | Error e -> Alcotest.failf "a null eta_budget_s was refused: %s" e
+  | Ok p ->
+    Alcotest.(check string) "the same plan"
+      (Obs.Json.to_string (Busy_beaver.plan_config plan))
+      (Obs.Json.to_string (Busy_beaver.plan_config p))
+
 let test_mismatch_diff () =
   let expected =
     Obs.Json.Obj [ ("n", Obs.Json.Int 3); ("chunk", Obs.Json.Int 16) ]
@@ -948,51 +976,59 @@ let test_mismatch_diff () =
   let msg = Obs.Checkpoint.mismatch_message ~path:"x.ckpt" diff in
   Alcotest.(check bool) "message shows both values" true
     (contains msg "run has 3" && contains msg "snapshot has 2");
-  (* A ledger from before the "packed" field left the scan fingerprint:
+  (* Ledgers from before the "packed" and "eta_budget_s" members left
+     the scan fingerprint (an older build wrote each after [after]):
      every plan hashes differently now, so both the local scan and the
-     coordinator must refuse it with a diff naming that field, never
-     resume it silently. *)
+     coordinator must refuse them with a diff naming that member, never
+     resume them silently. *)
   let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
-  let old_config =
+  let old_config ~after member value =
     match Busy_beaver.plan_config plan with
     | Obs.Json.Obj fields ->
       Obs.Json.Obj
         (List.concat_map
            (fun (k, v) ->
-             if k = "prune" then [ (k, v); ("packed", Obs.Json.Bool true) ]
-             else [ (k, v) ])
+             if k = after then [ (k, v); (member, value) ] else [ (k, v) ])
            fields)
     | _ -> Alcotest.fail "plan_config is not an object"
   in
-  let path = Filename.temp_file "oldledger" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Obs.Checkpoint.save ~path
-        (Obs.Checkpoint.create ~config:old_config
-           ~total_chunks:(Busy_beaver.plan_chunks plan));
-      List.iter
-        (fun (who, resume_from) ->
-          match resume_from () with
-          | () -> Alcotest.failf "%s resumed a ledger with \"packed\"" who
-          | exception Obs.Checkpoint.Mismatch { diff; _ } ->
-            Alcotest.(check (list string)) (who ^ ": the diff names packed")
-              [ "packed" ]
-              (List.map (fun d -> d.Obs.Checkpoint.field) diff);
-            Alcotest.(check (option string)) (who ^ ": the run has no packed")
-              None (List.hd diff).Obs.Checkpoint.expected)
-        [
-          ( "Busy_beaver.scan",
-            fun () ->
-              ignore
-                (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2 ~checkpoint:path
-                   ~resume:true ()) );
-          ( "Distributed_scan.coordinate",
-            fun () ->
-              ignore
-                (Distributed_scan.coordinate ~workers:1 ~checkpoint:path
-                   ~resume:true ~plan ()) );
-        ])
+  List.iter
+    (fun (after, member, value) ->
+      let path = Filename.temp_file "oldledger" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Obs.Checkpoint.save ~path
+            (Obs.Checkpoint.create ~config:(old_config ~after member value)
+               ~total_chunks:(Busy_beaver.plan_chunks plan));
+          List.iter
+            (fun (who, resume_from) ->
+              match resume_from () with
+              | () -> Alcotest.failf "%s resumed a ledger with %S" who member
+              | exception Obs.Checkpoint.Mismatch { diff; _ } ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "%s: the diff names %s" who member)
+                  [ member ]
+                  (List.map (fun d -> d.Obs.Checkpoint.field) diff);
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s: the run has no %s" who member)
+                  None (List.hd diff).Obs.Checkpoint.expected)
+            [
+              ( "Busy_beaver.scan",
+                fun () ->
+                  ignore
+                    (Busy_beaver.scan ~chunk:8 ~max_input:8 ~n:2
+                       ~checkpoint:path ~resume:true ()) );
+              ( "Distributed_scan.coordinate",
+                fun () ->
+                  ignore
+                    (Distributed_scan.coordinate ~workers:1 ~checkpoint:path
+                       ~resume:true ~plan ()) );
+            ]))
+    [
+      ("prune", "packed", Obs.Json.Bool true);
+      ("max_configs", "eta_budget_s", Obs.Json.Null);
+    ]
 
 (* -- Simulated distributed scan: kill a random worker at a random chunk ----- *)
 
@@ -1635,6 +1671,9 @@ let test_refused_welcome_is_final () =
       ( "wrong chunk count",
         welcome (Busy_beaver.plan_config plan) 7,
         "7 chunks" );
+      ( "wall-clock budget",
+        welcome (config_with plan "eta_budget_s" (Obs.Json.Float 5.0)) 1,
+        "eta_budget_s" );
     ]
 
 (* Session 1 computes chunk 0 of one scan and fails on a worker-bound
@@ -1856,6 +1895,8 @@ let () =
             test_checkpoint_v1_refused;
           Alcotest.test_case "mismatch diff names the field" `Quick
             test_mismatch_diff;
+          Alcotest.test_case "plan_of_config refuses a wall-clock budget"
+            `Quick test_plan_refuses_wall_budget;
           Alcotest.test_case "outside counts are errors, not crashes" `Quick
             test_outside_counts_are_errors;
         ]

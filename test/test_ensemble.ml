@@ -1,7 +1,7 @@
 (* The multicore Monte-Carlo ensemble engine: determinism across domain
-   counts and chunk sizes, prefix-stability of per-trial records, Stats
-   laws on generated data, and a differential test of ensemble majority
-   verdicts against the exact fair semantics on the protocols/ corpus. *)
+   counts, prefix-stability of per-trial records, Stats laws on
+   generated data, and a differential test of ensemble majority verdicts
+   against the exact fair semantics on the protocols/ corpus. *)
 
 let prop name ?(count = 100) arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
@@ -18,8 +18,8 @@ let trials_eq a b =
 
 (* -- determinism across the domain pool ----------------------------------- *)
 
-let ensemble_of ?(jobs = 1) ?chunk ?backend ~seed ~trials () =
-  Ensemble.run_input ?chunk ?backend ~jobs ~seed ~trials (Flock.succinct 2) [| 12 |]
+let ensemble_of ?(jobs = 1) ?backend ~seed ~trials () =
+  Ensemble.run_input ?backend ~jobs ~seed ~trials (Flock.succinct 2) [| 12 |]
 
 let jobs_invariance_prop backend_name backend =
   prop
@@ -34,16 +34,18 @@ let jobs_invariance_prop backend_name backend =
           && Ensemble.summary reference = Ensemble.summary e)
         [ 2; 4 ])
 
-let chunk_invariance_prop =
-  prop "aggregate independent of chunk size" ~count:8
+(* 11 trials split unevenly over 3 domains, one per domain at 11, and
+   16 domains are clamped to 11 *)
+let domain_split_prop =
+  prop "aggregate independent of jobs, even past the trial count" ~count:8
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let reference = ensemble_of ~jobs:2 ~chunk:1 ~seed ~trials:11 () in
+      let reference = ensemble_of ~jobs:1 ~seed ~trials:11 () in
       List.for_all
-        (fun chunk ->
-          let e = ensemble_of ~jobs:2 ~chunk ~seed ~trials:11 () in
+        (fun jobs ->
+          let e = ensemble_of ~jobs ~seed ~trials:11 () in
           trials_eq reference.Ensemble.trials e.Ensemble.trials)
-        [ 3; 8; 100 ])
+        [ 3; 11; 16 ])
 
 (* trial i's record depends only on (seed, i) — never on the batch size,
    so a longer batch extends a shorter one without rewriting history *)
@@ -174,7 +176,7 @@ let () =
           jobs_invariance_prop "uniform" (Ensemble.uniform ());
           jobs_invariance_prop "gillespie"
             (Ensemble.gillespie ~max_steps:500_000 ());
-          chunk_invariance_prop;
+          domain_split_prop;
           prefix_stability_prop;
           Alcotest.test_case "rng_for_trial replays a trial" `Quick
             test_rng_for_trial;

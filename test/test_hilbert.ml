@@ -213,8 +213,8 @@ let geq_generation_prop =
 (* [Hilbert_oracle.solve_eq] is the completion before the (coordinate,
    value) domination index and the full-vector duplicate table: the
    basis, every [hilbert.*] counter and a budget trip's payload must be
-   equal at the same [chunk] (the pool's [hilbert.chunks] counts
-   rounds' chunks). Per-domain chunk counts ([hilbert.domainN.chunks])
+   equal (both complete in chunks of 16, and the pool's
+   [hilbert.chunks] counts rounds' chunks). Per-domain chunk counts ([hilbert.domainN.chunks])
    depend on scheduling, so they are left out. *)
 type run = {
   outcome : (int array list, int array list * (string * float) list) result;
@@ -250,14 +250,12 @@ let observe solve =
 
 let same_as_oracle ?(jobs = [ 1 ]) ?scalar_criterion ~max_candidates s =
   let reference =
-    observe (fun () ->
-        Hilbert_oracle.solve_eq ~chunk:2 ?scalar_criterion ~max_candidates s)
+    observe (fun () -> Hilbert_oracle.solve_eq ?scalar_criterion ~max_candidates s)
   in
   List.for_all
     (fun jobs ->
       observe (fun () ->
-          Hilbert_basis.solve_eq ~jobs ~chunk:2 ?scalar_criterion
-            ~max_candidates s)
+          Hilbert_basis.solve_eq ~jobs ?scalar_criterion ~max_candidates s)
       = reference)
     jobs
 

@@ -2,8 +2,8 @@
    backward fixpoint, the Hilbert completion and the lazy SCC
    exploration must be bit-for-bit indistinguishable from their
    sequential reference versions — same bases, same verdicts, same
-   counters, same budget-exceeded payloads — for every jobs/chunk
-   setting. Counters are the oracle: wall-clock is machine-dependent,
+   counters, same budget-exceeded payloads — for every jobs setting.
+   Counters are the oracle: wall-clock is machine-dependent,
    the work done is not. *)
 
 let prop name ?(count = 60) arb f =
@@ -27,11 +27,12 @@ let load_corpus name =
   | Ok p -> Population.complete p
   | Error e -> Alcotest.failf "%s: %s" name e
 
-(* The jobs x chunk matrix of the differential harness. jobs beyond the
-   core count is deliberate: oversubscription must not change results
-   either. *)
+(* The jobs matrix of the differential harness. jobs beyond the core
+   count is deliberate: oversubscription must not change results
+   either. flock8 and flock-succinct-3 have rounds of 9 backward and 27
+   Hilbert chunks, so every jobs value meets a round with more chunks
+   than domains. *)
 let jobs_matrix = [ 1; 2; 4; 8 ]
-let chunk_matrix = [ 1; 16 ]
 
 let counter_of snap name =
   match List.assoc_opt name snap with
@@ -75,20 +76,14 @@ let test_backward_matrix () =
           in
           List.iter
             (fun jobs ->
-              List.iter
-                (fun chunk ->
-                  let a, cs =
-                    counters_during backward_counters (fun () ->
-                        Stable_sets.analyse ~jobs ~chunk p)
-                  in
-                  if not (analyses_equal a reference) then
-                    Alcotest.failf "%s: bases differ at jobs=%d chunk=%d" name
-                      jobs chunk;
-                  if cs <> ref_counters then
-                    Alcotest.failf
-                      "%s: work counters differ at jobs=%d chunk=%d" name jobs
-                      chunk)
-                chunk_matrix)
+              let a, cs =
+                counters_during backward_counters (fun () ->
+                    Stable_sets.analyse ~jobs p)
+              in
+              if not (analyses_equal a reference) then
+                Alcotest.failf "%s: bases differ at jobs=%d" name jobs;
+              if cs <> ref_counters then
+                Alcotest.failf "%s: work counters differ at jobs=%d" name jobs)
             jobs_matrix)
         protocols)
 
@@ -124,20 +119,14 @@ let test_hilbert_matrix () =
           in
           List.iter
             (fun jobs ->
-              List.iter
-                (fun chunk ->
-                  let b, cs =
-                    counters_during hilbert_counters (fun () ->
-                        Potential.basis ~jobs ~chunk p)
-                  in
-                  if b <> reference then
-                    Alcotest.failf "%s: basis differs at jobs=%d chunk=%d" name
-                      jobs chunk;
-                  if cs <> ref_counters then
-                    Alcotest.failf
-                      "%s: work counters differ at jobs=%d chunk=%d" name jobs
-                      chunk)
-                chunk_matrix)
+              let b, cs =
+                counters_during hilbert_counters (fun () ->
+                    Potential.basis ~jobs p)
+              in
+              if b <> reference then
+                Alcotest.failf "%s: basis differs at jobs=%d" name jobs;
+              if cs <> ref_counters then
+                Alcotest.failf "%s: work counters differ at jobs=%d" name jobs)
             jobs_matrix)
         protocols)
 
@@ -225,7 +214,7 @@ let stable_base_minimal_prop =
       in
       antichain a.Stable_sets.stable0
       && antichain a.Stable_sets.stable1
-      && analyses_equal a (Stable_sets.analyse ~jobs:3 ~chunk:1 p))
+      && analyses_equal a (Stable_sets.analyse ~jobs:3 p))
 
 let stable_closed_under_steps_prop =
   prop "b-stable configurations have output b and only b-stable successors"
@@ -385,10 +374,10 @@ let () =
   Alcotest.run "parallel_verify"
     [
       ( "backward",
-        [ Alcotest.test_case "jobs x chunk matrix: identical bases and counters"
+        [ Alcotest.test_case "jobs matrix: identical bases and counters"
             `Quick test_backward_matrix ] );
       ( "hilbert",
-        [ Alcotest.test_case "jobs x chunk matrix: identical bases and counters"
+        [ Alcotest.test_case "jobs matrix: identical bases and counters"
             `Quick test_hilbert_matrix ] );
       ( "lazy_scc",
         [ Alcotest.test_case "lazy = eager = packed verdicts on the corpus"
