@@ -771,7 +771,7 @@ let e15 () =
 (* ------------------------------------------------------------------ E16 *)
 
 (* The cost of the observability stack itself: the same scan bare, with
-   the structured event log + sampling profiler (the low-overhead pair
+   the structured event log + exact profile (the low-overhead pair
    meant to stay on for long runs — the <5% acceptance number), and
    with the trace sink added on top (which writes one JSON line per
    span, so its cost scales with span count and dominates). Aggregates
@@ -802,12 +802,12 @@ let e16 () =
   let trace_f = Filename.temp_file "ppbench-e16" ".trace.json" in
   let profile_f = Filename.temp_file "ppbench-e16" ".folded" in
   Obs.Events.start_file events_f;
-  Obs.Profile.start ~path:profile_f ();
+  Obs.Trace.start_profile profile_f;
   let r_ep, w_ep = best_of_2 scan in
   Obs.Trace.start_file trace_f;
   let r_full, w_full = best_of_2 scan in
   ignore (Obs.Trace.stop ());
-  Obs.Profile.stop ();
+  Obs.Trace.stop_profile ();
   Obs.Events.stop ();
   let lines path =
     In_channel.with_open_text path (fun ic ->
@@ -823,9 +823,8 @@ let e16 () =
   row "aggregates identical across all configurations: %b\n"
     (aggregates r_bare = aggregates r_ep
     && aggregates r_bare = aggregates r_full);
-  row "recorded: %d event lines, %d trace lines, %d profile stacks (%d samples)\n"
-    (lines events_f) (lines trace_f) (lines profile_f)
-    (Obs.Profile.samples ());
+  row "recorded: %d event lines, %d trace lines, %d profile paths\n"
+    (lines events_f) (lines trace_f) (lines profile_f);
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
     [ events_f; trace_f; profile_f ]

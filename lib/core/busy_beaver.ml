@@ -386,26 +386,27 @@ let plan_chunk_range plan ci =
    never resumes: the hashes differ, and the mismatch names the
    fields. Only a non-census analysis adds a member, so no ledger
    resumes another analysis. *)
-let plan_config plan =
+let plan_members plan =
   let open Obs.Json in
-  Obj
-    ([
-      ("workload", String "bbsearch");
-      ("n", Int plan.pl_n);
-      ("max_input", Int plan.pl_max_input);
-      ("max_configs", Int plan.pl_max_configs);
-      ("prune", Bool plan.pl_prune);
-      ("chunk", Int plan.pl_chunk);
-      ( "sample",
-        match plan.pl_sample with
-        | None -> Null
-        | Some (count, seed) -> List [ Int count; Int seed ] );
-      ("total", Int plan.pl_total);
-    ]
-    @
-    match plan.pl_analysis with
-    | Threshold -> []
-    | All_1 -> [ ("analysis", String "all_1") ])
+  [
+    ("workload", String "bbsearch");
+    ("n", Int plan.pl_n);
+    ("max_input", Int plan.pl_max_input);
+    ("max_configs", Int plan.pl_max_configs);
+    ("prune", Bool plan.pl_prune);
+    ("chunk", Int plan.pl_chunk);
+    ( "sample",
+      match plan.pl_sample with
+      | None -> Null
+      | Some (count, seed) -> List [ Int count; Int seed ] );
+    ("total", Int plan.pl_total);
+  ]
+  @
+  match plan.pl_analysis with
+  | Threshold -> []
+  | All_1 -> [ ("analysis", String "all_1") ]
+
+let plan_config plan = Obs.Json.Obj (plan_members plan)
 
 let plan_of_config j =
   let open Obs.Json.Decode in
@@ -427,15 +428,6 @@ let plan_of_config j =
      else
        let* max_input = field "max_input" int j in
        let* max_configs = field "max_configs" int j in
-       (* an older build's wall-clock budget: this build would run the
-          scan unbudgeted, so not the scan its sender meant *)
-       let* () =
-         match field_opt "eta_budget_s" number j with
-         | Ok None -> Ok ()
-         | Ok (Some _) | Error _ ->
-           Error "eta_budget_s: wall-clock budgets are gone; max_configs \
-                  is the only budget"
-       in
        let* prune = field "prune" bool j in
        let* chunk = field "chunk" int j in
        let* sample = field_opt "sample" (pair int int) j in
@@ -455,7 +447,27 @@ let plan_of_config j =
          match
            plan ~analysis ~chunk ~prune ~max_input ~max_configs ?sample ~n ()
          with
-         | p -> Ok p
+         | p -> (
+           (* the replanned configuration must write every member it was
+              sent, as sent: a member this build does not know (an older
+              build's "eta_budget_s", a "schedule") or clamps (a "chunk"
+              of 0) means a scan other than the one this plan runs. A
+              [null] member reads as absent, as in [field_opt]. *)
+           let written = plan_members p in
+           let sent = match j with Obs.Json.Obj fs -> fs | _ -> [] in
+           match
+             List.filter_map
+               (fun (k, v) ->
+                 if v = Obs.Json.Null || List.assoc_opt k written = Some v
+                 then None
+                 else Some k)
+               sent
+           with
+           | [] -> Ok p
+           | ks ->
+             Error
+               (Printf.sprintf "members this build does not plan as sent: %s"
+                  (String.concat ", " ks)))
          | exception Invalid_argument e -> Error e)
 
 (* ------------------------------------------------------ chunk running *)

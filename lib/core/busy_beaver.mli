@@ -173,8 +173,10 @@ val plan_of_config : Obs.Json.t -> (plan, string) result
 (** Rebuild a plan from {!plan_config} output: a worker process derives
     its entire scan — sample codes included — from the coordinator's
     welcome message, so the two cannot disagree. A configuration with a
-    numeric ["eta_budget_s"] (an older build's wall-clock budget) is
-    refused with an error naming that member. *)
+    member the rebuilt plan's {!plan_config} does not write, or writes
+    otherwise (an older build's ["eta_budget_s"], an unknown member, a
+    ["chunk"] the plan clamps), is refused with an error naming those
+    members; a [null] member reads as absent. *)
 
 val plan_chunks : plan -> int
 (** Number of chunks in the partition. *)

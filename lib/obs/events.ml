@@ -94,7 +94,8 @@ let stop () =
      | Chan oc -> ( try close_out oc with Sys_error _ -> ())
      | Fn _ -> ())
 
-let detach () = current := None
+let detach () =
+  if Option.is_some !current then (current := None; Trace.untrack_stacks ())
 
 let start_channel oc =
   stop ();

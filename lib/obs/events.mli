@@ -66,7 +66,8 @@ val stop : unit -> unit
 val detach : unit -> unit
 (** Forget the active sink without emitting or closing anything — for
     a forked child whose inherited sink (file descriptor and lock
-    included) belongs to the parent. *)
+    included) belongs to the parent — and release its stack
+    tracking. *)
 
 val emit : ?severity:severity -> ?data:(string * Json.t) list -> string -> unit
 (** [emit name ~data] appends one event record. [data] becomes the

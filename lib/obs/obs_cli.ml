@@ -41,17 +41,10 @@ let events_arg =
 let profile_arg =
   Arg.(value & opt (some string) None
        & info [ "profile" ] ~docv:"FILE"
-           ~doc:"Sample every domain's span stack from a background thread \
-                 (not a domain) and write folded stacks (flamegraph.pl / \
+           ~doc:"Charge every span's self time (its duration minus its \
+                 children's) to its span path, per domain, and write the \
+                 totals in microseconds as folded stacks (flamegraph.pl / \
                  speedscope format) to $(docv) on exit.")
-
-let profile_interval_arg =
-  Arg.(value & opt float 0.001
-       & info [ "profile-interval" ] ~docv:"SECONDS"
-           ~doc:"Sampling interval for --profile. Default 1ms. It holds \
-                 while the main thread waits on worker domains or \
-                 sockets; while the main thread itself computes, the \
-                 sampler shares its core and ticks at about 20 Hz.")
 
 let progress_arg =
   Arg.(value & flag
@@ -62,12 +55,43 @@ let progress_arg =
 let no_progress_arg =
   Arg.(value & flag & info [ "no-progress" ] ~doc:"Suppress progress lines.")
 
-let setup metrics trace metrics_out metrics_every events profile
-    profile_interval progress no_progress =
+(* Open an instrumentation file before any work starts: a path that
+   cannot be written ends the run with one line naming the flag. *)
+let open_or_exit flag start = function
+  | None -> ()
+  | Some path -> (
+    try start path
+    with Sys_error e ->
+      (* [e] is "<path>: <reason>" *)
+      Printf.eprintf "%s: --%s: %s\n%!"
+        (Filename.remove_extension (Filename.basename Sys.executable_name))
+        flag e;
+      exit 1)
+
+let setup metrics trace metrics_out metrics_every events profile progress
+    no_progress =
   (* arm clean shutdown in every binary: outside a graceful region a
      SIGINT/SIGTERM exits through Stdlib.exit, running the at_exit
-     flushes registered below (metrics export, trace file, event log) *)
+     flushes registered below (metrics export, trace file, event log,
+     profile) *)
   Obs.Shutdown.install ();
+  open_or_exit "trace" (fun file ->
+      Obs.Trace.start_file file;
+      at_exit (fun () -> ignore (Obs.Trace.stop ())))
+    trace;
+  open_or_exit "events" (fun file ->
+      Obs.Events.start_file file;
+      (* at_exit runs LIFO: the signal record (if any) lands before the
+         sink closes *)
+      at_exit Obs.Events.stop;
+      at_exit Obs.Shutdown.signal_event;
+      Obs.Events.emit "run.start"
+        ~data:[ ("argv", Obs.Json.String (String.concat " " (Array.to_list Sys.argv))) ])
+    events;
+  open_or_exit "profile" (fun file ->
+      Obs.Trace.start_profile file;
+      at_exit Obs.Trace.stop_profile)
+    profile;
   if metrics || metrics_out <> None then Obs.Metrics.set_enabled true;
   if metrics then
     at_exit (fun () ->
@@ -79,31 +103,11 @@ let setup metrics trace metrics_out metrics_every events profile
      Obs.Export.start ~meta ~every_s:metrics_every ~path ();
      at_exit Obs.Export.stop
    | None -> ());
-  (match trace with
-   | Some file ->
-     Obs.Trace.start_file file;
-     at_exit (fun () -> ignore (Obs.Trace.stop ()))
-   | None -> ());
-  (match events with
-   | Some file ->
-     Obs.Events.start_file file;
-     (* at_exit runs LIFO: the signal record (if any) lands before the
-        sink closes *)
-     at_exit Obs.Events.stop;
-     at_exit Obs.Shutdown.signal_event;
-     Obs.Events.emit "run.start"
-       ~data:[ ("argv", Obs.Json.String (String.concat " " (Array.to_list Sys.argv))) ]
-   | None -> ());
-  (match profile with
-   | Some file ->
-     Obs.Profile.start ~interval_s:profile_interval ~path:file ();
-     at_exit Obs.Profile.stop
-   | None -> ());
   if no_progress then Obs.Progress.set_enabled false
   else if progress then Obs.Progress.set_enabled true
   else Obs.Progress.set_auto ()
 
 let term =
   Term.(const setup $ metrics_arg $ trace_arg $ metrics_out_arg
-        $ metrics_every_arg $ events_arg $ profile_arg $ profile_interval_arg
-        $ progress_arg $ no_progress_arg)
+        $ metrics_every_arg $ events_arg $ profile_arg $ progress_arg
+        $ no_progress_arg)

@@ -1,11 +1,14 @@
 (** Cmdliner glue shared by every binary: the [--metrics], [--trace],
     [--metrics-out FILE]/[--metrics-every S], [--events FILE],
-    [--profile FILE]/[--profile-interval S] and
-    [--progress]/[--no-progress] flags and their side effects. *)
+    [--profile FILE] and [--progress]/[--no-progress] flags and their
+    side effects. *)
 
 val term : unit Cmdliner.Term.t
 (** Splice [$ Obs_cli.term] as the last argument of a command's term
-    (the handler takes a trailing [unit]). Evaluating it:
+    (the handler takes a trailing [unit]). Evaluating it opens the
+    [--trace], [--events] and [--profile] files before anything else
+    starts; one that cannot be opened ends the process with exit 1 and
+    one stderr line naming the flag and the path. Then:
 
     - [--metrics]: enables {!Obs.Metrics} recording and registers an
       [at_exit] dump of the registry snapshot to stderr, so stdout
@@ -24,8 +27,8 @@ val term : unit Cmdliner.Term.t
       ["shutdown.signal"] record is appended from an [at_exit] hook
       when a SIGINT/SIGTERM interrupted the run, before the sink
       closes;
-    - [--profile FILE]: starts the {!Obs.Profile} sampler (interval
-      [--profile-interval], default 1ms), writing folded stacks at
-      exit;
+    - [--profile FILE]: starts an {!Obs.Trace} profile, which charges
+      every span's self time to its span path, and writes its folded
+      stacks at exit (microseconds of self time per path);
     - progress lines ({!Obs.Progress}) default to automatic TTY
       detection; [--progress] forces them on, [--no-progress] off. *)

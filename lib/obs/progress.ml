@@ -1,4 +1,4 @@
-(* Auto (the default) defers to a per-reporter TTY check: progress on
+(* Auto (the default) defers to a TTY check of the channel: progress on
    an interactive stderr, silence when redirected — CI logs and piped
    output stay clean with no flag needed. [Forced] comes from
    --progress / --no-progress (or tests). *)
@@ -22,12 +22,16 @@ let is_tty oc =
   try Unix.isatty (Unix.descr_of_out_channel oc)
   with Unix.Unix_error _ | Sys_error _ | Invalid_argument _ -> false
 
+(* Checked once per process: [Configgraph] makes one reporter per
+   exploration, and a census runs hundreds of thousands of them. *)
+let stderr_tty = is_tty stderr
+
 let create ?(interval_s = 1.0) ?(out = stderr) label =
   let now = Clock.now_ns () in
   {
     label;
     out;
-    tty = is_tty out;
+    tty = (if out == stderr then stderr_tty else is_tty out);
     interval_ns = Int64.of_float (interval_s *. 1e9);
     started_ns = now;
     last_ns = now;

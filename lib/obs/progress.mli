@@ -23,7 +23,8 @@ val set_enabled : bool -> unit
 
 val set_auto : unit -> unit
 (** Return to the default automatic mode (print iff the reporter's
-    channel is a TTY, checked at {!create}). *)
+    channel is a TTY: stderr is checked once per process, any other
+    channel at {!create}). *)
 
 type t
 

@@ -24,14 +24,10 @@ let current : state option ref = ref None
 
 (* Span identity and nesting are tracked only while some consumer needs
    them (a trace sink for parent ids, the event log for correlation
-   ids, the profiler for sampling): [tracking] is a refcount bumped by
-   each consumer, and with it at zero a span costs exactly what it did
-   before this machinery existed — one load and a branch. *)
-
-type frame = { f_name : string; f_sid : int }
+   ids, a profile for span paths): [tracking] is a refcount bumped by
+   each consumer, and with it at zero a span costs one atomic load. *)
 
 let tracking = Atomic.make 0
-let stacks_tracked () = Atomic.get tracking > 0
 let track_stacks () = Atomic.incr tracking
 
 let untrack_stacks () =
@@ -44,42 +40,110 @@ let untrack_stacks () =
 (* Span ids are process-global and never reused; 0 means "no span". *)
 let next_sid = Atomic.make 1
 
-(* Each domain owns one stack cell, written only by that domain (a
-   single [Atomic.set] per span entry/exit) and read by anyone through
-   the registry — that cross-domain read path is what lets the profiler
-   thread sample every stack without stopping the world. The DLS key
-   caches a domain's own cell so the registry mutex is taken once per
-   domain lifetime, not once per span. *)
-let stacks_lock = Mutex.create ()
-let stacks : (int, frame list Atomic.t) Hashtbl.t = Hashtbl.create 16
+(* A node of a domain's profile tree: one span path from the domain's
+   root, with the self time and the completed calls charged to it. *)
+type node = {
+  n_name : string;
+  mutable n_self_ns : int;
+  mutable n_calls : int;
+  mutable n_kids : node list;
+}
 
-let stack_key =
-  Domain.DLS.new_key (fun () ->
-      let cell = Atomic.make [] in
-      let id = (Domain.self () :> int) in
-      Mutex.lock stacks_lock;
-      Hashtbl.replace stacks id cell;
-      Mutex.unlock stacks_lock;
-      cell)
+let new_node name = { n_name = name; n_self_ns = 0; n_calls = 0; n_kids = [] }
+
+(* the node of a frame entered while no profile was on; never charged *)
+let no_node = new_node ""
+
+type frame = {
+  f_sid : int;
+  f_node : node;
+  mutable f_kids_ns : int;  (* summed durations of its timed children *)
+}
+
+(* Frames are domain-local: only the owning domain pushes, pops or reads
+   them. [root] is this domain's tree in the profile numbered [gen]. *)
+type dom = { mutable frames : frame list; mutable root : node; mutable gen : int }
+
+let dom_key =
+  Domain.DLS.new_key (fun () -> { frames = []; root = no_node; gen = 0 })
 
 let current_span_id () =
-  if stacks_tracked () then
-    match Atomic.get (Domain.DLS.get stack_key) with
-    | [] -> 0
-    | f :: _ -> f.f_sid
+  if Atomic.get tracking > 0 then
+    match (Domain.DLS.get dom_key).frames with [] -> 0 | f :: _ -> f.f_sid
   else 0
 
-let sample_stacks () =
-  Mutex.lock stacks_lock;
-  let cells = Hashtbl.fold (fun id c acc -> (id, Atomic.get c) :: acc) stacks [] in
-  Mutex.unlock stacks_lock;
-  List.filter_map
-    (fun (id, frames) ->
-      match frames with
-      | [] -> None
-      | _ -> Some (id, List.rev_map (fun f -> f.f_name) frames))
-    cells
-  |> List.sort compare
+(* ------------------------------------------------------------ profile *)
+
+(* [p_trees] registers each domain's root once per profile; [p_gen]
+   tells a domain that its root belongs to an earlier profile. *)
+type profile = {
+  p_gen : int;
+  p_oc : out_channel;
+  p_lock : Mutex.t;
+  mutable p_trees : (int * node) list;
+}
+
+let profile : profile option ref = ref None
+let generation = ref 0
+
+let child parent name =
+  let rec find = function
+    | k :: rest -> if String.equal k.n_name name then k else find rest
+    | [] ->
+      let k = new_node name in
+      parent.n_kids <- k :: parent.n_kids;
+      k
+  in
+  find parent.n_kids
+
+(* The node of span [name] entered under [saved]. A span whose parent
+   was entered before the profile started hangs off the root, as
+   {!Trace_stats} roots a span whose parent is not in the trace. *)
+let enter p d saved name =
+  if d.gen <> p.p_gen then begin
+    d.root <- new_node "";
+    d.gen <- p.p_gen;
+    Mutex.lock p.p_lock;
+    p.p_trees <- ((Domain.self () :> int), d.root) :: p.p_trees;
+    Mutex.unlock p.p_lock
+  end;
+  match saved with
+  | f :: _ when f.f_node != no_node -> child f.f_node name
+  | _ -> child d.root name
+
+let stop_profile () =
+  match !profile with
+  | None -> ()
+  | Some p ->
+    profile := None;
+    untrack_stacks ();
+    let lines = ref [] in
+    let rec walk path node =
+      List.iter
+        (fun k ->
+          let path = path ^ ";" ^ k.n_name in
+          if k.n_calls > 0 then
+            lines := (path, (k.n_self_ns + 500) / 1000) :: !lines;
+          walk path k)
+        node.n_kids
+    in
+    List.iter
+      (fun (dom, root) -> walk ("domain" ^ string_of_int dom) root)
+      p.p_trees;
+    try
+      List.iter
+        (fun (path, us) -> Printf.fprintf p.p_oc "%s %d\n" path us)
+        (List.sort compare !lines);
+      close_out p.p_oc
+    with Sys_error _ -> ()
+
+let start_profile path =
+  let oc = open_out path in
+  stop_profile ();
+  track_stacks ();
+  incr generation;
+  profile :=
+    Some { p_gen = !generation; p_oc = oc; p_lock = Mutex.create (); p_trees = [] }
 
 (* ------------------------------------------------------------- events *)
 
@@ -145,11 +209,8 @@ let stop () =
     finalise st
 
 let detach () =
-  match !current with
-  | None -> ()
-  | Some _ ->
-    current := None;
-    untrack_stacks ()
+  if Option.is_some !current then (current := None; untrack_stacks ());
+  if Option.is_some !profile then (profile := None; untrack_stacks ())
 
 let start sink =
   ignore (stop ());
@@ -165,62 +226,64 @@ let start_file path =
 
 let tid () = (Domain.self () :> int)
 
+(* Pop [fr] and, when it was timed, charge the span: its duration minus
+   its children's to its profile node, its duration to its parent
+   frame, and its event to the sink — all from one pair of clock reads,
+   so a trace and a profile of the same run agree exactly. *)
+let leave d saved fr st timed t0 name cat args =
+  d.frames <- saved;
+  if timed then begin
+    let dur_ns = Int64.sub (Clock.now_ns ()) t0 in
+    let dur = Int64.to_int dur_ns in
+    let node = fr.f_node in
+    if node != no_node then begin
+      node.n_self_ns <- node.n_self_ns + dur - fr.f_kids_ns;
+      node.n_calls <- node.n_calls + 1
+    end;
+    (match saved with p :: _ -> p.f_kids_ns <- p.f_kids_ns + dur | [] -> ());
+    match st with
+    | None -> ()
+    | Some st ->
+      emit st
+        {
+          name;
+          cat;
+          ts_ns = Int64.sub t0 st.t0;
+          dur_ns;
+          tid = tid ();
+          sid = fr.f_sid;
+          parent = (match saved with [] -> 0 | p :: _ -> p.f_sid);
+          args;
+        }
+  end
+
 let with_span ?(cat = "") ?(args = []) name f =
-  let st = !current in
-  if st = None then
-    if not (stacks_tracked ()) then f ()
-    else begin
-      (* tracking without a sink (the event log or profiler is on, no
-         trace file): maintain the frame stack but skip the clock reads
-         and event construction — nothing records the span itself *)
-      let cell = Domain.DLS.get stack_key in
-      let saved = Atomic.get cell in
-      let sid = Atomic.fetch_and_add next_sid 1 in
-      Atomic.set cell ({ f_name = name; f_sid = sid } :: saved);
-      match f () with
-      | r ->
-        Atomic.set cell saved;
-        r
-      | exception e ->
-        Atomic.set cell saved;
-        raise e
-    end
+  if Atomic.get tracking = 0 then f ()
   else begin
-    let t0 = Clock.now_ns () in
-    (* push the frame (when tracked) before running [f], so the event
-       log and profiler see the span from inside it *)
-    let cell, sid, parent, saved =
-      if stacks_tracked () then begin
-        let cell = Domain.DLS.get stack_key in
-        let saved = Atomic.get cell in
-        let sid = Atomic.fetch_and_add next_sid 1 in
-        Atomic.set cell ({ f_name = name; f_sid = sid } :: saved);
-        ( Some cell,
-          sid,
-          (match saved with [] -> 0 | p :: _ -> p.f_sid),
-          saved )
-      end
-      else (None, 0, 0, [])
+    (* push the frame before running [f], so the event log sees the
+       span from inside it *)
+    let d = Domain.DLS.get dom_key in
+    let saved = d.frames in
+    let st = !current in
+    let fr =
+      {
+        f_sid = Atomic.fetch_and_add next_sid 1;
+        f_node =
+          (match !profile with None -> no_node | Some p -> enter p d saved name);
+        f_kids_ns = 0;
+      }
     in
-    Fun.protect
-      ~finally:(fun () ->
-        (match cell with Some c -> Atomic.set c saved | None -> ());
-        match st with
-        | None -> ()
-        | Some st ->
-          let t1 = Clock.now_ns () in
-          emit st
-            {
-              name;
-              cat;
-              ts_ns = Int64.sub t0 st.t0;
-              dur_ns = Int64.sub t1 t0;
-              tid = tid ();
-              sid;
-              parent;
-              args;
-            })
-      f
+    d.frames <- fr :: saved;
+    let timed = match st with Some _ -> true | None -> fr.f_node != no_node in
+    let t0 = if timed then Clock.now_ns () else 0L in
+    match f () with
+    | r ->
+      leave d saved fr st timed t0 name cat args;
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave d saved fr st timed t0 name cat args;
+      Printexc.raise_with_backtrace e bt
   end
 
 let instant ?(cat = "") ?(args = []) name =

@@ -2,9 +2,9 @@
     trace-event format (load the file in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto}).
 
-    Tracing is off by default: [with_span] with no active sink (and no
-    stack consumer, see below) runs its thunk directly — one load and a
-    branch. A file sink streams one complete event ([ph = "X"]) per
+    Tracing is off by default: [with_span] with no active consumer (a
+    sink, a profile or the event log) runs its thunk directly after one
+    atomic load. A file sink streams one complete event ([ph = "X"]) per
     line inside a JSON array — valid JSON once {!stop} writes the
     footer, and still loadable by Chrome if the process dies mid-trace.
     Threads of the trace are OCaml domains ([tid] = domain id), so an
@@ -17,8 +17,9 @@
     keys), so {!Trace_stats} can rebuild the span forest — self times,
     critical path — without guessing nesting from timestamps. The
     per-domain span stacks behind those ids are shared infrastructure:
-    {!Events} reads {!current_span_id} for correlation ids and
-    {!Profile} reads {!sample_stacks} from its sampler thread. *)
+    {!Events} reads {!current_span_id} for correlation ids, and a
+    profile ({!start_profile}) charges every span's self time to its
+    span path. *)
 
 type event = {
   name : string;
@@ -45,30 +46,55 @@ val stop : unit -> event list
     when nothing is active. *)
 
 val detach : unit -> unit
-(** Drop the active sink {e without} flushing or closing it. For forked
-    children that inherit the parent's trace channel: the channel (its
-    buffer included) still belongs to the parent, so the child must
-    neither write spans to it nor flush the inherited buffer copy —
-    either corrupts the parent's file. Call this first thing after
-    [Unix.fork] in the child. No-op when nothing is active. *)
+(** Drop the active sink and profile {e without} flushing or closing
+    them. For forked children that inherit the parent's channels: each
+    channel (its buffer included) still belongs to the parent, so the
+    child must neither write to it nor flush the inherited buffer copy
+    — either corrupts the parent's file — and spans the child runs
+    afterwards are neither recorded nor charged. Call this first thing
+    after [Unix.fork] in the child. No-op when nothing is active. *)
+
+val start_profile : string -> unit
+(** Open [file] and start charging every completed span's self time —
+    its duration minus its children's, from the same clock reads a sink
+    records — to the node of its span path, in one tree per domain.
+    Replaces any running profile (writing it first).
+    @raise Sys_error when [file] cannot be opened. *)
+
+val stop_profile : unit -> unit
+(** Write the profile and close its file: in the folded-stack format of
+    {{:https://github.com/brendangregg/FlameGraph}flamegraph.pl} and
+    {{:https://www.speedscope.app}speedscope}, one line per span path
+    with a completed span, sorted, weighted by its self time in whole
+    microseconds (rounded to the nearest):
+
+    {v
+    domain0;bbsearch.scan;bbsearch.chunk 118601
+    domain1;bbsearch.chunk;bbsearch.summarise 168009
+    v}
+
+    It reads every domain's tree without stopping them, so call it
+    once the instrumented work is done. No-op when no profile runs. *)
 
 val with_span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] times [f ()] and emits a complete event when a
-    sink is active — also on exceptional exit, so spans stay
-    well-nested when e.g. a search raises on budget exhaustion. *)
+(** [with_span name f] runs [f ()]; when a sink or a profile is active
+    it also times it, emitting a complete event and charging the
+    profile — also on exceptional exit, so spans stay well-nested when
+    e.g. a search raises on budget exhaustion. *)
 
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 (** A zero-duration marker event (e.g. "new best protocol found"). *)
 
 (** {2 Span-stack tracking}
 
-    Consumers other than a trace sink (the event log, the profiler)
-    can keep the per-domain span stacks alive without recording
-    events. The refcount makes enabling idempotent per consumer. *)
+    Consumers other than a trace sink or a profile (the event log) can
+    keep the per-domain span stacks alive without timing spans. The
+    refcount makes enabling idempotent per consumer. *)
 
 val track_stacks : unit -> unit
 (** Acquire a reference on span-stack tracking. While held, every
-    [with_span] pushes/pops a frame (two [Atomic.set]s per span). *)
+    [with_span] pushes and pops a frame of the calling domain's
+    stack. *)
 
 val untrack_stacks : unit -> unit
 (** Release one reference (never below zero). *)
@@ -76,10 +102,3 @@ val untrack_stacks : unit -> unit
 val current_span_id : unit -> int
 (** The innermost open span of the calling domain, [0] when none (or
     when tracking is off). *)
-
-val sample_stacks : unit -> (int * string list) list
-(** Snapshot every domain's current span stack — [(domain id, span
-    names outermost first)], domains with an empty stack omitted,
-    sorted by domain id. Safe to call from any domain; each stack is
-    read with a single atomic load, so a sample observes every stack
-    at (close to) one instant without blocking the workers. *)

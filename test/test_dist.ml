@@ -935,11 +935,33 @@ let test_outside_counts_are_errors () =
     Alcotest.(check bool) "the last chunk scans" true
       (Busy_beaver.scan_chunk plan (chunks - 1) <> Obs.Json.Null)
 
-(* [plan_config] of [plan] with [member] added *)
+(* [plan_config] of [plan] with [member] set to [value] *)
 let config_with plan member value =
   match Busy_beaver.plan_config plan with
-  | Obs.Json.Obj fields -> Obs.Json.Obj (fields @ [ (member, value) ])
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj (List.remove_assoc member fields @ [ (member, value) ])
   | _ -> Alcotest.fail "plan_config is not an object"
+
+(* members the replanned configuration does not write as sent: ones
+   this build does not know, and a chunk the plan clamps to 1 *)
+let unplanned_members =
+  [
+    ("schedule", Obs.Json.String "guided");
+    ("packed", Obs.Json.Bool false);
+    ("certify", Obs.Json.Bool true);
+    ("chunk", Obs.Json.Int 0);
+  ]
+
+let test_plan_refuses_unplanned_members () =
+  let plan = Busy_beaver.plan ~chunk:8 ~max_input:8 ~n:2 () in
+  List.iter
+    (fun (member, value) ->
+      match Busy_beaver.plan_of_config (config_with plan member value) with
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "the error names %s: %s" member e)
+          true (contains e member)
+      | Ok _ -> Alcotest.failf "a configuration with %S was planned" member)
+    unplanned_members
 
 (* an older build's configuration with a wall-clock budget would run
    unbudgeted here, so it is refused; its "no budget" [null] is the
@@ -1622,6 +1644,21 @@ let test_worker_refuses_outside_plan () =
       (contains e "7 chunks")
   | Ok () -> Alcotest.fail "a Welcome with the wrong chunk count was served"
 
+let test_worker_refuses_unplanned_members () =
+  let plan = Busy_beaver.plan ~n:2 () in
+  List.iter
+    (fun (member, value) ->
+      match
+        run_against_script
+          [ welcome (config_with plan member value) (Busy_beaver.plan_chunks plan) ]
+      with
+      | Error e ->
+        Alcotest.(check bool) (Printf.sprintf "refused, naming %s: %s" member e)
+          true
+          (contains e "rejected coordinator config: " && contains e member)
+      | Ok () -> Alcotest.failf "a Welcome with %S was served" member)
+    unplanned_members
+
 (* -- Worker: a refused Welcome ends the redial loop ----------------------- *)
 
 (* [run_reconnect] whose [connect] hands out, per session, one end of a
@@ -1897,6 +1934,8 @@ let () =
             test_mismatch_diff;
           Alcotest.test_case "plan_of_config refuses a wall-clock budget"
             `Quick test_plan_refuses_wall_budget;
+          Alcotest.test_case "plan_of_config refuses unplanned members"
+            `Quick test_plan_refuses_unplanned_members;
           Alcotest.test_case "outside counts are errors, not crashes" `Quick
             test_outside_counts_are_errors;
         ]
@@ -1924,6 +1963,8 @@ let () =
             test_worker_cache_resends;
           Alcotest.test_case "Welcome or Grant outside the plan refused" `Quick
             test_worker_refuses_outside_plan;
+          Alcotest.test_case "Welcome with unplanned members refused" `Quick
+            test_worker_refuses_unplanned_members;
           Alcotest.test_case "a refused Welcome is not redialled" `Quick
             test_refused_welcome_is_final;
           Alcotest.test_case "config hash change refused before serving" `Quick

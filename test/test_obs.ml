@@ -789,39 +789,135 @@ let test_round_events_jobs_invariant () =
   Alcotest.(check (list string))
     "round events are jobs-invariant modulo timestamps" ev1 ev3
 
-(* -- profiler ------------------------------------------------------------- *)
+(* -- profile ---------------------------------------------------------------- *)
 
-let test_profile_folded_output () =
+(* Run [f] under a profile and return the folded lines as
+   (path, microseconds). *)
+let with_profile f =
   let path = Filename.temp_file "obs_profile" ".folded" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Obs.Profile.start ~interval_s:0.0005 ~path ();
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      while Obs.Profile.samples () = 0 && Unix.gettimeofday () < deadline do
-        Obs.Trace.with_span "prof_outer" (fun () ->
-            Obs.Trace.with_span "prof_inner" (fun () -> Unix.sleepf 0.002))
-      done;
-      let sampled = Obs.Profile.samples () in
-      Obs.Profile.stop ();
-      Alcotest.(check bool) "sampler observed at least one stack" true
-        (sampled > 0);
-      let lines = read_lines path in
-      Alcotest.(check bool) "folded output is non-empty" true (lines <> []);
-      List.iter
-        (fun l ->
-          match String.rindex_opt l ' ' with
-          | None -> Alcotest.failf "malformed folded line: %s" l
-          | Some i ->
-            Alcotest.(check bool)
-              (Printf.sprintf "count parses in %S" l)
-              true
-              (int_of_string_opt
-                 (String.sub l (i + 1) (String.length l - i - 1))
-               <> None))
-        lines;
-      Alcotest.(check bool) "stacks name the test span" true
-        (List.exists (fun l -> contains l "prof_outer") lines))
+      Obs.Trace.start_profile path;
+      let r = Fun.protect ~finally:Obs.Trace.stop_profile f in
+      ( r,
+        List.map
+          (fun l ->
+            match String.rindex_opt l ' ' with
+            | None -> Alcotest.failf "malformed folded line: %s" l
+            | Some i ->
+              ( String.sub l 0 i,
+                match
+                  int_of_string_opt (String.sub l (i + 1) (String.length l - i - 1))
+                with
+                | Some us -> us
+                | None -> Alcotest.failf "weight does not parse in %S" l ))
+          (read_lines path) ))
+
+(* The profile and a memory trace of the same spans share their clock
+   reads, so each folded path's weight is the self time rebuilt from
+   the trace's sid/parent links, summed over the path's spans. *)
+let test_profile_matches_trace () =
+  let work () = Unix.sleepf 0.0005 in
+  let events, folded =
+    with_profile (fun () ->
+        Obs.Trace.start_memory ();
+        Obs.Trace.with_span "outer" (fun () ->
+            for _ = 1 to 3 do
+              Obs.Trace.with_span "mid" (fun () ->
+                  Obs.Trace.with_span "leaf" work;
+                  work ())
+            done;
+            Obs.Trace.with_span "leaf" work);
+        Obs.Trace.stop ())
+  in
+  let by_sid = Hashtbl.create 16 and kids_ns = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace by_sid e.Obs.Trace.sid e;
+      let k = Option.value ~default:0L (Hashtbl.find_opt kids_ns e.Obs.Trace.parent) in
+      Hashtbl.replace kids_ns e.Obs.Trace.parent (Int64.add k e.Obs.Trace.dur_ns))
+    events;
+  let rec path e =
+    match Hashtbl.find_opt by_sid e.Obs.Trace.parent with
+    | Some p -> path p ^ ";" ^ e.Obs.Trace.name
+    | None -> Printf.sprintf "domain%d;%s" e.Obs.Trace.tid e.Obs.Trace.name
+  in
+  let self_us = Hashtbl.create 16 in
+  List.iter
+    (fun e ->
+      let self =
+        Int64.sub e.Obs.Trace.dur_ns
+          (Option.value ~default:0L (Hashtbl.find_opt kids_ns e.Obs.Trace.sid))
+      in
+      let p = path e in
+      Hashtbl.replace self_us p
+        (Option.value ~default:0.0 (Hashtbl.find_opt self_us p)
+        +. (Int64.to_float self /. 1e3)))
+    events;
+  let expected = Hashtbl.fold (fun p _ acc -> p :: acc) self_us [] in
+  Alcotest.(check (list string)) "the trace's span paths, once each"
+    (List.sort compare expected) (List.map fst folded);
+  List.iter
+    (fun (p, us) ->
+      let want = Hashtbl.find self_us p in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d us vs the trace's %.3f us" p us want)
+        true
+        (Float.abs (float_of_int us -. want) <= 1.0))
+    folded;
+  Alcotest.(check bool) "every sleeping path is charged its sleeps" true
+    (List.for_all
+       (fun (p, us) -> us >= 500 || String.ends_with ~suffix:";outer" p)
+       folded)
+
+let test_profile_charges_raising_spans () =
+  let ids, folded =
+    with_profile (fun () ->
+        Obs.Trace.with_span "outer" (fun () ->
+            let outer = Obs.Trace.current_span_id () in
+            (try Obs.Trace.with_span "boom" (fun () -> failwith "boom")
+             with Failure _ -> ());
+            (outer, Obs.Trace.current_span_id ())))
+  in
+  Alcotest.(check bool) "the outer span is open" true (fst ids <> 0);
+  Alcotest.(check int) "the stack is restored after the raise" (fst ids)
+    (snd ids);
+  Alcotest.(check int) "no span open afterwards" 0 (Obs.Trace.current_span_id ());
+  Alcotest.(check (list string)) "the raising span is charged"
+    [ "domain0;outer"; "domain0;outer;boom" ]
+    (List.map fst folded)
+
+let test_profile_pool_roots () =
+  let lock = Mutex.create () and ran = ref [] in
+  let _, folded =
+    with_profile (fun () ->
+        ignore
+          (Pool.run ~jobs:2 ~chunk:1 ~name:"proftest" ~tasks:8 (fun ~lo:_ ~hi:_ ->
+               Unix.sleepf 0.001;
+               Mutex.lock lock;
+               ran := (Domain.self () :> int) :: !ran;
+               Mutex.unlock lock)))
+  in
+  Alcotest.(check (list string)) "one root per domain that ran a chunk"
+    (List.map
+       (Printf.sprintf "domain%d;proftest.chunk")
+       (List.sort_uniq compare !ran))
+    (List.map fst folded)
+
+let test_profile_detach () =
+  let path = Filename.temp_file "obs_profile" ".folded" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Obs.Trace.start_profile path;
+      Obs.Trace.with_span "before" ignore;
+      Obs.Trace.detach ();
+      let inside = Obs.Trace.with_span "after" Obs.Trace.current_span_id in
+      Obs.Trace.stop_profile ();
+      Alcotest.(check int) "a span after detach pushes no frame" 0 inside;
+      Alcotest.(check (list string)) "nothing is written after detach" []
+        (read_lines path))
 
 (* -- progress auto mode --------------------------------------------------- *)
 
@@ -1232,7 +1328,12 @@ let () =
         ] );
       ( "profile",
         [
-          Alcotest.test_case "folded stacks" `Quick test_profile_folded_output;
+          Alcotest.test_case "folded stacks" `Quick test_profile_matches_trace;
+          Alcotest.test_case "raising span charged, stack restored" `Quick
+            test_profile_charges_raising_spans;
+          Alcotest.test_case "2-job pool: one root per domain" `Quick
+            test_profile_pool_roots;
+          Alcotest.test_case "detach stops charging" `Quick test_profile_detach;
         ] );
       ( "progress",
         [
