@@ -186,7 +186,12 @@ let m_summaries = Obs.Metrics.counter "bbsearch.summaries"
    that one summary. The cache holds one assignment at a time: the
    exhaustive enumeration is assignment-major (code index = a * 2^n + o),
    so a chunk meets each of its assignments in one run of codes, while
-   a sampled chunk rarely meets an assignment twice. *)
+   a sampled chunk rarely meets an assignment twice.
+
+   Every agent of every configuration reachable from any input sits in
+   the assignment's coverable states (the closure of state 0, the
+   premise of Lemma 5.4), so an output map constant on them gives
+   every input that verdict, and the code needs no summary at all. *)
 module Summaries = struct
   type slot = Unfilled | Summary of Fair_semantics.summary | Aborted
 
@@ -195,9 +200,11 @@ module Summaries = struct
     pair_list : (int * int) array;
     max_configs : int;
     inputs : int list;
+    within_budget : bool;  (* no graph up to the cutoff can abort *)
     slots : slot array;  (* slot k: input k + 2, the least valid input *)
-    mutable assignment : int;  (* -1 until the first [get] *)
+    mutable assignment : int;  (* -1 until the first [select] *)
     mutable protocol : Population.t;
+    mutable closure : int;  (* the assignment's coverable states, a mask *)
   }
 
   let create ?(max_configs = 60_000) ~n ~max_input () =
@@ -206,24 +213,48 @@ module Summaries = struct
     let protocol = decode n ~pair_list ~assignment:0 ~output_bits:0 in
     (* every code has the same valid inputs: no leaders, so 2..max_input *)
     let inputs = Fair_semantics.valid_inputs_single protocol ~max:max_input in
+    (* C(max_input + n - 1, n - 1), the configurations of [max_input]
+       agents on [n] states: no graph up to the cutoff has more nodes,
+       so at this budget none aborts, and deciding a code without its
+       graphs hides no abort *)
+    let largest = ref 1 in
+    for k = 1 to n - 1 do
+      largest := !largest * (max_input + k) / k
+    done;
     {
       n;
       pair_list;
       max_configs;
       inputs;
+      within_budget = max_configs >= !largest;
       slots = Array.make (List.length inputs) Unfilled;
       assignment = -1;
       protocol;
+      closure = 0;
     }
 
   let inputs t = t.inputs
 
-  let get t ~assignment i =
+  let select t assignment =
     if assignment <> t.assignment then begin
       t.assignment <- assignment;
       t.protocol <- decode t.n ~pair_list:t.pair_list ~assignment ~output_bits:0;
+      t.closure <- 0;
+      Array.iteri
+        (fun s coverable -> if coverable then t.closure <- t.closure lor (1 lsl s))
+        (Transform.coverable_states t.protocol);
       Array.fill t.slots 0 (Array.length t.slots) Unfilled
-    end;
+    end
+
+  let constant t ~assignment ~output_bits =
+    select t assignment;
+    if not t.within_budget then None
+    else if output_bits land t.closure = 0 then Some false
+    else if t.closure land lnot output_bits = 0 then Some true
+    else None
+
+  let get t ~assignment i =
+    select t assignment;
     let k = i - 2 in
     match t.slots.(k) with
     | Summary s -> Some s
@@ -536,19 +567,28 @@ let examine plan sums part display ~weight ~assignment ~output_bits =
       | None -> raise Unknown
     in
     let inputs = Summaries.inputs sums in
+    let constant = Summaries.constant sums ~assignment ~output_bits in
     (* the analysis is only this reading of the summaries: the threshold
        sweep of [Eta_search.find] over verdicts under this code's output
        map, or Section 4.1's least input from which All_1 is reachable,
-       reported as [Eta i] (no such input: [Always_rejects]) *)
+       reported as [Eta i] (no such input: [Always_rejects]). A map
+       constant [b] on the coverable states reads [b] on every input
+       with no summary: reject-all, or threshold 2 and All_1 at 2. *)
     let read () =
       match plan.pl_analysis with
       | Threshold ->
         Eta_search.sweep inputs (fun i ->
-            Fair_semantics.verdict_of_unions ~output:output_bits
-              (summary i).Fair_semantics.bottoms)
+            match constant with
+            | Some b -> Fair_semantics.Decides b
+            | None ->
+              Fair_semantics.verdict_of_unions ~output:output_bits
+                (summary i).Fair_semantics.bottoms)
       | All_1 ->
         List.find_opt
-          (fun i -> Section_4_1.reaches_all_1 ~output:output_bits (summary i))
+          (fun i ->
+            match constant with
+            | Some b -> b
+            | None -> Section_4_1.reaches_all_1 ~output:output_bits (summary i))
           inputs
         |> Option.fold ~none:Eta_search.Always_rejects ~some:(fun i ->
                Eta_search.Eta i)
@@ -562,9 +602,8 @@ let examine plan sums part display ~weight ~assignment ~output_bits =
     | Eta_search.Always_rejects -> part.p_reject_all <- part.p_reject_all + weight
     | Eta_search.Not_threshold _ -> ()
     | exception Unknown ->
-      (* a node budget or the assignment's wall budget tripped on an
-         input this code needs: its verdict degrades to unknown, the
-         scan itself keeps going *)
+      (* the node budget tripped on an input this code needs: its
+         verdict degrades to unknown, the scan itself keeps going *)
       part.p_aborted <- part.p_aborted + weight;
       Obs.Metrics.add m_aborted weight
   end

@@ -26,7 +26,9 @@
     configuration graphs depend on the assignment alone. So a chunk
     explores each (assignment, input) it needs once ({!Summaries}) and
     reads the verdicts of all of the assignment's canonical output maps
-    from that one summary. Codes are numbered assignment-major, so a
+    from that one summary. A map constant on the assignment's coverable
+    states needs no summary: every input gets that verdict
+    ({!Summaries.constant}). Codes are numbered assignment-major, so a
     chunk of [k · 2^n] codes holds [k] whole assignments; a chunk
     boundary inside an assignment only means both chunks summarise it.
     The [configgraph.*], [fair.*] and [bbsearch.summaries] counters of
@@ -258,8 +260,9 @@ val sample_code : n:int -> seed:int -> int -> int * int
     [Fair_semantics.verdict_of_unions ~output:o] of [a]'s summary for
     [i]. A cache holds one assignment at a time and fills its inputs
     lazily, in the order they are asked for, so an input no code needs
-    is never explored. {!scan} keeps one cache per chunk, under either
-    {!analysis}. Each summary counts into [bbsearch.summaries] inside a
+    is never explored, and a code decided by {!constant} needs none.
+    {!scan} keeps one cache per chunk, under either {!analysis}. Each
+    summary counts into [bbsearch.summaries] inside a
     [bbsearch.summarise] span. *)
 module Summaries : sig
   type t
@@ -270,6 +273,17 @@ module Summaries : sig
 
   val inputs : t -> int list
   (** The valid inputs up to [max_input], ascending: [2..max_input]. *)
+
+  val constant : t -> assignment:int -> output_bits:int -> bool option
+  (** [Some b] when [output_bits] maps every state [assignment] can
+      cover ({!Transform.coverable_states}) to [b] and the node budget
+      is at least [C(max_input + n - 1, n - 1)], the configurations of
+      the largest input, so no exploration up to the cutoff could
+      abort. Every reachable configuration is then a [b]-consensus:
+      {!scan} reads [Decides b] on every input, so [false] is
+      reject-all, and [true] is threshold 2 or All_1 at input 2,
+      without a summary. [None] otherwise. Like {!get}, asking about
+      another assignment empties the cache. *)
 
   val get : t -> assignment:int -> int -> Fair_semantics.summary option
   (** [get t ~assignment i] is the summary of [IC(i)] under

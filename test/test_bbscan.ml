@@ -206,9 +206,9 @@ let boundaries_prop =
    exhaustive n = 4 configuration from outside bytes decodes to its
    156,250,000 chunks without allocating them *)
 let test_plan_ranges_computed () =
-  let before = Gc.allocated_bytes () in
-  let p = Busy_beaver.plan ~n:3 ~chunk:1 () in
-  let allocated = Gc.allocated_bytes () -. before in
+  let p, allocated =
+    Allocation.measure (fun () -> Busy_beaver.plan ~n:3 ~chunk:1 ())
+  in
   Alcotest.(check int) "one chunk per code" 373_248 (Busy_beaver.plan_chunks p);
   Alcotest.(check bool)
     (Printf.sprintf "plan allocates under 1 MB (%.0f bytes)" allocated)
@@ -229,6 +229,22 @@ let test_plan_ranges_computed () =
     Alcotest.(check (pair int int)) "last chunk"
       (159_999_998_976, 160_000_000_000)
       (Busy_beaver.plan_chunk_range p (chunks - 1))
+
+(* the fingerprint ledgers and Welcome messages carry, byte for byte:
+   it moves only with what a chunk accumulator depends on, so a ledger
+   written by an older build resumes, and workers of either build
+   serve the other's coordinator *)
+let test_plan_fingerprint () =
+  let config ?analysis () =
+    Obs.Json.to_string
+      (Busy_beaver.plan_config (Busy_beaver.plan ?analysis ~n:3 ()))
+  in
+  let census =
+    {|{"workload":"bbsearch","n":3,"max_input":12,"max_configs":60000,"prune":true,"chunk":1024,"sample":null,"total":373248|}
+  in
+  Alcotest.(check string) "census" (census ^ "}") (config ());
+  Alcotest.(check string) "All_1" (census ^ {|,"analysis":"all_1"}|})
+    (config ~analysis:Busy_beaver.All_1 ())
 
 (* the sampled stream is per-index, so it is also jobs-independent when
    pruning rewrites each draw to its canonical representative *)
@@ -603,6 +619,128 @@ let test_node_budget_aborts () =
   Alcotest.(check int) "jobs 2: counter = num_aborted"
     r2.Busy_beaver.num_aborted counted2
 
+(* -- Closure-constant output maps: decided without a graph -------------- *)
+
+(* A map constant [b] on the assignment's coverable states is read as
+   [Decides b] on every input, so the scan records it as reject-all
+   ([false]) or threshold 2 and All_1 at input 2 ([true]). The explored
+   references on the decoded protocol must say the same. *)
+let constant_agrees ~n ~assignment ~output_bits b =
+  let p = Busy_beaver.protocol_of_code ~n ~assignment ~output_bits in
+  Eta_search.find p ~max_input:12
+  = (if b then Eta_search.Always_accepts else Eta_search.Always_rejects)
+  && Section_4_1.min_accepting_input p ~max_input:12
+     = if b then Some 2 else None
+
+(* every canonical n <= 3 code the rule decides (o = 0 excluded: the
+   scan decides it before asking), with the orbit-weighted count of
+   each kind *)
+let test_constant_maps_exhaustive () =
+  List.iter
+    (fun (n, rejects, accepts) ->
+      let sym = Busy_beaver.Symmetry.make n in
+      let sums = Busy_beaver.Summaries.create ~n ~max_input:12 () in
+      let weights = [| 0; 0 |] in
+      for assignment = 0 to Busy_beaver.num_assignments n - 1 do
+        for output_bits = 1 to (1 lsl n) - 1 do
+          match
+            Busy_beaver.Symmetry.canonical_weight sym ~assignment ~output_bits
+          with
+          | None -> ()
+          | Some weight -> (
+            match
+              Busy_beaver.Summaries.constant sums ~assignment ~output_bits
+            with
+            | None -> ()
+            | Some b ->
+              let k = Bool.to_int b in
+              weights.(k) <- weights.(k) + weight;
+              if not (constant_agrees ~n ~assignment ~output_bits b) then
+                Alcotest.failf "bb-%d-%d-%d: constant %b disagrees" n
+                  assignment output_bits b)
+        done
+      done;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "n=%d: protocols decided reject-all, accept-all" n)
+        (rejects, accepts)
+        (weights.(0), weights.(1)))
+    [ (1, 0, 1); (2, 9, 36); (3, 31_104, 77_760) ]
+
+(* n = 4: a random assignment, with a random map, one containing its
+   coverable states, or one missing them all *)
+let constant_maps_prop =
+  prop "n=4: constant maps = Eta_search.find, min_accepting_input" ~count:40
+    QCheck.(
+      triple
+        (int_range 0 (Busy_beaver.num_assignments 4 - 1))
+        (int_range 0 15) (int_range 0 2))
+    (fun (assignment, bits, kind) ->
+      let closure =
+        Busy_beaver.protocol_of_code ~n:4 ~assignment ~output_bits:0
+        |> Transform.coverable_states
+        |> Array.to_list
+        |> List.mapi (fun s c -> if c then 1 lsl s else 0)
+        |> List.fold_left ( lor ) 0
+      in
+      let output_bits =
+        match kind with
+        | 0 -> bits
+        | 1 -> bits lor closure
+        | _ -> bits land lnot closure
+      in
+      let expected =
+        if output_bits land closure = 0 then Some false
+        else if closure land lnot output_bits = 0 then Some true
+        else None
+      in
+      let sums = Busy_beaver.Summaries.create ~n:4 ~max_input:12 () in
+      Busy_beaver.Summaries.constant sums ~assignment ~output_bits = expected
+      &&
+      match expected with
+      | None -> true
+      | Some b -> constant_agrees ~n:4 ~assignment ~output_bits b)
+
+(* The rule needs a budget of C(12 + 2, 2) = 91 nodes at n = 3, the
+   configurations of 12 agents: there no graph can abort, so the scan
+   equals the default one. One node less, nothing is decided without a
+   graph, and the scan is the explored one, aborts included (pinned
+   from the scan before the rule). *)
+let test_constant_budget_guard () =
+  let m_summaries = Obs.Metrics.counter "bbsearch.summaries" in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  let counted f =
+    let before = Obs.Metrics.value m_summaries in
+    let r = f () in
+    (r, Obs.Metrics.value m_summaries - before)
+  in
+  let (reference, s_ref), (at_91, s_91), at_90 =
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled was)
+      (fun () ->
+        let reference = counted (fun () -> Busy_beaver.scan ~n:3 ()) in
+        let at_91 =
+          counted (fun () -> Busy_beaver.scan ~n:3 ~max_configs:91 ())
+        in
+        (reference, at_91, Busy_beaver.scan ~n:3 ~max_configs:90 ()))
+  in
+  Alcotest.(check int) "default: summaries" 62_958 s_ref;
+  Alcotest.(check bool) "91: default result" true (result_eq reference at_91);
+  Alcotest.(check int) "91: no abort" 0 at_91.Busy_beaver.num_aborted;
+  Alcotest.(check int) "91: summaries" s_ref s_91;
+  Alcotest.(check (list int)) "90: explored result"
+    [ 373_248; 82_306; 89_041; 12_565; 3 ]
+    Busy_beaver.
+      [
+        at_90.num_protocols; at_90.num_threshold; at_90.num_reject_all;
+        at_90.num_aborted; at_90.best_eta;
+      ];
+  Alcotest.(check (list (pair int int))) "90: histogram"
+    [ (2, 82_188); (3, 118) ]
+    at_90.Busy_beaver.histogram;
+  Alcotest.(check (option string)) "90: best" (Some "bb-3-2003-2")
+    (Option.map (fun p -> p.Population.name) at_90.Busy_beaver.best)
+
 (* -- Checkpoint/resume: kill at a random chunk, resume, compare ------------- *)
 
 let with_temp_checkpoint f =
@@ -668,6 +806,8 @@ let () =
           boundaries_prop;
           Alcotest.test_case "plan ranges are computed" `Quick
             test_plan_ranges_computed;
+          Alcotest.test_case "plan fingerprint pinned" `Quick
+            test_plan_fingerprint;
         ] );
       ( "pool",
         [
@@ -701,6 +841,11 @@ let () =
             test_split_assignments;
           Alcotest.test_case "node budget aborts the same codes at any jobs"
             `Quick test_node_budget_aborts;
+          Alcotest.test_case "constant maps = explored references (n <= 3)"
+            `Slow test_constant_maps_exhaustive;
+          constant_maps_prop;
+          Alcotest.test_case "constant maps wait for a 91-node budget" `Quick
+            test_constant_budget_guard;
         ] );
       ("checkpoint", [ checkpoint_resume_prop ]);
     ]

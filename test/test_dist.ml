@@ -921,11 +921,10 @@ let test_outside_counts_are_errors () =
     (Result.is_ok (Busy_beaver.plan_of_config (config ~chunk:max_int (2, 2))));
   (* a plan computes its sampled codes: a 2^50-code sample decodes at
      once, and its last chunk draws its codes on demand *)
-  let before = Gc.allocated_bytes () in
-  match Busy_beaver.plan_of_config (config (1 lsl 50, 1 lsl 50)) with
-  | Error e -> Alcotest.failf "a 2^50-code sample refused: %s" e
-  | Ok plan ->
-    let allocated = Gc.allocated_bytes () -. before in
+  let huge = config (1 lsl 50, 1 lsl 50) in
+  match Allocation.measure (fun () -> Busy_beaver.plan_of_config huge) with
+  | Error e, _ -> Alcotest.failf "a 2^50-code sample refused: %s" e
+  | Ok plan, allocated ->
     Alcotest.(check bool)
       (Printf.sprintf "a 2^50-code sample plans in under 1 MB (%.0f bytes)"
          allocated)
